@@ -32,5 +32,5 @@ for y in (0.5, 1.0, 2.0, 3.0, 4.0):
 print("\nsolver diagnostics at a generic interior point:")
 sol = complex_rotation_number(f, 0.07 + 0.15j, n_modes=64)
 print(f"  tau = {sol.tau_raw:.10f}")
-print(f"  residual {sol.residual:.2e},  cond {sol.cond:.1f},",
+print(f"  residual {sol.residual:.2e},  cond <= {sol.cond:.1f} (upper bound),",
       f"min |Phi'| on the boundary circles = {sol.min_phi_prime:.4f}")

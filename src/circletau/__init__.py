@@ -81,4 +81,31 @@ from .uniformize import (
 )
 from .welding import AsymptoteReport, WeldingSolution, asymptote_check, welding_constant
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # dynamics
+    "Cycle", "Plateau", "RotationEstimate", "compare_to_rational", "denjoy_distortion",
+    "find_cycles", "plateau", "plateau_bracket", "rotation_estimate", "rotation_number",
+    # errors
+    "CircleTauError", "ConfigError", "EmptyPlateau", "ExtrapolationDiverged",
+    "IllConditioned", "ImagesOverlap", "NoConvergence", "NotADiffeomorphism",
+    "NotConverged", "NotHyperbolic", "NotInUpperHalfPlane", "NonCoprimeHomology",
+    "NumericalError", "OutsideBasin", "ParabolicPresent", "RootFindingIncomplete",
+    "StripExceeded", "WrongProfile", "WrongRotationNumber",
+    # experiments
+    "BubbleSample", "BubbleTrace", "EndpointReport", "LiouvilleReport",
+    "NoninjectivityReport", "TsujiiRow", "liouville_measure_estimate",
+    "noninjectivity_probe", "trace_bubble", "tsujii_gap",
+    # linearize
+    "AnnuliCheck", "DiskRadius", "IterationChart", "QcTwistCheck", "SigmaData",
+    "annuli_inequality_check", "bubble_disk_radius", "linearizing_inverse",
+    "ordered_charts", "qc_estimate_check", "sigma", "sigma_from_charts",
+    "xi_distortion",
+    # maps
+    "CircleMap", "DistortionConstant", "IteratedMap", "ShiftedMap", "total_distortion",
+    # uniformize
+    "BoundaryValue", "ConjugacySolution", "UpperHalfPoint", "boundary_tau",
+    "complex_rotation_number", "hyperbolic_distance", "hyperbolic_distance_mod1",
+    "y_min",
+    # welding
+    "AsymptoteReport", "WeldingSolution", "asymptote_check", "welding_constant",
+]

@@ -10,6 +10,17 @@ so that every basis element has sup-modulus 1 on the closed annulus, and
 (a, b, tau) solve the collocation equations
 Phi(f(x_j) + omega) = Phi(x_j) + tau in least squares.
 
+The collocation matrix is [E_f D - E_x, conj(E_f) - conj(E_x) D, -1] with
+the omega-free tables E_f = e^{2 pi i k f(x_j)}, E_x = e^{2 pi i k x_j}
+and D = diag(e^{2 pi i k omega}).  It is solved by Householder QR of the
+matrix with its right-hand side appended, so only R is formed, and a
+triangular solve.  The reported `cond` is an upper bound on the 2-norm
+condition number: ||R||_F ||R^-1||_F, replaced by the exact ratio of
+singular values of R only when the bound exceeds COND_LIMIT, so the
+IllConditioned gate acts on the 2-norm condition number.  Injectivity
+is checked by min |Phi'| over 4M points of both boundary circles, each
+circle's values being one inverse FFT of the coefficients of Phi'.
+
 Boundary values tau_bar(omega) for real omega are obtained by
 extrapolating a ladder of solves tau(omega + i y_l) to y = 0: plain
 polynomial Richardson away from the bifurcation locus, and polynomial
@@ -27,6 +38,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import solve_triangular, svdvals
+from scipy.linalg.lapack import ztrtri
 
 from .errors import (
     ConfigError,
@@ -109,7 +122,7 @@ class ConjugacySolution:
     coeff_down: tuple  # b_k against the scaled basis e^{-2 pi i k (z - omega)}
     residual: float  # max collocation defect
     min_phi_prime: float  # min |Phi'| over both boundary circles
-    cond: float
+    cond: float  # upper bound on the 2-norm condition number, exact near COND_LIMIT
     omega: complex
     n_modes: int
     m_points: int
@@ -135,6 +148,102 @@ class ConjugacySolution:
         for k, b in enumerate(self.coeff_down, start=1):
             out -= 2j * math.pi * k * b * np.exp(-2j * math.pi * k * (z - self.omega))
         return out if out.shape else out[()]
+
+
+def _cis(out, theta) -> None:
+    """Write e^{i theta} into the complex array view out, from real angles."""
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+
+
+def _condition_bound(R) -> float:
+    """Upper bound on the 2-norm condition number of the triangular factor R.
+
+    kappa_F = ||R||_F ||R^-1||_F >= kappa_2 costs one triangular inverse;
+    only when it exceeds COND_LIMIT are the singular values computed, so
+    the value is exact whenever it came near the limit.
+    """
+    r_inv, info = ztrtri(R)
+    if info == 0:
+        kappa = float(np.linalg.norm(R) * np.linalg.norm(r_inv))
+        if kappa <= COND_LIMIT:
+            return kappa
+    sv = svdvals(R, check_finite=False)
+    return float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+
+
+def _solve_collocation(Ab, hint: str = ""):
+    """Least squares A x = b for the augmented matrix Ab = [A | b].
+
+    Householder QR of [A | b] gives R = [[R11, z], [0, rho]], and x solves
+    R11 x = z; Q is never formed.  Raises IllConditioned when the 2-norm
+    condition number of A exceeds COND_LIMIT.  Returns (x, cond, max
+    residual of A x - b), where cond is an upper bound on the 2-norm
+    condition number, exact when it came near the limit.
+    """
+    n = Ab.shape[1] - 1
+    R = np.linalg.qr(Ab, mode="r")
+    R11 = R[:n, :n]
+    cond = _condition_bound(R11)
+    if not cond <= COND_LIMIT:
+        raise IllConditioned(f"condition estimate {cond:.3g} exceeds {COND_LIMIT:g}{hint}")
+    sol = solve_triangular(R11, R[:n, n], check_finite=False)
+    residual = float(np.max(np.abs(Ab[:, :n] @ sol - Ab[:, n])))
+    return sol, cond, residual
+
+
+def _gluing_system(fx, omega: complex, N: int):
+    """[E_f D - E_x, conj(E_f) - conj(E_x) D, -1 | x - F(x) - omega].
+
+    E_f = e^{2 pi i k F(x_j)} and E_x = e^{2 pi i k x_j} are omega-free;
+    D = diag(e^{2 pi i k omega}) carries omega.  Built in place from real
+    angles, so only one M x N complex temporary lives beside the matrix.
+    """
+    M = fx.size
+    x = np.arange(M) / M
+    k = np.arange(1, N + 1)
+    D = np.exp(2j * math.pi * k * omega)
+    Ab = np.empty((M, 2 * N + 2), dtype=complex)
+    up, dn = Ab[:, :N], Ab[:, N : 2 * N]
+    theta = np.outer(fx, k)
+    theta *= TWO_PI
+    _cis(up, theta)
+    dn.real[...] = up.real
+    np.negative(up.imag, out=dn.imag)  # conj(E_f)
+    up *= D
+    np.outer(x, k, out=theta)
+    theta *= TWO_PI
+    ex = np.empty((M, N), dtype=complex)
+    _cis(ex, theta)
+    del theta
+    up -= ex
+    np.conjugate(ex, out=ex)
+    ex *= D
+    dn -= ex
+    del ex
+    Ab[:, 2 * N] = -1.0
+    Ab[:, 2 * N + 1] = x - (fx + omega)
+    return Ab
+
+
+def _phi_prime_on_circles(a, b, omega: complex, L: int):
+    """Phi' on the L-point grids of R/Z (row 0) and R/Z + omega (row 1).
+
+    On each circle Phi' is a trigonometric polynomial in x with
+    frequencies -N..N, so for L > 2N its grid values are one inverse FFT
+    of its coefficients: (1, 2 pi i k a_k, -2 pi i k b_k D_k) on R/Z and
+    (1, 2 pi i k a_k D_k, -2 pi i k b_k) on R/Z + omega.
+    """
+    N = len(a)
+    k = np.arange(1, N + 1)
+    D = np.exp(2j * math.pi * k * omega)
+    da = 2j * math.pi * k * np.asarray(a)
+    db = -2j * math.pi * k * np.asarray(b)
+    c = np.zeros((2, L), dtype=complex)
+    c[:, 0] = 1.0
+    c[0, k], c[0, L - k] = da, db * D
+    c[1, k], c[1, L - k] = da * D, db
+    return np.fft.ifft(c, axis=1, norm="forward")
 
 
 def complex_rotation_number(
@@ -167,50 +276,30 @@ def complex_rotation_number(
     if M < 4 * N + 4:
         raise ConfigError(f"m_points must be >= 4*n_modes + 4, got {M}")
 
-    x = np.arange(M) / M
-    fx = np.asarray(np.real(map.lift(x)), dtype=float) + omega
-    k = np.arange(1, N + 1)
-    col_up = np.exp(2j * math.pi * np.outer(fx, k)) - np.exp(2j * math.pi * np.outer(x, k))
-    col_dn = np.exp(-2j * math.pi * np.outer(fx - omega, k)) - np.exp(
-        -2j * math.pi * np.outer(x[:, None] - omega, k[None, :])
+    fx = np.asarray(np.real(map.lift(np.arange(M) / M)), dtype=float)
+    sol, cond, residual = _solve_collocation(
+        _gluing_system(fx, omega, N), "; reduce n_modes or increase Im omega"
     )
-    col_tau = -np.ones((M, 1), dtype=complex)
-    A = np.hstack([col_up, col_dn, col_tau])
-    rhs = -(fx - x)
-    sol, _, _, sv = np.linalg.lstsq(A, rhs, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    if cond > COND_LIMIT:
-        raise IllConditioned(
-            f"condition estimate {cond:.3g} exceeds {COND_LIMIT:g}; "
-            "reduce n_modes or increase Im omega"
-        )
-    residual = float(np.max(np.abs(A @ sol - rhs)))
     tau = complex(sol[-1])
     if tau.imag <= 0.0:
         raise IllConditioned(
             f"solved tau = {tau:.6g} left the upper half-plane; "
             "the solve is not trustworthy at these parameters"
         )
-
-    solution = ConjugacySolution(
+    return ConjugacySolution(
         tau=UpperHalfPoint.from_complex(tau),
         tau_raw=tau,
         coeff_up=tuple(sol[:N]),
         coeff_down=tuple(sol[N : 2 * N]),
         residual=residual,
-        min_phi_prime=0.0,
+        min_phi_prime=float(
+            np.min(np.abs(_phi_prime_on_circles(sol[:N], sol[N : 2 * N], omega, 4 * M)))
+        ),
         cond=cond,
         omega=omega,
         n_modes=N,
         m_points=M,
     )
-    xb = np.arange(4 * M) / (4 * M)
-    mpp = min(
-        float(np.min(np.abs(solution.phi_prime(xb + 0j)))),
-        float(np.min(np.abs(solution.phi_prime(xb + omega)))),
-    )
-    object.__setattr__(solution, "min_phi_prime", mpp)
-    return solution
 
 
 # -- boundary extrapolation ---------------------------------------------------
@@ -220,8 +309,10 @@ def complex_rotation_number(
 class Rung:
     y: float
     tau: complex
-    residual: float
-    n_modes: int
+    residual: float  # best over the rung's solves
+    n_modes: int  # N of the best solve
+    solves: int  # solves spent, escalations included
+    target_met: bool  # residual <= resid_target
 
 
 @dataclass(frozen=True)
@@ -235,6 +326,11 @@ class BoundaryValue:
     method: str  # "richardson" | "fold"
     omega: float
 
+    @property
+    def rungs_missed(self) -> int:
+        """Rungs whose best residual stayed above the residual target."""
+        return sum(not r.target_met for r in self.rungs)
+
 
 DEFAULT_LADDER = tuple(0.25 / 2**l for l in range(7))
 
@@ -245,16 +341,19 @@ def _heuristic_modes(y: float) -> int:
 
 def _solve_rung(map, omega, y, resid_target, n_cap, y_floor) -> Rung:
     N = _heuristic_modes(y)
-    best = None
+    best, solves = None, 0
     while True:
         sol = complex_rotation_number(map, omega + 1j * y, N, y_floor=y_floor)
+        solves += 1
         if best is None or sol.residual < best.residual:
-            best = Rung(y, sol.tau_raw, sol.residual, N)
-        if sol.residual <= resid_target or N >= n_cap:
-            return best
-        if best.n_modes < N:  # escalation stopped helping
-            return best
+            best = sol
+        # stop on target, at the cap, or once escalation stopped helping
+        if sol.residual <= resid_target or N >= n_cap or best.n_modes < N:
+            break
         N = min(n_cap, int(N * 1.6))
+    return Rung(
+        y, best.tau_raw, best.residual, best.n_modes, solves, best.residual <= resid_target
+    )
 
 
 def _neville(nodes, vals, target) -> complex:

@@ -13,14 +13,13 @@ asymptote of tau_f(omega) - omega.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IllConditioned
-from .uniformize import COND_LIMIT, complex_rotation_number, wrap_half
+from .errors import ConfigError
+from .uniformize import TWO_PI, _cis, _solve_collocation, complex_rotation_number, wrap_half
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class WeldingSolution:
     coeff_plus: tuple  # a_k, k = 1..N
     coeff_minus: tuple  # b_k against e^{-2 pi i k z}
     residual: float
-    cond: float
+    cond: float  # upper bound on the 2-norm condition number, exact near COND_LIMIT
     n_modes: int
     m_points: int
 
@@ -67,17 +66,14 @@ def welding_constant(
     x = np.arange(M) / M
     fx = np.asarray(np.real(map.lift(x)), dtype=float)
     k = np.arange(1, N + 1)
-    # unknowns [a_1..a_N, b_1..b_N, C-]
-    col_a = -np.exp(2j * math.pi * np.outer(x, k))
-    col_b = np.exp(-2j * math.pi * np.outer(fx, k))
-    col_c = np.ones((M, 1), dtype=complex)
-    A = np.hstack([col_a, col_b, col_c])
-    rhs = (x - fx + gauge).astype(complex)
-    sol, _, _, sv = np.linalg.lstsq(A, rhs, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    if cond > COND_LIMIT:
-        raise IllConditioned(f"welding system condition estimate {cond:.3g}")
-    residual = float(np.max(np.abs(A @ sol - rhs)))
+    # unknowns [a_1..a_N, b_1..b_N, C-]: [-E_x, conj(E_f), 1 | x - F(x) + C+]
+    Ab = np.empty((M, 2 * N + 2), dtype=complex)
+    _cis(Ab[:, :N], TWO_PI * np.outer(x, k))
+    Ab[:, :N] *= -1.0
+    _cis(Ab[:, N : 2 * N], -TWO_PI * np.outer(fx, k))
+    Ab[:, 2 * N] = 1.0
+    Ab[:, 2 * N + 1] = x - fx + gauge
+    sol, cond, residual = _solve_collocation(Ab, " in the welding system")
     c_minus = complex(sol[-1])
     return WeldingSolution(
         c_plus=gauge,

@@ -11,7 +11,10 @@ from circletau.errors import (
 )
 from circletau.maps import CircleMap
 from circletau.uniformize import (
+    COND_LIMIT,
     UpperHalfPoint,
+    _phi_prime_on_circles,
+    _solve_collocation,
     boundary_tau,
     complex_rotation_number,
     hyperbolic_distance,
@@ -21,6 +24,39 @@ from circletau.uniformize import (
 )
 
 B = 1.0 / (4.0 * math.pi)
+
+# a sample omega of the two-hump bubble, 1.1e-3 right of its left edge
+HUMP_EDGE_SAMPLE = 0.0033358979962851837
+KERNEL_CASES = [("arnold", 0.1 + 0.05j, 64), ("two_humped", HUMP_EDGE_SAMPLE + 8e-4j, 384)]
+
+
+def lstsq_gluing_oracle(map, omega, N):
+    """The earlier SVD path: exp outer products and np.linalg.lstsq."""
+    M = 4 * N + 8
+    x = np.arange(M) / M
+    fx = np.asarray(np.real(map.lift(x)), dtype=float) + omega
+    k = np.arange(1, N + 1)
+    col_up = np.exp(2j * math.pi * np.outer(fx, k)) - np.exp(2j * math.pi * np.outer(x, k))
+    col_dn = np.exp(-2j * math.pi * np.outer(fx - omega, k)) - np.exp(
+        -2j * math.pi * np.outer(x[:, None] - omega, k[None, :])
+    )
+    A = np.hstack([col_up, col_dn, -np.ones((M, 1), dtype=complex)])
+    return np.linalg.lstsq(A, -(fx - x), rcond=None)[0]
+
+
+def synthetic_system(singular_values, m=160, seed=0):
+    """[A | b] with A = U diag(s) V^H for random unitary U (m x n) and V."""
+    rng = np.random.default_rng(seed)
+    s = np.asarray(singular_values, dtype=float)
+    n = s.size
+
+    def unitary(rows, cols):
+        z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        return np.linalg.qr(z)[0]
+
+    A = unitary(m, n) * s @ unitary(n, n).conj().T
+    b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return np.column_stack([A, b])
 
 
 class TestUpperHalfPoint:
@@ -125,6 +161,60 @@ class TestSolver:
         assert float(np.max(np.abs(lhs - rhs))) < 5e-9
 
 
+class TestCollocationKernel:
+    @pytest.mark.parametrize("map_name, omega, N", KERNEL_CASES)
+    def test_matches_lstsq(self, request, map_name, omega, N):
+        m = request.getfixturevalue(map_name)
+        sol = complex_rotation_number(m, omega, N, y_floor=0.0)
+        ref = lstsq_gluing_oracle(m, omega, N)
+        assert abs(sol.tau_raw - ref[-1]) < 1e-12
+        coeffs = np.array(sol.coeff_up + sol.coeff_down)
+        assert float(np.max(np.abs(coeffs - ref[:-1]))) < 1e-12
+
+    @pytest.mark.parametrize("map_name, omega, N", KERNEL_CASES)
+    def test_fft_phi_prime_matches_pointwise(self, request, map_name, omega, N):
+        sol = complex_rotation_number(request.getfixturevalue(map_name), omega, N, y_floor=0.0)
+        L = 4 * sol.m_points
+        xb = np.arange(L) / L
+        grids = _phi_prime_on_circles(sol.coeff_up, sol.coeff_down, omega, L)
+        for grid, shift in zip(grids, (0.0, omega)):
+            pointwise = sol.phi_prime(xb + shift)
+            sup = float(np.max(np.abs(pointwise)))
+            assert float(np.max(np.abs(grid - pointwise))) < 1e-12 * sup
+            assert float(np.min(np.abs(grid))) == pytest.approx(
+                float(np.min(np.abs(pointwise))), rel=1e-12
+            )
+        assert sol.min_phi_prime == float(np.min(np.abs(grids)))
+
+    def test_cond_gate_raises_above_limit(self):
+        s = np.logspace(0.0, -13.0, 40)  # kappa_2 = 1e13
+        with pytest.raises(IllConditioned):
+            _solve_collocation(synthetic_system(s))
+
+    def test_cond_exact_fallback_passes_below_limit(self):
+        # kappa_2 = 1e11, but 30 small singular values push the Frobenius
+        # bound past the limit, so the gate needs the exact value
+        s = np.r_[np.ones(10), np.full(30, 1e-11)]
+        kappa_f = math.sqrt(np.sum(s**2) * np.sum(s**-2.0))
+        assert kappa_f > COND_LIMIT
+        _, cond, _ = _solve_collocation(synthetic_system(s))
+        assert cond == pytest.approx(1e11, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "s",
+        [np.ones(40), np.linspace(1.0, 0.1, 40), np.logspace(0.0, -8.0, 40),
+         np.r_[np.ones(10), np.full(30, 1e-11)]],
+    )
+    def test_cond_bounds_kappa_2(self, s):
+        Ab = synthetic_system(s, seed=1)
+        sol, cond, residual = _solve_collocation(Ab)
+        assert cond >= (s.max() / s.min()) * (1.0 - 1e-6)
+        assert residual == pytest.approx(float(np.max(np.abs(Ab[:, :-1] @ sol - Ab[:, -1]))))
+        if s.max() / s.min() < 1e3:
+            ref = np.linalg.lstsq(Ab[:, :-1], Ab[:, -1], rcond=None)[0]
+            assert float(np.max(np.abs(sol - ref))) < 1e-12
+
+
 class TestBoundaryTau:
     def test_rotation_family(self):
         bv = boundary_tau(CircleMap(0.3), 0.0, ladder=[0.4, 0.2, 0.1])
@@ -138,6 +228,19 @@ class TestBoundaryTau:
         assert bv.tau.im == pytest.approx(0.0814328, abs=2e-6)
         assert bv.error_estimate < 1e-4
         assert bv.method == "richardson"
+
+    def test_rungs_report_solves_and_target(self, arnold_tau0):
+        bv = arnold_tau0
+        assert all(r.solves >= 1 for r in bv.rungs)
+        assert all(r.target_met == (r.residual <= 3e-7) for r in bv.rungs)
+        assert bv.rungs_missed == sum(not r.target_met for r in bv.rungs)
+
+    def test_zero_target_misses_every_rung(self, arnold):
+        bv = boundary_tau(arnold, 0.0, ladder=[0.2, 0.1, 0.05], resid_target=0.0, n_cap=64)
+        assert not any(r.target_met for r in bv.rungs)
+        assert bv.rungs_missed == len(bv.rungs) == 3
+        # each rung escalated until the cap or until escalation stopped helping
+        assert all(r.solves >= 2 for r in bv.rungs)
 
     def test_ladder_validation(self, arnold):
         with pytest.raises(ConfigError):

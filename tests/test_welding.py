@@ -1,6 +1,7 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
 from circletau.errors import ConfigError, IllConditioned
@@ -14,7 +15,27 @@ B = 1.0 / (4.0 * math.pi)
 ARNOLD_CF_IM = 0.010287478223287
 
 
+def lstsq_welding_oracle(map, N, gauge=0.0):
+    """C_f from the earlier SVD path: exp outer products and np.linalg.lstsq."""
+    M = 4 * N + 8
+    x = np.arange(M) / M
+    fx = np.asarray(np.real(map.lift(x)), dtype=float)
+    k = np.arange(1, N + 1)
+    A = np.hstack([
+        -np.exp(2j * math.pi * np.outer(x, k)),
+        np.exp(-2j * math.pi * np.outer(fx, k)),
+        np.ones((M, 1), dtype=complex),
+    ])
+    sol = np.linalg.lstsq(A, (x - fx + gauge).astype(complex), rcond=None)[0]
+    return gauge - sol[-1]
+
+
 class TestWeldingConstant:
+    def test_matches_lstsq(self, arnold, arnold_weld, two_humped):
+        assert abs(arnold_weld.c_f - lstsq_welding_oracle(arnold, 48)) < 1e-12
+        w = welding_constant(two_humped, 64, gauge_c_plus=0.5j)
+        assert abs(w.c_f - lstsq_welding_oracle(two_humped, 64, 0.5j)) < 1e-12
+
     def test_rotation_translation_welding(self):
         w = welding_constant(CircleMap(0.25), 16)
         assert abs(w.c_f - 0.25) < 1e-12
