@@ -308,6 +308,48 @@ def rotation_number(map, tol: float = 1e-10, max_iter: int = 10_000_000) -> floa
 # -- periodic orbits ---------------------------------------------------------
 
 
+def _grid_roots(g, x, scalar_g):
+    """Roots of G from its values g on the uniform grid x of R/Z.
+
+    A grid point is a root when g vanishes there; a cell with a sign
+    change is refined by brentq; a local minimum of |G| below 1e-6 with
+    no adjacent sign change is a candidate tangency, refined as a smooth
+    signed extremum and kept when |G| < 1e-10 there (reported as a
+    suspect interval when it stays in [1e-10, 1e-8)).  The cells are
+    classified by masks, and refined in ascending order.  Returns
+    (roots, suspects).
+    """
+    h = 1.0 / g.size
+    gr, gp = np.roll(g, -1), np.roll(g, 1)
+    ag = np.abs(g)
+    zero = g == 0.0
+    crossing = ~zero & (g * gr < 0.0)
+    touching = (
+        ~zero & ~crossing & (ag < 1e-6) & (np.abs(gp) >= ag) & (ag <= np.abs(gr)) & (gp * g > 0.0)
+    )
+    roots: list[float] = []
+    suspects: list[tuple] = []
+    for i in np.flatnonzero(zero | crossing | touching):
+        xl = x[i]
+        if zero[i]:
+            roots.append(xl)
+        elif crossing[i]:
+            roots.append(brentq(scalar_g, xl, xl + h, xtol=1e-15, rtol=8.9e-16))
+        else:
+            sgn = 1.0 if g[i] >= 0.0 else -1.0
+            res = minimize_scalar(
+                lambda t: sgn * scalar_g(t),
+                bounds=(xl - h, xl + h),
+                method="bounded",
+                options={"xatol": 1e-14, "maxiter": 300},
+            )
+            if abs(res.fun) < 1e-10:
+                roots.append(float(res.x) % 1.0)
+            elif abs(res.fun) < 1e-8:
+                suspects.append((xl - h, xl + h))
+    return roots, suspects
+
+
 def find_cycles(map, p: int, q: int, resolution: float = 1e-12) -> list[Cycle]:
     """All periodic orbits of type p/q, grouped and classified.
 
@@ -334,35 +376,7 @@ def find_cycles(map, p: int, q: int, resolution: float = 1e-12) -> list[Cycle]:
     def scalar_g(t):
         return float(_g_values(map, p, q, float(t)))
 
-    h = 1.0 / _ROOT_GRID
-    roots: list[float] = []
-    suspects: list[tuple] = []
-    for i in range(_ROOT_GRID):
-        gl, gr = g[i], g[(i + 1) % _ROOT_GRID]
-        xl, xr = x[i], x[i] + h
-        if gl == 0.0:
-            roots.append(xl)
-        elif gl * gr < 0.0:
-            roots.append(brentq(scalar_g, xl, xr, xtol=1e-15, rtol=8.9e-16))
-        elif (
-            abs(gl) < 1e-6
-            and abs(g[i - 1]) >= abs(gl)
-            and abs(gl) <= abs(gr)
-            and g[i - 1] * gl > 0.0
-        ):
-            # local minimum of |G| with no adjacent sign change: candidate
-            # tangency; refine the smooth signed extremum
-            sgn = 1.0 if gl >= 0.0 else -1.0
-            res = minimize_scalar(
-                lambda t: sgn * scalar_g(t),
-                bounds=(xl - h, xl + h),
-                method="bounded",
-                options={"xatol": 1e-14, "maxiter": 300},
-            )
-            if abs(res.fun) < 1e-10:
-                roots.append(float(res.x) % 1.0)
-            elif abs(res.fun) < 1e-8:
-                suspects.append((xl - h, xl + h))
+    roots, suspects = _grid_roots(g, x, scalar_g)
 
     if suspects:
         raise RootFindingIncomplete(

@@ -12,14 +12,19 @@ Phi(f(x_j) + omega) = Phi(x_j) + tau in least squares.
 
 The collocation matrix is [E_f D - E_x, conj(E_f) - conj(E_x) D, -1] with
 the omega-free tables E_f = e^{2 pi i k f(x_j)}, E_x = e^{2 pi i k x_j}
-and D = diag(e^{2 pi i k omega}).  It is solved by Householder QR of the
-matrix with its right-hand side appended, so only R is formed, and a
-triangular solve.  The reported `cond` is an upper bound on the 2-norm
-condition number: ||R||_F ||R^-1||_F, replaced by the exact ratio of
-singular values of R only when the bound exceeds COND_LIMIT, so the
-IllConditioned gate acts on the 2-norm condition number.  Injectivity
-is checked by min |Phi'| over 4M points of both boundary circles, each
-circle's values being one inverse FFT of the coefficients of Phi'.
+and D = diag(e^{2 pi i k omega}).  Each table is built from factored
+powers: with k = B a + b, an entry is the product of a fine table
+e^{2 pi i b t_j} (b = 1..B) and a coarse one e^{2 pi i B a t_j}, so cos
+and sin are evaluated on M (B + N/B) angles instead of M N.  The matrix,
+in Fortran order with its right-hand side appended, is factored by
+Householder QR (LAPACK zgeqrf with its tuned workspace) so that only R
+is read, and solved by a triangular solve.  The reported `cond` is an
+upper bound on the 2-norm condition number: ||R||_F ||R^-1||_F, replaced
+by the exact ratio of singular values of R only when the bound exceeds
+COND_LIMIT, so the IllConditioned gate acts on the 2-norm condition
+number.  Injectivity is checked by min |Phi'| over 4M points of both
+boundary circles, each circle's values being one inverse FFT of the
+coefficients of Phi'.
 
 Boundary values tau_bar(omega) for real omega are obtained by
 extrapolating a ladder of solves tau(omega + i y_l) to y = 0: plain
@@ -28,6 +33,9 @@ interpolation in the fold variable u = sqrt(1 - i y / s) when the signed
 distance s to the nearest non-hyperbolic parameter is known (the
 extension of tau across a plateau has a square-root branch point there,
 so the ladder must be interpolated through that structure to converge).
+Rungs are solved from the top down, and since a thinner annulus never
+needs fewer modes than a thicker one, each rung starts its mode
+escalation at the N of the previous rung's best solve.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular, svdvals
-from scipy.linalg.lapack import ztrtri
+from scipy.linalg.lapack import zgeqrf, zgeqrf_lwork, ztrtri
 
 from .errors import (
     ConfigError,
@@ -51,6 +59,7 @@ from .errors import (
 TWO_PI = 2.0 * math.pi
 COND_LIMIT = 1e12
 HARD_Y_FLOOR = 2e-5  # absolute floor for edge-adapted rungs
+POWER_BLOCK = 16  # fine-table width B of _cis_powers
 
 
 def wrap_half(x: float) -> float:
@@ -156,6 +165,29 @@ def _cis(out, theta) -> None:
     np.sin(theta, out=out.imag)
 
 
+def _cis_powers(t, N: int, out=None):
+    """e^{2 pi i k t_j} for k = 1..N as an M x N array, from factored powers.
+
+    Writing k = B a + b with 1 <= b <= B, each entry is one complex
+    multiply of a fine table e^{2 pi i b t_j} and a coarse table
+    e^{2 pi i B a t_j}, so cos and sin are taken on M (B + N/B) angles
+    instead of M N.  The result is written into out when given.
+    """
+    t = np.asarray(t, dtype=float)
+    B = min(N, POWER_BLOCK)
+    if out is None:
+        out = np.empty((t.size, N), dtype=complex)
+    fine = out[:, :B]
+    _cis(fine, TWO_PI * np.outer(t, np.arange(1, B + 1)))
+    a = np.arange(1, -(-N // B))
+    coarse = np.empty((t.size, a.size), dtype=complex)
+    _cis(coarse, TWO_PI * np.outer(t, B * a))
+    for i, lo in enumerate(B * a):
+        w = min(B, N - lo)
+        np.multiply(fine[:, :w], coarse[:, i : i + 1], out=out[:, lo : lo + w])
+    return out
+
+
 def _condition_bound(R) -> float:
     """Upper bound on the 2-norm condition number of the triangular factor R.
 
@@ -172,17 +204,31 @@ def _condition_bound(R) -> float:
     return float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
 
 
+def _householder_r(Ab):
+    """Triangular factor R of the Householder QR of Ab; Q is never formed.
+
+    LAPACK zgeqrf, with the workspace zgeqrf_lwork reports as optimal,
+    factors a Fortran-ordered copy, so Ab itself stays intact; only the
+    upper triangle of its output is read.
+    """
+    lwork, _ = zgeqrf_lwork(*Ab.shape)
+    qr, _, _, info = zgeqrf(Ab, lwork=int(lwork.real))
+    if info != 0:
+        raise ValueError(f"zgeqrf rejected argument {-info}")
+    return np.triu(qr[: min(Ab.shape)])
+
+
 def _solve_collocation(Ab, hint: str = ""):
     """Least squares A x = b for the augmented matrix Ab = [A | b].
 
     Householder QR of [A | b] gives R = [[R11, z], [0, rho]], and x solves
-    R11 x = z; Q is never formed.  Raises IllConditioned when the 2-norm
-    condition number of A exceeds COND_LIMIT.  Returns (x, cond, max
-    residual of A x - b), where cond is an upper bound on the 2-norm
-    condition number, exact when it came near the limit.
+    R11 x = z.  Raises IllConditioned when the 2-norm condition number of
+    A exceeds COND_LIMIT.  Returns (x, cond, max residual of A x - b),
+    where cond is an upper bound on the 2-norm condition number, exact
+    when it came near the limit.
     """
     n = Ab.shape[1] - 1
-    R = np.linalg.qr(Ab, mode="r")
+    R = _householder_r(Ab)
     R11 = R[:n, :n]
     cond = _condition_bound(R11)
     if not cond <= COND_LIMIT:
@@ -195,27 +241,20 @@ def _solve_collocation(Ab, hint: str = ""):
 def _gluing_system(fx, omega: complex, N: int):
     """[E_f D - E_x, conj(E_f) - conj(E_x) D, -1 | x - F(x) - omega].
 
-    E_f = e^{2 pi i k F(x_j)} and E_x = e^{2 pi i k x_j} are omega-free;
-    D = diag(e^{2 pi i k omega}) carries omega.  Built in place from real
-    angles, so only one M x N complex temporary lives beside the matrix.
+    E_f = e^{2 pi i k F(x_j)} and E_x = e^{2 pi i k x_j} are omega-free
+    tables from _cis_powers; D = diag(e^{2 pi i k omega}) carries omega.
+    Built in place in Fortran order, for zgeqrf, with one M x N complex
+    temporary beside the matrix.
     """
     M = fx.size
     x = np.arange(M) / M
-    k = np.arange(1, N + 1)
-    D = np.exp(2j * math.pi * k * omega)
-    Ab = np.empty((M, 2 * N + 2), dtype=complex)
+    D = np.exp(2j * math.pi * np.arange(1, N + 1) * omega)
+    Ab = np.empty((M, 2 * N + 2), dtype=complex, order="F")
     up, dn = Ab[:, :N], Ab[:, N : 2 * N]
-    theta = np.outer(fx, k)
-    theta *= TWO_PI
-    _cis(up, theta)
-    dn.real[...] = up.real
-    np.negative(up.imag, out=dn.imag)  # conj(E_f)
+    _cis_powers(fx, N, out=up)
+    np.conjugate(up, out=dn)
     up *= D
-    np.outer(x, k, out=theta)
-    theta *= TWO_PI
-    ex = np.empty((M, N), dtype=complex)
-    _cis(ex, theta)
-    del theta
+    ex = _cis_powers(x, N)
     up -= ex
     np.conjugate(ex, out=ex)
     ex *= D
@@ -313,6 +352,7 @@ class Rung:
     n_modes: int  # N of the best solve
     solves: int  # solves spent, escalations included
     target_met: bool  # residual <= resid_target
+    cond: float  # condition bound of the best solve
 
 
 @dataclass(frozen=True)
@@ -331,6 +371,11 @@ class BoundaryValue:
         """Rungs whose best residual stayed above the residual target."""
         return sum(not r.target_met for r in self.rungs)
 
+    @property
+    def max_rung_residual(self) -> float:
+        """Largest best-solve residual over the rungs."""
+        return max(r.residual for r in self.rungs)
+
 
 DEFAULT_LADDER = tuple(0.25 / 2**l for l in range(7))
 
@@ -339,8 +384,18 @@ def _heuristic_modes(y: float) -> int:
     return int(min(256, max(32, math.ceil(1.8 / max(y, 7e-3)))))
 
 
-def _solve_rung(map, omega, y, resid_target, n_cap, y_floor) -> Rung:
+def _solve_rung(map, omega, y, resid_target, n_cap, y_floor, n_from=0) -> Rung:
+    """Solve at omega + i y on the mode schedule of height y.
+
+    The schedule is _heuristic_modes(y), then floor(1.6 N), and so on,
+    capped at n_cap.  Escalation starts at its first member >= n_from
+    (a lower rung passes the N of the rung above it, since a thinner
+    annulus never needs fewer modes) and stops on the residual target,
+    at the cap, or once a larger N stopped improving the residual.
+    """
     N = _heuristic_modes(y)
+    while N < n_from and N < n_cap:
+        N = min(n_cap, int(N * 1.6))
     best, solves = None, 0
     while True:
         sol = complex_rotation_number(map, omega + 1j * y, N, y_floor=y_floor)
@@ -352,7 +407,13 @@ def _solve_rung(map, omega, y, resid_target, n_cap, y_floor) -> Rung:
             break
         N = min(n_cap, int(N * 1.6))
     return Rung(
-        y, best.tau_raw, best.residual, best.n_modes, solves, best.residual <= resid_target
+        y,
+        best.tau_raw,
+        best.residual,
+        best.n_modes,
+        solves,
+        best.residual <= resid_target,
+        best.cond,
     )
 
 
@@ -407,6 +468,11 @@ def boundary_tau(
     distance are appended and the extrapolation runs in the fold
     variable u = sqrt(1 - i y / s); otherwise plain polynomial
     Richardson of the given order is used.
+
+    Rungs are solved in order of decreasing height, each starting its
+    mode escalation at the N of the previous rung's best solve (see
+    _solve_rung); the first rung starts at its heuristic N.  Nothing
+    carries over between calls.
     """
     omega = float(omega)
     rungs_y = list(DEFAULT_LADDER if ladder is None else [float(y) for y in ladder])
@@ -429,7 +495,10 @@ def boundary_tau(
             ]
             floor = min(floor, HARD_Y_FLOOR)
 
-    rungs = [_solve_rung(map, omega, y, resid_target, n_cap, floor) for y in rungs_y]
+    rungs = []
+    for y in rungs_y:
+        n_from = rungs[-1].n_modes if rungs else 0
+        rungs.append(_solve_rung(map, omega, y, resid_target, n_cap, floor, n_from))
 
     # unwrap: mod-1 jumps between rungs would wreck the extrapolation
     taus = [rungs[0].tau]

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .uniformize import TWO_PI, _cis, _solve_collocation, complex_rotation_number, wrap_half
+from .uniformize import _cis_powers, _solve_collocation, complex_rotation_number, wrap_half
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,11 @@ def welding_constant(
 
     x = np.arange(M) / M
     fx = np.asarray(np.real(map.lift(x)), dtype=float)
-    k = np.arange(1, N + 1)
     # unknowns [a_1..a_N, b_1..b_N, C-]: [-E_x, conj(E_f), 1 | x - F(x) + C+]
-    Ab = np.empty((M, 2 * N + 2), dtype=complex)
-    _cis(Ab[:, :N], TWO_PI * np.outer(x, k))
+    Ab = np.empty((M, 2 * N + 2), dtype=complex, order="F")
+    _cis_powers(x, N, out=Ab[:, :N])
     Ab[:, :N] *= -1.0
-    _cis(Ab[:, N : 2 * N], -TWO_PI * np.outer(fx, k))
+    _cis_powers(-fx, N, out=Ab[:, N : 2 * N])
     Ab[:, 2 * N] = 1.0
     Ab[:, 2 * N + 1] = x - fx + gauge
     sol, cond, residual = _solve_collocation(Ab, " in the welding system")

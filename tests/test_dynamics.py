@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from circletau.dynamics import (
+    _g_values,
+    _grid_roots,
     compare_to_rational,
     denjoy_distortion,
     find_cycles,
@@ -95,7 +97,59 @@ class TestRotationNumber:
         assert err.value.bracket is not None
 
 
+def loop_grid_roots(g, x, scalar_g):
+    """The per-point scan that _grid_roots vectorises, kept as its reference."""
+    n = g.size
+    h = 1.0 / n
+    roots, suspects = [], []
+    for i in range(n):
+        gl, gr = g[i], g[(i + 1) % n]
+        xl, xr = x[i], x[i] + h
+        if gl == 0.0:
+            roots.append(xl)
+        elif gl * gr < 0.0:
+            roots.append(brentq(scalar_g, xl, xr, xtol=1e-15, rtol=8.9e-16))
+        elif (
+            abs(gl) < 1e-6
+            and abs(g[i - 1]) >= abs(gl)
+            and abs(gl) <= abs(gr)
+            and g[i - 1] * gl > 0.0
+        ):
+            sgn = 1.0 if gl >= 0.0 else -1.0
+            res = minimize_scalar(
+                lambda t: sgn * scalar_g(t),
+                bounds=(xl - h, xl + h),
+                method="bounded",
+                options={"xatol": 1e-14, "maxiter": 300},
+            )
+            if abs(res.fun) < 1e-10:
+                roots.append(float(res.x) % 1.0)
+            elif abs(res.fun) < 1e-8:
+                suspects.append((xl - h, xl + h))
+    return roots, suspects
+
+
 class TestFindCycles:
+    @pytest.mark.parametrize(
+        "m, p, q",
+        [
+            (CircleMap(0.0, (), (B,)), 0, 1),
+            (CircleMap(0.53, (), (0.0, 0.05)), 1, 2),
+            # G = B (1 + sin(2 pi x + 0.3)) touches zero between grid points
+            (CircleMap(B, (B * math.sin(0.3),), (B * math.cos(0.3),)), 0, 1),
+        ],
+    )
+    def test_grid_scan_matches_loop(self, m, p, q):
+        x = np.linspace(0.0, 1.0, 1 << 14, endpoint=False)
+        g = _g_values(m, p, q, x)
+
+        def scalar_g(t):
+            return float(_g_values(m, p, q, float(t)))
+
+        roots, suspects = _grid_roots(g, x, scalar_g)
+        assert roots
+        assert (roots, suspects) == loop_grid_roots(g, x, scalar_g)
+
     def test_arnold_fixed_points(self, arnold):
         cycles = find_cycles(arnold, 0, 1)
         assert len(cycles) == 2

@@ -13,8 +13,12 @@ from circletau.maps import CircleMap
 from circletau.uniformize import (
     COND_LIMIT,
     UpperHalfPoint,
+    _cis_powers,
+    _gluing_system,
+    _householder_r,
     _phi_prime_on_circles,
     _solve_collocation,
+    _solve_rung,
     boundary_tau,
     complex_rotation_number,
     hyperbolic_distance,
@@ -186,6 +190,29 @@ class TestCollocationKernel:
             )
         assert sol.min_phi_prime == float(np.min(np.abs(grids)))
 
+    def test_cis_powers_match_mpmath(self, two_humped):
+        mpmath = pytest.importorskip("mpmath")
+        N, M = 384, 4 * 384 + 8
+        t = np.asarray(two_humped.lift(np.arange(M) / M), dtype=float)[::61]
+        assert 2.0 * math.pi * N * float(np.max(np.abs(t))) > 2.3e3
+        got = _cis_powers(t, N)
+        with mpmath.workdps(30):
+            exact = np.array(
+                [[complex(mpmath.expjpi(2 * k * mpmath.mpf(float(tj)))) for k in range(1, N + 1)]
+                 for tj in t]
+            )
+        assert float(np.max(np.abs(got - exact))) < 1e-12
+
+    @pytest.mark.parametrize("N", [147, 384])
+    def test_householder_r_matches_numpy(self, two_humped, N):
+        M = 4 * N + 8
+        fx = np.asarray(two_humped.lift(np.arange(M) / M), dtype=float)
+        Ab = _gluing_system(fx, HUMP_EDGE_SAMPLE + 8e-4j, N)
+        ref = np.linalg.qr(Ab, mode="r")
+        R = _householder_r(Ab)
+        assert R.shape == ref.shape
+        assert float(np.max(np.abs(R - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
+
     def test_cond_gate_raises_above_limit(self):
         s = np.logspace(0.0, -13.0, 40)  # kappa_2 = 1e13
         with pytest.raises(IllConditioned):
@@ -235,12 +262,36 @@ class TestBoundaryTau:
         assert all(r.target_met == (r.residual <= 3e-7) for r in bv.rungs)
         assert bv.rungs_missed == sum(not r.target_met for r in bv.rungs)
 
+    def test_rungs_report_cond_and_max_residual(self, arnold, arnold_tau0):
+        bv = arnold_tau0
+        assert bv.max_rung_residual == max(r.residual for r in bv.rungs)
+        last = bv.rungs[-1]
+        sol = complex_rotation_number(arnold, last.y * 1j, last.n_modes)
+        assert last.cond == pytest.approx(sol.cond, rel=1e-9)
+        assert last.cond >= 1.0
+
     def test_zero_target_misses_every_rung(self, arnold):
         bv = boundary_tau(arnold, 0.0, ladder=[0.2, 0.1, 0.05], resid_target=0.0, n_cap=64)
         assert not any(r.target_met for r in bv.rungs)
         assert bv.rungs_missed == len(bv.rungs) == 3
-        # each rung escalated until the cap or until escalation stopped helping
-        assert all(r.solves >= 2 for r in bv.rungs)
+        # each rung escalated until the cap: the first from its heuristic N,
+        # the later ones starting where the rung above them ended
+        assert all(r.n_modes == 64 for r in bv.rungs)
+        assert bv.rungs[0].solves >= 2
+        assert [r.solves for r in bv.rungs[1:]] == [1, 1]
+
+    @pytest.mark.parametrize("case", ["arnold_center", "hump_fold_near_edge"])
+    def test_warm_start_picks_the_cold_solves(self, request, arnold_tau0, case):
+        # each rung escalates from the N of the rung above it; replaying
+        # every rung from its heuristic N must pick the same solve
+        if case == "arnold_center":
+            m, bv = request.getfixturevalue("arnold"), arnold_tau0
+        else:
+            m = request.getfixturevalue("two_humped")
+            bv = boundary_tau(m, HUMP_EDGE_SAMPLE, edge_distance=-1.1e-3)
+        cold = [_solve_rung(m, bv.omega, r.y, 3e-7, 384, 0.0) for r in bv.rungs]
+        assert [(r.n_modes, r.tau) for r in bv.rungs] == [(c.n_modes, c.tau) for c in cold]
+        assert sum(r.solves for r in bv.rungs) <= sum(c.solves for c in cold)
 
     def test_ladder_validation(self, arnold):
         with pytest.raises(ConfigError):
