@@ -6,11 +6,18 @@ rot >= p/q or rot <= p/q depending on the sign of the return error, so
 consecutive records bracket rot within 1/(q_k q_{k+1}).  Rational values
 are then certified exactly through the sign of G(x) = F^q(x) - x - p,
 which is also what powers plateau-edge bisection.
+
+The orbit of ``rotation_estimate`` and every scalar G of a ``CircleMap``
+(the Brent and brentq refinements) step ``CircleMap.lift_float``, which
+returns the same bits as ``lift`` (see ``circletau.maps``), and
+``compare_to_rational`` refines only the grid extremum its sign rule
+still needs.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -70,41 +77,30 @@ class Plateau:
 
 
 def _g_values(map, p: int, q: int, x):
+    """G(x) = F^q(x) - x - p on an array, or on a Python float (float path)."""
+    if isinstance(x, float) and isinstance(map, CircleMap):
+        lift = map.lift_float
+        y = x
+        for _ in range(q):
+            y = lift(y)
+        return y - x - p
     y = np.asarray(x, dtype=float)
     for _ in range(q):
         y = map.lift(y)
     return y - x - p
 
 
-def g_extremes(map, p: int, q: int, grid: int = _G_GRID):
-    """Refined (min, max) of G(x) = F^q(x) - x - p over one period."""
-    x = np.linspace(0.0, 1.0, grid, endpoint=False)
-    g = _g_values(map, p, q, x)
-    step = 1.0 / grid
-
-    def scalar_g(t):
-        return float(_g_values(map, p, q, float(t)))
-
-    def refine(idx, sign):
-        x0 = x[idx]
-        res = minimize_scalar(
-            lambda t: sign * scalar_g(t),
-            bounds=(x0 - step, x0 + step),
-            method="bounded",
-            options={"xatol": 1e-14, "maxiter": 300},
-        )
-        return sign * res.fun
-
-    gmin = min(float(g.min()), refine(int(np.argmin(g)), +1.0))
-    gmax = max(float(g.max()), refine(int(np.argmax(g)), -1.0))
-    return gmin, gmax
-
-
 def compare_to_rational(map, p: int, q: int, grid: int = _G_GRID) -> int:
     """Sign of rot(f) - p/q: +1, -1, or 0 (p/q attained).
 
     rot > p/q iff G > 0 everywhere, rot < p/q iff G < 0 everywhere,
-    and rot = p/q iff G vanishes somewhere.
+    and rot = p/q iff G vanishes somewhere.  G is sampled on a uniform
+    grid, and the sign is decided against a floor of 1e-13 q.  Brent
+    refinement of a grid extremum can only lower the minimum or raise
+    the maximum, so only the extremum that could still overturn the
+    grid's verdict is refined: the minimum when it lies above the floor,
+    the maximum when it lies below minus the floor.  Otherwise G changes
+    sign (or touches zero) on the grid and p/q is attained.
     """
     floor = _SIGN_FLOOR * max(1, q)
     if getattr(map, "is_rotation", False):
@@ -115,14 +111,26 @@ def compare_to_rational(map, p: int, q: int, grid: int = _G_GRID) -> int:
         if val < -floor:
             return -1
         return 0
-    gmin, gmax = g_extremes(map, p, q, grid)
+    x = np.linspace(0.0, 1.0, grid, endpoint=False)
+    g = _g_values(map, p, q, x)
+    step = 1.0 / grid
+
+    def refined(idx, sign):
+        # sign * min of sign*G over the two cells around grid point idx
+        x0 = x[idx]
+        res = minimize_scalar(
+            lambda t: sign * float(_g_values(map, p, q, float(t))),
+            bounds=(x0 - step, x0 + step),
+            method="bounded",
+            options={"xatol": 1e-14, "maxiter": 300},
+        )
+        return sign * res.fun
+
+    gmin, gmax = float(g.min()), float(g.max())
     if gmin > floor:
-        return 1
+        return 1 if min(gmin, refined(int(np.argmin(g)), +1.0)) > floor else 0
     if gmax < -floor:
-        return -1
-    if -floor <= gmin <= floor or -floor <= gmax <= floor:
-        # extremum at numerical zero: tangency, counts as attained
-        return 0
+        return -1 if max(gmax, refined(int(np.argmax(g)), -1.0)) < -floor else 0
     return 0
 
 
@@ -160,8 +168,9 @@ def rotation_estimate(map, tol: float = 1e-10, max_iter: int = 10_000_000) -> Ro
     """Rotation number of the lift with a rigorous bracket.
 
     Birkhoff orbit of x = 0 with acceleration at closest-return times;
-    when the record sequence stалls, the smallest-denominator rational in
-    the bracket is tested exactly via the sign of G.
+    when the record sequence stalls, the smallest-denominator rational in
+    the bracket is tested exactly via the sign of G.  The orbit steps
+    ``CircleMap.lift_float``.
     """
     if tol < 1e-12:
         raise ConfigError(f"tol must be >= 1e-12, got {tol}")
@@ -169,22 +178,7 @@ def rotation_estimate(map, tol: float = 1e-10, max_iter: int = 10_000_000) -> Ro
         theta = map.mean_shift - math.floor(map.mean_shift)
         return RotationEstimate(theta, Fraction(theta), Fraction(theta), None, 0)
 
-    a0 = map.mean_shift
-    cos_c = map.cos_coeffs
-    sin_c = map.sin_coeffs
-    two_pi = 2.0 * math.pi
-
-    def step(y):
-        d = a0
-        for k, a in enumerate(cos_c, start=1):
-            if a:
-                d += a * math.cos(two_pi * k * y)
-        for k, bb in enumerate(sin_c, start=1):
-            if bb:
-                d += bb * math.sin(two_pi * k * y)
-        return y + d
-
-    from collections import deque
+    step = map.lift_float
 
     lo, hi = Fraction(-10), Fraction(10)
     y = 0.0

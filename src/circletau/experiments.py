@@ -335,18 +335,16 @@ def displacement_maxima(map: CircleMap, grid: int = 8192):
     """Local maxima (x, value) of g(x) = x - F(x) over one period."""
     x = np.linspace(0.0, 1.0, grid, endpoint=False)
     g = -np.asarray(map.displacement(x), dtype=float)
+    peaks = (g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
     out = []
-    for i in range(grid):
-        if g[i] >= g[i - 1] and g[i] >= g[(i + 1) % grid]:
-            lo = x[i] - 1.0 / grid
-            hi = x[i] + 1.0 / grid
-            res = minimize_scalar(
-                lambda t: float(map.displacement(t)),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": 1e-14},
-            )
-            out.append((float(res.x) % 1.0, -float(res.fun)))
+    for i in np.flatnonzero(peaks):
+        res = minimize_scalar(
+            lambda t: float(map.displacement(t)),
+            bounds=(x[i] - 1.0 / grid, x[i] + 1.0 / grid),
+            method="bounded",
+            options={"xatol": 1e-14},
+        )
+        out.append((float(res.x) % 1.0, -float(res.fun)))
     out.sort(key=lambda t: t[1])
     return out
 

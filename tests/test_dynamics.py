@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 from circletau.dynamics import (
+    _SIGN_FLOOR,
     _g_values,
     _grid_roots,
     compare_to_rational,
@@ -76,7 +78,7 @@ class TestRotationNumber:
     def test_rational_detection_is_exact(self, arnold):
         est = rotation_estimate(arnold.shifted(0.5))
         assert est.exact is not None
-        assert est.exact == 1 if False else float(est.exact) == 0.5
+        assert est.exact == Fraction(1, 2)
 
     def test_tol_validation(self, arnold):
         with pytest.raises(ConfigError):
@@ -88,13 +90,106 @@ class TestRotationNumber:
         assert float(est.lo) <= est.value <= float(est.hi)
 
     def test_no_convergence_reports_bracket(self):
-        # huge partial quotient: rot is within 1e-18 of 1/2 but irrational-ish
-        m = CircleMap(0.5 + 1e-17, (), (0.0,), validate=False)
-        # rigid rotation shortcut would dodge this; use a tiny perturbation
+        # a tiny perturbation of a rotation near 1/2 (the rigid rotation
+        # shortcut would dodge the orbit): the bracket stalls
         m = CircleMap(0.4999999999, (), (1e-12,))
         with pytest.raises(NoConvergence) as err:
             rotation_estimate(m, tol=1e-12, max_iter=200_000)
         assert err.value.bracket is not None
+
+
+def old_rotation_step(map):
+    """The orbit step rotation_estimate had before CircleMap.lift_float."""
+    a0, cos_c, sin_c = map.mean_shift, map.cos_coeffs, map.sin_coeffs
+    two_pi = 2.0 * math.pi
+
+    def step(y):
+        d = a0
+        for k, a in enumerate(cos_c, start=1):
+            if a:
+                d += a * math.cos(two_pi * k * y)
+        for k, bb in enumerate(sin_c, start=1):
+            if bb:
+                d += bb * math.sin(two_pi * k * y)
+        return y + d
+
+    return step
+
+
+class TestFloatPath:
+    MAPS = [
+        CircleMap(0.6180339887, (), (B,)),
+        CircleMap(0.3, (0.01, 0.0, 0.004), (0.02, 0.0, -0.003)),
+    ]
+
+    @pytest.mark.parametrize("m", MAPS)
+    @pytest.mark.parametrize("p, q", [(0, 1), (3, 5), (77, 125), (377, 610)])
+    def test_g_float_equals_0d_array(self, m, p, q):
+        for t in np.random.default_rng(q).uniform(-1.0, 2.0, 12):
+            via_float = _g_values(m, p, q, float(t))
+            assert type(via_float) is float
+            assert via_float == float(_g_values(m, p, q, np.asarray(t)))
+
+    @pytest.mark.parametrize("m", MAPS)
+    def test_rotation_orbit_matches_old_step(self, m):
+        old, new = old_rotation_step(m), m.lift_float
+        a = b = 0.0
+        for _ in range(100_000):
+            a, b = old(a), new(b)
+            assert a == b
+            a -= math.floor(a)
+            b -= math.floor(b)
+
+
+def two_sided_compare(map, p, q, grid=4096):
+    """compare_to_rational as it was: both grid extremes refined, then the sign rule."""
+    x = np.linspace(0.0, 1.0, grid, endpoint=False)
+    g = _g_values(map, p, q, x)
+    step = 1.0 / grid
+
+    def refine(idx, sign):
+        res = minimize_scalar(
+            lambda t: sign * float(_g_values(map, p, q, float(t))),
+            bounds=(x[idx] - step, x[idx] + step),
+            method="bounded",
+            options={"xatol": 1e-14, "maxiter": 300},
+        )
+        return sign * res.fun
+
+    gmin = min(float(g.min()), refine(int(np.argmin(g)), +1.0))
+    gmax = max(float(g.max()), refine(int(np.argmax(g)), -1.0))
+    floor = _SIGN_FLOOR * max(1, q)
+    if gmin > floor:
+        return 1
+    if gmax < -floor:
+        return -1
+    return 0
+
+
+class TestCompareToRational:
+    OFFSETS = (-1e-6, -1e-9, -1e-11, -3e-12, -1e-12, 0.0, 1e-12, 3e-12, 1e-11, 1e-9, 1e-6)
+
+    def sweep(self, map, p, q, edges, grid):
+        seen = set()
+        for edge in edges:
+            for d in self.OFFSETS:
+                fm = map.shifted(edge + d)
+                side = compare_to_rational(fm, p, q, grid)
+                assert side == two_sided_compare(fm, p, q, grid), (p, q, edge, d)
+                seen.add(side)
+        return seen
+
+    @pytest.mark.parametrize("p, q", [(0, 1), (1, 2), (2, 5)])
+    def test_plateau_edges(self, arnold, p, q):
+        pl = plateau(arnold, p, q, tol=1e-13)
+        assert self.sweep(arnold, p, q, (pl.omega_lo, pl.omega_hi), 4096) == {-1, 0, 1}
+
+    @pytest.mark.parametrize("target", [Fraction(10, 27), Fraction(15, 64), Fraction(49, 125)])
+    def test_liouville_margin_rationals(self, arnold, target):
+        p, q = target.numerator, target.denominator
+        pl = plateau(arnold, p, q, tol=1e-13)
+        seen = self.sweep(arnold, p, q, (pl.omega_lo, pl.omega_hi), 1024)
+        assert {-1, 1} <= seen
 
 
 def loop_grid_roots(g, x, scalar_g):

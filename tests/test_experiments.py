@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from circletau.dynamics import find_cycles
 from circletau.errors import (
@@ -92,7 +94,40 @@ class TestMirrorSymmetry:
         assert hump_mirror_trace.right.kind == "complex"
 
 
+def loop_displacement_maxima(map, grid=8192):
+    """The per-point scan that displacement_maxima vectorises, kept as its reference."""
+    x = np.linspace(0.0, 1.0, grid, endpoint=False)
+    g = -np.asarray(map.displacement(x), dtype=float)
+    out = []
+    for i in range(grid):
+        if g[i] >= g[i - 1] and g[i] >= g[(i + 1) % grid]:
+            res = minimize_scalar(
+                lambda t: float(map.displacement(t)),
+                bounds=(x[i] - 1.0 / grid, x[i] + 1.0 / grid),
+                method="bounded",
+                options={"xatol": 1e-14},
+            )
+            out.append((float(res.x) % 1.0, -float(res.fun)))
+    out.sort(key=lambda t: t[1])
+    return out
+
+
 class TestNoninjectivity:
+    @pytest.mark.parametrize(
+        "m, grid",
+        [
+            (CircleMap(0.0, (), (-0.05, -0.03)), 8192),
+            (CircleMap(0.0, (), (B,)), 8192),
+            (CircleMap(0.3, (0.01, 0.0, 0.004), (0.02,)), 8192),
+            # constant displacement: every grid point ties with its neighbours
+            (CircleMap(0.25), 64),
+        ],
+    )
+    def test_maxima_scan_matches_loop(self, m, grid):
+        maxima = displacement_maxima(m, grid)
+        assert maxima
+        assert maxima == loop_displacement_maxima(m, grid)
+
     def test_two_humped_report(self, two_humped, hump_trace):
         rep = noninjectivity_probe(two_humped, trace=hump_trace)
         assert rep.y1 == pytest.approx(0.00219144, abs=1e-6)

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from circletau.errors import ConfigError, NotADiffeomorphism, StripExceeded
-from circletau.maps import CircleMap, total_distortion
+from circletau.maps import CircleMap, _fpp_kinks, total_distortion
 
 B = 1.0 / (4.0 * math.pi)
 
@@ -35,6 +36,19 @@ class TestEvaluation:
             x = rng.uniform(-3.0, 3.0, 1000)
             err = np.abs(m.lift(x + 1.0) - m.lift(x) - 1.0)
             assert float(err.max()) < 1e-12
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            CircleMap(0.0, (), (B,)),
+            CircleMap(0.3, (0.01, 0.0, 0.004), (0.02, 0.0, -0.003)),
+            CircleMap(-1.7, (0.0, -0.02), (0.05,)),
+        ],
+    )
+    def test_lift_float_matches_array_lift(self, m):
+        x = np.random.default_rng(3).uniform(-5.0, 5.0, 20000)
+        scalar = np.array([m.lift_float(float(t)) for t in x])
+        np.testing.assert_array_max_ulp(scalar, m.lift(x), maxulp=1)
 
     def test_strip_exceeded(self, arnold):
         delta = arnold.strip_halfwidth
@@ -87,7 +101,35 @@ class TestShift:
         assert np.allclose(im, 0.1, atol=1e-15)
 
 
+def loop_fpp_kinks(map, grid=4096):
+    """The per-cell scan that _fpp_kinks vectorises, kept as its reference."""
+    xs = np.linspace(0.0, 1.0, grid + 1)
+    fpp = map.deriv(xs, 2)
+    kinks = []
+    for i in range(grid):
+        lo, hi = fpp[i], fpp[i + 1]
+        if lo == 0.0:
+            kinks.append(xs[i])
+        elif lo * hi < 0.0:
+            kinks.append(brentq(lambda t: map.deriv(t, 2), xs[i], xs[i + 1], xtol=1e-15))
+    return kinks
+
+
 class TestTotalDistortion:
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # F'' vanishes exactly at the grid point x = 0
+            CircleMap(0.0, (), (B,)),
+            CircleMap(0.0, (), (-0.05, -0.03)),
+            CircleMap(0.3, (0.01, 0.0, 0.004), (0.02,)),
+        ],
+    )
+    def test_kink_scan_matches_loop(self, m):
+        kinks = _fpp_kinks(m)
+        assert kinks
+        assert kinks == loop_fpp_kinks(m)
+
     def test_rotation_exactly_zero(self, rotation):
         d = total_distortion(rotation)
         assert d.value == 0.0 and d.quadrature_error == 0.0
