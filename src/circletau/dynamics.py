@@ -7,6 +7,11 @@ consecutive records bracket rot within 1/(q_k q_{k+1}).  Rational values
 are then certified exactly through the sign of G(x) = F^q(x) - x - p,
 which is also what powers plateau-edge bisection.
 
+All bisection is ``maps._bisect``, on a monotone predicate.  Plateau edges,
+Tsujii approximant edges and Liouville margins are rotation-number
+crossings, ``_rot_crossing``: the smallest omega with rot(f + omega)
+>= p/q (want = 0) or > p/q (want = 1).
+
 The orbit of ``rotation_estimate`` and every scalar G of a ``CircleMap``
 (the Brent and brentq refinements) step ``CircleMap.lift_float``, which
 returns the same bits as ``lift`` (see ``circletau.maps``), and
@@ -30,10 +35,11 @@ from .errors import (
     EmptyPlateau,
     ImagesOverlap,
     NoConvergence,
+    NumericalError,
     RootFindingIncomplete,
     WrongRotationNumber,
 )
-from .maps import CircleMap, total_distortion
+from .maps import CircleMap, _bisect, total_distortion
 
 TOL_PARABOLIC = 1e-8  # |rho - 1| below root-refinement accuracy is parabolic
 
@@ -442,6 +448,29 @@ def cycles_to_csv_rows(cycles: Sequence[Cycle]):
 # -- plateaus ----------------------------------------------------------------
 
 
+def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
+                  grid: int = _G_GRID, tol: float = 1e-10, grow=None) -> float:
+    """Smallest omega with compare_to_rational(f + omega, p, q) >= want, to tol.
+
+    grow ("lo", "hi" or None) names the end of [lo, hi] that may lie short
+    of the crossing: it is tested and pushed out by the bracket's width,
+    up to 8 times, before NumericalError is raised.
+    """
+
+    def right(w):
+        return compare_to_rational(map.shifted(w), p, q, grid) >= want
+
+    for _ in range(8):
+        if grow is None or (right(hi) if grow == "hi" else not right(lo)):
+            break
+        width = hi - lo
+        lo, hi = (lo, hi + width) if grow == "hi" else (lo - width, hi)
+    else:
+        raise NumericalError(f"could not bracket rot = {p}/{q} by growing {grow}")
+    lo, hi = _bisect(right, lo, hi, tol)
+    return 0.5 * (lo + hi)
+
+
 def plateau_bracket(map: CircleMap, p: int, q: int):
     """Omega interval with rot < p/q at the left end and > p/q at the right."""
     osc = sum(abs(a) for a in map.cos_coeffs) + sum(abs(b) for b in map.sin_coeffs)
@@ -452,7 +481,7 @@ def plateau_bracket(map: CircleMap, p: int, q: int):
 def plateau(map: CircleMap, p: int, q: int, bracket=None, tol: float = 1e-10) -> Plateau:
     """The interval of omega with rot(f + omega) = p/q, edges to tol.
 
-    Bisection exploits monotonicity of omega -> rot(f + omega).  A plateau
+    Each edge is a rotation-number crossing (_rot_crossing).  A plateau
     that degenerates to a point (rigid rotations) is returned with
     omega_lo == omega_hi.
     """
@@ -468,19 +497,8 @@ def plateau(map: CircleMap, p: int, q: int, bracket=None, tol: float = 1e-10) ->
             f"bracket ({wlo}, {whi}) must satisfy rot < {p}/{q} on the left "
             f"and rot > {p}/{q} on the right (got sides {side_lo}, {side_hi})"
         )
-
-    def bisect(lo, hi, want):
-        # smallest omega with cmp >= want (want=0 for left edge, 1 for right)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if compare_to_rational(map.shifted(mid), p, q) >= want:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    omega_lo = bisect(wlo, whi, 0)
-    omega_hi = bisect(wlo, whi, 1)
+    omega_lo = _rot_crossing(map, p, q, wlo, whi, 0, tol=tol)
+    omega_hi = _rot_crossing(map, p, q, wlo, whi, 1, tol=tol)
     if omega_hi < omega_lo - 4.0 * tol:
         raise EmptyPlateau(
             f"plateau of {p}/{q} degenerated below resolution",

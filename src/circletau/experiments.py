@@ -4,7 +4,10 @@ A bubble is traced over the maximal interval of hyperbolic parameters
 abutting the right edge of a rational plateau (for single-bubble
 plateaus that is the whole plateau).  Interior non-hyperbolic parameters
 are located as jumps of the periodic-point count, which in an analytic
-monotone family change exactly at parameters carrying a parabolic cycle.
+monotone family change exactly at parameters carrying a parabolic cycle;
+the jump is bisected by ``maps._bisect``.  The plateau edge facing
+omega = 0 (Tsujii) and the Liouville margins are rotation-number
+crossings, ``dynamics._rot_crossing``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from scipy.optimize import minimize_scalar
 
 from .dynamics import (
     Plateau,
-    compare_to_rational,
+    _g_values,
+    _rot_crossing,
     find_cycles,
     plateau,
     plateau_bracket,
@@ -32,7 +36,7 @@ from .errors import (
     NumericalError,
     WrongProfile,
 )
-from .maps import CircleMap, total_distortion
+from .maps import CircleMap, _bisect, total_distortion
 from .uniformize import BoundaryValue, boundary_tau, wrap_half
 
 _MIN_TRACEABLE_WIDTH = 1e-6
@@ -100,14 +104,12 @@ class BubbleTrace:
 
 
 def count_periodic_points(map, p: int, q: int, grid: int = 8192) -> int:
-    """Number of solutions of F^q(x) = x + p on one period (tangencies count once)."""
+    """Sign changes of G = F^q - x - p between neighbours on a periodic grid:
+    the transversal solutions of F^q(x) = x + p inside grid cells.
+    Tangencies, and roots that land exactly on a grid point, count zero."""
     x = np.linspace(0.0, 1.0, grid, endpoint=False)
-    y = x.copy()
-    for _ in range(q):
-        y = map.lift(y)
-    g = y - x - p
-    sign_changes = int(np.sum(g * np.roll(g, -1) < 0.0))
-    return sign_changes
+    g = _g_values(map, p, q, x)
+    return int(np.sum(g * np.roll(g, -1) < 0.0))
 
 
 def sample_to_boundary(map, omega: float, p: int, q: int,
@@ -151,14 +153,11 @@ def _nearest_count_jump(map, p, q, lo, hi, ref_count, from_right,
             break
     if first_diff is None:
         return None
-    a, b = sorted((first_diff, last_equal))
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        same = count_periodic_points(map.shifted(mid), p, q) == ref_count
-        if same == from_right:
-            b = mid
-        else:
-            a = mid
+    a, b = _bisect(
+        lambda w: (count_periodic_points(map.shifted(w), p, q) == ref_count) == from_right,
+        *sorted((first_diff, last_equal)),
+        tol,
+    )
     return 0.5 * (a + b)
 
 
@@ -448,37 +447,12 @@ def _edge_facing_zero(map, p: int, q: int, side: int, limit: float,
     """Plateau edge of p/q nearest to omega = 0.
 
     side=+1: plateau right of 0, returns its left edge (smallest omega
-    with rot >= p/q); side=-1 symmetric.
+    with rot >= p/q); side=-1 symmetric.  Growing the far end by the
+    bracket's width doubles it.
     """
     if side > 0:
-        lo, hi = 0.0, limit
-        for _ in range(8):
-            if compare_to_rational(map.shifted(hi), p, q) >= 0:
-                break
-            hi *= 2.0
-        else:
-            raise NumericalError(f"could not bracket the {p}/{q} plateau above 0")
-        while hi - lo > tol:
-            m = 0.5 * (lo + hi)
-            if compare_to_rational(map.shifted(m), p, q) >= 0:
-                hi = m
-            else:
-                lo = m
-        return 0.5 * (lo + hi)
-    lo, hi = -limit, 0.0
-    for _ in range(8):
-        if compare_to_rational(map.shifted(lo), p, q) <= 0:
-            break
-        lo *= 2.0
-    else:
-        raise NumericalError(f"could not bracket the {p}/{q} plateau below 0")
-    while hi - lo > tol:
-        m = 0.5 * (lo + hi)
-        if compare_to_rational(map.shifted(m), p, q) <= 0:
-            lo = m
-        else:
-            hi = m
-    return 0.5 * (lo + hi)
+        return _rot_crossing(map, p, q, 0.0, limit, 0, tol=tol, grow="hi")
+    return _rot_crossing(map, p, q, -limit, 0.0, 1, tol=tol, grow="lo")
 
 
 def tsujii_gap(map: CircleMap, depth: int) -> list[TsujiiRow]:
@@ -563,42 +537,9 @@ def _rational_near(value: float, rel_tol: float) -> Fraction:
 def _margin_edge(map, target: Fraction, bracket, want_geq: bool,
                  tol: float) -> float:
     """Smallest omega with rot >= target (want_geq) or largest with rot <= target."""
-    lo, hi = bracket
-
-    def side_at(w):
-        return compare_to_rational(
-            map.shifted(w), target.numerator, target.denominator, grid=1024
-        )
-
-    # the outer bracket end must lie beyond the crossing
-    for _ in range(8):
-        if want_geq and side_at(lo) < 0:
-            break
-        if not want_geq and side_at(hi) > 0:
-            break
-        span = hi - lo
-        if want_geq:
-            lo -= span
-        else:
-            hi += span
-    else:
-        raise NumericalError(f"could not bracket rot = {target} near {bracket}")
-    while hi - lo > tol:
-        m = 0.5 * (lo + hi)
-        side = compare_to_rational(
-            map.shifted(m), target.numerator, target.denominator, grid=1024
-        )
-        if want_geq:
-            if side >= 0:
-                hi = m
-            else:
-                lo = m
-        else:
-            if side <= 0:
-                lo = m
-            else:
-                hi = m
-    return 0.5 * (lo + hi)
+    want, grow = (0, "lo") if want_geq else (1, "hi")
+    return _rot_crossing(map, target.numerator, target.denominator, *bracket, want,
+                         grid=1024, tol=tol, grow=grow)
 
 
 def liouville_measure_estimate(

@@ -8,6 +8,10 @@ is a real trigonometric polynomial.  This keeps derivatives exact, makes
 F(x+1) = F(x) + 1 automatic, and yields a cheaply certified strip of
 analyticity/injectivity around the real axis.
 
+The package's one bisection, ``_bisect``, lives here: it bisects the
+strip widths, and ``circletau.dynamics`` builds its rotation-number
+crossings on it.
+
 Scalar orbits use ``CircleMap.lift_float``, which evaluates F on one
 Python float with ``math.cos``/``math.sin`` and no array overhead.  It
 follows the op order of ``displacement`` + ``lift``: d = a0, then
@@ -44,6 +48,21 @@ _STRIP_MARGIN = 0.1
 
 def _frac(x):
     return x - np.floor(x)
+
+
+def _bisect(right, lo: float, hi: float, tol: float):
+    """Shrink [lo, hi] around the switch of a monotone predicate (False at
+    lo, True at hi) while hi - lo > tol and the midpoint lies strictly
+    inside, so tol = 0 stops at adjacent floats.  Returns (lo, hi)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if right(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -200,11 +219,13 @@ class CircleMap:
 
     @cached_property
     def strip_halfwidth(self) -> float:
-        """Largest dyadic delta with min Re F' > 0.1 on both lines Im z = +-delta.
+        """Largest delta with min Re F' > 0.1 on both lines Im z = +-delta.
 
         A cheap sufficient condition for univalence of the lift on the
-        strip; rigid rotations are capped at delta = 4.  Returns 0 when
-        even the real line fails the margin (no complex evaluation then).
+        strip, bisected between 2^-40 and the cap until the ends are
+        adjacent floats; rigid rotations are capped at delta = 4.  Returns
+        0 when even the real line fails the margin (no complex evaluation
+        then).
         """
         x = np.linspace(0.0, 1.0, _STRIP_GRID, endpoint=False)
 
@@ -219,14 +240,7 @@ class CircleMap:
             return _STRIP_CAP
         if not ok(2.0 ** -40):
             return 0.0
-        lo, hi = 2.0 ** -40, _STRIP_CAP
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return _bisect(lambda d: not ok(d), 2.0 ** -40, _STRIP_CAP, 0.0)[0]
 
     # -- serialization ---------------------------------------------------
 
@@ -322,9 +336,11 @@ class IteratedMap:
         out = d1 if order == 1 else d2
         return out if out.shape else out[()]
 
+
     @cached_property
     def strip_halfwidth(self) -> float:
-        """Largest dyadic delta whose boundary-line orbits stay in the base strip."""
+        """Largest delta whose boundary-line orbits stay in the base strip,
+        bisected until the ends are adjacent floats."""
         delta0 = self.base.strip_halfwidth
         if self.base.is_rotation or self.q == 1:
             return delta0
@@ -341,14 +357,7 @@ class IteratedMap:
 
         if ok(delta0):
             return delta0
-        lo, hi = 0.0, delta0
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return _bisect(lambda d: not ok(d), 0.0, delta0, 0.0)[0]
 
 
 def _fpp_kinks(map: CircleMap) -> list:

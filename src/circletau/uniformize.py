@@ -33,6 +33,7 @@ interpolation in the fold variable u = sqrt(1 - i y / s) when the signed
 distance s to the nearest non-hyperbolic parameter is known (the
 extension of tau across a plateau has a square-root branch point there,
 so the ladder must be interpolated through that structure to converge).
+Both run one Neville tableau, ``_neville``, in their node variable.
 Rungs are solved from the top down, and since a thinner annulus never
 needs fewer modes than a thicker one, each rung starts its mode
 escalation at the N of the previous rung's best solve.
@@ -417,37 +418,31 @@ def _solve_rung(map, omega, y, resid_target, n_cap, y_floor, n_from=0) -> Rung:
     )
 
 
-def _neville(nodes, vals, target) -> complex:
-    p = [complex(v) for v in vals]
-    x = [complex(t) for t in nodes]
-    n = len(p)
-    for m in range(1, n):
-        for i in range(n - m):
-            p[i] = ((target - x[i + m]) * p[i] + (x[i] - target) * p[i + 1]) / (
-                x[i] - x[i + m]
-            )
-    return p[0]
+def _neville(nodes, vals, target, order):
+    """Neville tableau at target; column m interpolates m + 1 consecutive nodes.
 
-
-def _richardson(ys, vals, order):
-    """Neville tableau in y extrapolated to 0; returns (value, estimate, column)."""
-    T = [list(map(complex, vals))]
+    Returns (value, estimate): the last entry of column `order` and its
+    distance to the last entry of column order - 1, which drops the first
+    of those nodes.  Raises ExtrapolationDiverged when a gap between
+    consecutive entries of column `order` exceeds ten times the one
+    before it (at order = len(nodes) - 1 there is nothing to test).
+    """
+    col = [complex(v) for v in vals]
+    prev = col
     for m in range(1, order + 1):
-        prev = T[-1]
-        cur = []
-        for l in range(len(vals) - m):
-            r = ys[l] / ys[l + m]
-            cur.append(prev[l + 1] + (prev[l + 1] - prev[l]) / (r - 1.0))
-        T.append(cur)
-    top = T[order]
-    gaps = [abs(b - a) for a, b in zip(top, top[1:])]
+        prev, col = col, [
+            ((target - nodes[i + m]) * col[i] + (nodes[i] - target) * col[i + 1])
+            / (nodes[i] - nodes[i + m])
+            for i in range(len(col) - 1)
+        ]
+    gaps = [abs(b - a) for a, b in zip(col, col[1:])]
     for g0, g1 in zip(gaps, gaps[1:]):
         if g1 > 10.0 * g0 and g0 > 1e-13:
             raise ExtrapolationDiverged(
-                f"Richardson column stopped contracting (gaps {g0:.3e} -> {g1:.3e})"
+                f"extrapolation column {order} stopped contracting "
+                f"(gaps {g0:.3e} -> {g1:.3e})"
             )
-    est = abs(T[order][-1] - T[order - 1][-1])
-    return T[order][-1], est, top
+    return col[-1], abs(col[-1] - prev[-1])
 
 
 def boundary_tau(
@@ -467,7 +462,10 @@ def boundary_tau(
     singularity lies to the right).  When given, rungs scaled to that
     distance are appended and the extrapolation runs in the fold
     variable u = sqrt(1 - i y / s); otherwise plain polynomial
-    Richardson of the given order is used.
+    Richardson of the given order is used, both by _neville.  Richardson
+    interpolates the last order + 1 rungs in y at 0, and its error
+    estimate drops the highest of them; the fold interpolates every rung
+    in u at 1, and its estimate drops the lowest rung.
 
     Rungs are solved in order of decreasing height, each starting its
     mode escalation at the N of the previous rung's best solve (see
@@ -507,14 +505,11 @@ def boundary_tau(
         taus.append(complex(prev.real + wrap_half(r.tau.real - prev.real), r.tau.imag))
 
     if method == "fold":
-        nodes = [cmath.sqrt(1.0 - 1j * y / s) for y in rungs_y]
-        value = _neville(nodes, taus, 1.0)
-        value_drop = _neville(nodes[:-1], taus[:-1], 1.0)
-        est = abs(value - value_drop)
+        # lowest rung first: the estimate drops the rung nearest the edge
+        nodes = [cmath.sqrt(1.0 - 1j * y / s) for y in reversed(rungs_y)]
+        value, est = _neville(nodes, taus[::-1], 1.0, len(taus) - 1)
     else:
-        ys = np.asarray(rungs_y)
-        order_eff = min(order, len(rungs_y) - 1)
-        value, est, _ = _richardson(ys, taus, order_eff)
+        value, est = _neville(rungs_y, taus, 0.0, min(order, len(rungs_y) - 1))
 
     im = value.imag
     if im < 0.0:

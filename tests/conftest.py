@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from circletau import dynamics
 from circletau.maps import CircleMap, total_distortion
 from circletau.dynamics import compare_to_rational
 from circletau.experiments import trace_bubble
@@ -98,6 +99,21 @@ def golden_parameter(arnold):
 def golden_tuned_arnold(golden_parameter):
     """Arnold map with mean shift tuned so rot is the golden mean."""
     return CircleMap(golden_parameter, (), (ARNOLD_B,))
+
+
+@pytest.fixture
+def compare_log(monkeypatch):
+    """(mean shift, p, q, grid) of every compare_to_rational call made
+    through the dynamics module, in order."""
+    calls = []
+    original = dynamics.compare_to_rational
+
+    def recording(map, p, q, grid=dynamics._G_GRID):
+        calls.append((map.mean_shift, p, q, grid))
+        return original(map, p, q, grid)
+
+    monkeypatch.setattr(dynamics, "compare_to_rational", recording)
+    return calls
 
 
 # -- acceptance summary --------------------------------------------------------

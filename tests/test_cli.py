@@ -21,7 +21,7 @@ class TestBasicCommands:
         rc = run("tau", "--map", ROT_MAP, "--omega", "0.1,0.2",
                  "--out", str(tmp_path), "--n", "8")
         assert rc == 0
-        payload = json.load(open(tmp_path / "tau.json"))
+        payload = json.loads((tmp_path / "tau.json").read_text())
         assert payload["tau_re"] == pytest.approx(0.4, abs=1e-12)
         assert payload["tau_im"] == pytest.approx(0.2, abs=1e-12)
 
@@ -29,16 +29,16 @@ class TestBasicCommands:
         rc = run("weld", "--map", json.dumps({"mean_shift": 0.25}),
                  "--out", str(tmp_path))
         assert rc == 0
-        payload = json.load(open(tmp_path / "weld.json"))
+        payload = json.loads((tmp_path / "weld.json").read_text())
         assert payload["c_f_re"] == pytest.approx(0.25, abs=1e-12)
         assert payload["c_f_im"] == pytest.approx(0.0, abs=1e-12)
 
     def test_rot_and_cycles(self, tmp_path):
         assert run("rot", "--map", ARNOLD_MAP, "--out", str(tmp_path)) == 0
-        assert json.load(open(tmp_path / "rot.json"))["rot"] == 0.0
+        assert json.loads((tmp_path / "rot.json").read_text())["rot"] == 0.0
         assert run("cycles", "--map", ARNOLD_MAP, "--pq", "0/1",
                    "--out", str(tmp_path)) == 0
-        rows = list(csv.DictReader(open(tmp_path / "cycles.csv")))
+        rows = list(csv.DictReader((tmp_path / "cycles.csv").read_text().splitlines()))
         assert len(rows) == 2
         assert {r["kind"] for r in rows} == {"attracting", "repelling"}
 
@@ -46,7 +46,7 @@ class TestBasicCommands:
         rc = run("boundary", "--map", ROT_MAP, "--omega", "0.0",
                  "--ladder", "0.4,0.2,0.1", "--out", str(tmp_path))
         assert rc == 0
-        payload = json.load(open(tmp_path / "boundary.json"))
+        payload = json.loads((tmp_path / "boundary.json").read_text())
         assert payload["tau_re"] == pytest.approx(0.3, abs=1e-10)
         assert payload["tau_im"] == pytest.approx(0.0, abs=1e-10)
 
@@ -54,7 +54,7 @@ class TestBasicCommands:
         rc = run("sigma", "--map", ARNOLD_MAP, "--pq", "0/1",
                  "--out", str(tmp_path))
         assert rc == 0
-        payload = json.load(open(tmp_path / "sigma.json"))
+        payload = json.loads((tmp_path / "sigma.json").read_text())
         expected = math.pi / math.log(1.5) + math.pi / math.log(2.0)
         assert payload["sigma_im"] == pytest.approx(expected, rel=1e-9)
 
@@ -95,8 +95,8 @@ class TestDeterminism:
                        "--out", str(d), "--n", "32") == 0
             assert run("weld", "--map", ARNOLD_MAP, "--out", str(d)) == 0
             outs.append(
-                (open(d / "tau.json", "rb").read(),
-                 open(d / "weld.json", "rb").read())
+                ((d / "tau.json").read_bytes(),
+                 (d / "weld.json").read_bytes())
             )
         assert outs[0] == outs[1]
 
@@ -112,7 +112,7 @@ def trace_dir(tmp_path_factory):
 
 class TestTraceOutputs:
     def test_csv_reingests_with_invariants(self, trace_dir):
-        rows = list(csv.DictReader(open(trace_dir / "trace.csv")))
+        rows = list(csv.DictReader((trace_dir / "trace.csv").read_text().splitlines()))
         assert len(rows) == 6
         for r in rows:
             tau_re, tau_im = float(r["tau_re"]), float(r["tau_im"])
@@ -123,12 +123,12 @@ class TestTraceOutputs:
             assert tau_im >= 0.0
 
     def test_endpoint_json(self, trace_dir):
-        payload = json.load(open(trace_dir / "trace_endpoints.json"))
+        payload = json.loads((trace_dir / "trace_endpoints.json").read_text())
         assert payload["left"]["kind"] == "real"
         assert payload["right"]["kind"] == "real"
 
     def test_svg_emitted(self, trace_dir):
-        svg = open(trace_dir / "trace.svg").read()
+        svg = (trace_dir / "trace.svg").read_text()
         assert svg.startswith("<svg")
         assert "exaggerated" in svg
         assert "<polyline" in svg
@@ -138,7 +138,7 @@ def test_atlas(tmp_path):
     rc = run("atlas", "--map", ARNOLD_MAP, "--qmax", "1", "--samples", "6",
              "--workers", "1", "--out", str(tmp_path))
     assert rc == 0
-    rows = list(csv.DictReader(open(tmp_path / "atlas.csv")))
+    rows = list(csv.DictReader((tmp_path / "atlas.csv").read_text().splitlines()))
     assert len(rows) == 6 and all(r["q"] == "1" for r in rows)
-    svg = open(tmp_path / "atlas.svg").read()
+    svg = (tmp_path / "atlas.svg").read_text()
     assert "<ellipse" in svg  # tangent disks at each p/q

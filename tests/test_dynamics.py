@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
+from circletau import dynamics
 from circletau.dynamics import (
     _SIGN_FLOOR,
     _g_values,
     _grid_roots,
+    _rot_crossing,
     compare_to_rational,
     denjoy_distortion,
     find_cycles,
     plateau,
+    plateau_bracket,
     rotation_estimate,
     rotation_number,
 )
@@ -20,10 +23,11 @@ from circletau.errors import (
     ConfigError,
     ImagesOverlap,
     NoConvergence,
+    NumericalError,
     RootFindingIncomplete,
     WrongRotationNumber,
 )
-from circletau.maps import CircleMap, total_distortion
+from circletau.maps import CircleMap, _bisect, total_distortion
 
 B = 1.0 / (4.0 * math.pi)
 
@@ -289,7 +293,45 @@ class TestFindCycles:
             find_cycles(arnold, 2, 4)
 
 
+def loop_plateau_edges(map, p, q, tol=1e-10):
+    """The bisection plateau had before _rot_crossing, kept as its reference."""
+    wlo, whi = plateau_bracket(map, p, q)
+
+    def bisect(lo, hi, want):
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if dynamics.compare_to_rational(map.shifted(mid), p, q) >= want:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    return bisect(wlo, whi, 0), bisect(wlo, whi, 1)
+
+
 class TestPlateau:
+    @pytest.mark.parametrize("name", ["arnold", "two_humped"])
+    @pytest.mark.parametrize("p, q", [(0, 1), (1, 2)])
+    def test_edges_match_loop(self, request, compare_log, name, p, q):
+        m = request.getfixturevalue(name)
+        pl = plateau(m, p, q)
+        calls = compare_log[2:]  # after the two bracket checks
+        compare_log.clear()
+        assert (pl.omega_lo, pl.omega_hi) == loop_plateau_edges(m, p, q)
+        assert calls and calls == compare_log
+
+    def test_crossing_raises_when_bracket_cannot_grow(self, arnold, compare_log):
+        # the 1/2 plateau lies near omega = 1/2: growing hi from 1e-3 by the
+        # bracket's width 8 times reaches only 0.128
+        with pytest.raises(NumericalError):
+            _rot_crossing(arnold, 1, 2, 0.0, 1e-3, 0, grow="hi")
+        assert [c[0] for c in compare_log] == [1e-3 * 2**k for k in range(8)]
+
+    def test_bisect_to_adjacent_floats(self):
+        lo, hi = _bisect(lambda w: w >= 1.0 / 3.0, 0.0, 1.0, 0.0)
+        assert lo < 1.0 / 3.0 <= hi
+        assert math.nextafter(lo, 1.0) == hi
+
     def test_arnold_plateau_is_pm_b(self, arnold):
         # fixed points exist iff |omega| <= 1/(4 pi)
         pl = plateau(arnold, 0, 1)

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from circletau.dynamics import find_cycles
+from circletau import dynamics
+from circletau.dynamics import find_cycles, plateau
 from circletau.errors import (
     ConfigError,
     EmptyPlateau,
     NoConvergence,
+    NumericalError,
     WrongProfile,
 )
 from circletau.experiments import (
+    _edge_facing_zero,
+    _margin_edge,
+    _nearest_count_jump,
+    _rational_near,
     count_periodic_points,
     displacement_maxima,
     liouville_measure_estimate,
@@ -77,6 +83,53 @@ class TestTraceBubble:
     def test_sample_validation(self, arnold):
         with pytest.raises(ConfigError):
             trace_bubble(arnold, 0, 1, samples=3)
+
+
+def loop_nearest_count_jump(map, p, q, lo, hi, ref_count, from_right, coarse=96, tol=1e-10):
+    """The count-jump search before _bisect, kept as its reference."""
+    width = hi - lo
+    if from_right:
+        probes = [hi - width * (i + 1) / (coarse + 1) for i in range(coarse)]
+        last_equal = hi
+    else:
+        probes = [lo + width * (i + 1) / (coarse + 1) for i in range(coarse)]
+        last_equal = lo
+    first_diff = None
+    for w in probes:
+        if count_periodic_points(map.shifted(w), p, q) == ref_count:
+            last_equal = w
+        else:
+            first_diff = w
+            break
+    if first_diff is None:
+        return None
+    a, b = sorted((first_diff, last_equal))
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        same = count_periodic_points(map.shifted(mid), p, q) == ref_count
+        if same == from_right:
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b)
+
+
+class TestCountJump:
+    @pytest.mark.parametrize("from_right", [True, False])
+    def test_matches_loop(self, two_humped, from_right):
+        # the scan trace_bubble makes from each plateau edge
+        plat = plateau(two_humped, 0, 1)
+        if from_right:
+            ref = plat.omega_hi - 0.02 * plat.width
+            lo, hi = plat.omega_lo, ref
+        else:
+            ref = plat.omega_lo + 0.02 * plat.width
+            lo, hi = ref, plat.omega_hi
+        ref_count = count_periodic_points(two_humped.shifted(ref), 0, 1)
+        args = (two_humped, 0, 1, lo, hi, ref_count, from_right)
+        jump = _nearest_count_jump(*args)
+        assert jump is not None
+        assert jump == loop_nearest_count_jump(*args)
 
 
 class TestMirrorSymmetry:
@@ -148,6 +201,118 @@ class TestNoninjectivity:
     def test_flat_profile_rejected(self):
         with pytest.raises(WrongProfile):
             noninjectivity_probe(CircleMap(0.3, (0.01,), ()))
+
+
+def loop_edge_facing_zero(map, p, q, side, limit, tol=1e-12):
+    """_edge_facing_zero before _rot_crossing, kept as its reference."""
+    cmp = dynamics.compare_to_rational
+    if side > 0:
+        lo, hi = 0.0, limit
+        for _ in range(8):
+            if cmp(map.shifted(hi), p, q) >= 0:
+                break
+            hi *= 2.0
+        else:
+            raise NumericalError(f"could not bracket the {p}/{q} plateau above 0")
+        while hi - lo > tol:
+            m = 0.5 * (lo + hi)
+            if cmp(map.shifted(m), p, q) >= 0:
+                hi = m
+            else:
+                lo = m
+        return 0.5 * (lo + hi)
+    lo, hi = -limit, 0.0
+    for _ in range(8):
+        if cmp(map.shifted(lo), p, q) <= 0:
+            break
+        lo *= 2.0
+    else:
+        raise NumericalError(f"could not bracket the {p}/{q} plateau below 0")
+    while hi - lo > tol:
+        m = 0.5 * (lo + hi)
+        if cmp(map.shifted(m), p, q) <= 0:
+            lo = m
+        else:
+            hi = m
+    return 0.5 * (lo + hi)
+
+
+def loop_margin_edge(map, target, bracket, want_geq, tol):
+    """_margin_edge before _rot_crossing, kept as its reference."""
+    lo, hi = bracket
+
+    def side_at(w):
+        return dynamics.compare_to_rational(
+            map.shifted(w), target.numerator, target.denominator, grid=1024
+        )
+
+    for _ in range(8):
+        if want_geq and side_at(lo) < 0:
+            break
+        if not want_geq and side_at(hi) > 0:
+            break
+        span = hi - lo
+        if want_geq:
+            lo -= span
+        else:
+            hi += span
+    else:
+        raise NumericalError(f"could not bracket rot = {target} near {bracket}")
+    while hi - lo > tol:
+        m = 0.5 * (lo + hi)
+        side = side_at(m)
+        if want_geq:
+            if side >= 0:
+                hi = m
+            else:
+                lo = m
+        else:
+            if side <= 0:
+                lo = m
+            else:
+                hi = m
+    return 0.5 * (lo + hi)
+
+
+class TestCrossingsMatchLoops:
+    @pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 3), (3, 5)])
+    @pytest.mark.parametrize("reach", [1.05, 0.01])
+    def test_edge_facing_zero(self, golden_tuned_arnold, arnold_distortion, compare_log,
+                              p, q, reach):
+        # the Tsujii approximants alternate sides of theta; |omega_0| is about
+        # 0.1 e^{D_f} |theta - p/q|, so reach 0.01 makes the far bracket end
+        # grow four times before the bisection
+        m = golden_tuned_arnold
+        side = 1 if p / q > GOLDEN else -1
+        limit = reach * math.exp(arnold_distortion) * abs(GOLDEN - p / q) + 1e-9
+        got = _edge_facing_zero(m, p, q, side, limit)
+        calls = list(compare_log)
+        compare_log.clear()
+        assert got == loop_edge_facing_zero(m, p, q, side, limit)
+        assert calls and calls == compare_log
+
+    @pytest.mark.parametrize(
+        "p, q", [(0, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (2, 5), (3, 5), (4, 5)]
+    )
+    @pytest.mark.parametrize("pad_scale", [1.0, 0.01])
+    def test_margin_edge(self, arnold, arnold_distortion, compare_log, p, q, pad_scale):
+        # the margins of liouville_measure_estimate(arnold, beta=1, q_max=5);
+        # the margins lie about 0.08 pad from the plateau, so pad_scale 0.01
+        # makes the outer bracket end grow four times
+        eps = q ** -3.0
+        plat = plateau(arnold, p, q, tol=1e-9)
+        pad = pad_scale * (1.3 * math.exp(arnold_distortion) * eps + 1e-7)
+        margins = [
+            (_rational_near(p / q - eps, 1e-9), (plat.omega_lo - pad, plat.omega_lo), True),
+            (_rational_near(p / q + eps, 1e-9), (plat.omega_hi, plat.omega_hi + pad), False),
+        ]
+        for target, bracket, want_geq in margins:
+            compare_log.clear()
+            got = _margin_edge(arnold, target, bracket, want_geq, 1e-9)
+            calls = list(compare_log)
+            compare_log.clear()
+            assert got == loop_margin_edge(arnold, target, bracket, want_geq, 1e-9)
+            assert calls and calls == compare_log
 
 
 class TestTsujii:

@@ -6,7 +6,14 @@ import pytest
 from scipy.optimize import brentq
 
 from circletau.errors import ConfigError, NotADiffeomorphism, StripExceeded
-from circletau.maps import CircleMap, _fpp_kinks, total_distortion
+from circletau.maps import (
+    _STRIP_CAP,
+    _STRIP_GRID,
+    _STRIP_MARGIN,
+    CircleMap,
+    _fpp_kinks,
+    total_distortion,
+)
 
 B = 1.0 / (4.0 * math.pi)
 
@@ -198,8 +205,71 @@ class TestIterate:
         with pytest.raises(ConfigError):
             arnold.iterate(0)
 
+    @pytest.mark.parametrize("name, q", [("arnold", 2), ("two_humped", 2), ("two_humped", 3)])
+    def test_strip_inside_loop_bracket(self, request, name, q):
+        # the earlier fixed 50 halvings of [0, delta0] take the same midpoints,
+        # so the bisection to adjacent floats ends inside their last bracket
+        h = request.getfixturevalue(name).iterate(q)
+        lo, hi = loop_iterated_strip_bracket(h)
+        assert lo <= h.strip_halfwidth < hi
+        assert h.strip_halfwidth < h.base.strip_halfwidth
+
+
+def loop_iterated_strip_bracket(h):
+    """The last bracket of the earlier 50-step IteratedMap strip bisection."""
+    delta0 = h.base.strip_halfwidth
+    x = np.linspace(0.0, 1.0, 512, endpoint=False)
+
+    def ok(delta):
+        for sign in (1.0, -1.0):
+            z = x + 1j * sign * delta
+            for _ in range(h.q - 1):
+                z = h.base.lift(z, _check=False)
+                if np.max(np.abs(np.imag(z))) >= delta0:
+                    return False
+        return True
+
+    lo, hi = 0.0, delta0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def loop_strip_halfwidth(map):
+    """The fixed 60-step strip bisection before _bisect, kept as its reference."""
+    x = np.linspace(0.0, 1.0, _STRIP_GRID, endpoint=False)
+
+    def ok(delta):
+        for sign in (1.0, -1.0):
+            fp = map.deriv(x + 1j * sign * delta, _check=False)
+            if np.min(np.real(fp)) <= _STRIP_MARGIN:
+                return False
+        return True
+
+    if map.is_rotation or ok(_STRIP_CAP):
+        return _STRIP_CAP
+    if not ok(2.0 ** -40):
+        return 0.0
+    lo, hi = 2.0 ** -40, _STRIP_CAP
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
 
 class TestValidationAndStrip:
+    @pytest.mark.parametrize("name", ["arnold", "two_humped", "rotation"])
+    def test_strip_matches_loop(self, request, name):
+        m = request.getfixturevalue(name)
+        assert m.strip_halfwidth == loop_strip_halfwidth(m)
+
     def test_construction_rejects_non_diffeo(self):
         with pytest.raises(NotADiffeomorphism):
             CircleMap(0.0, (), (0.3,))

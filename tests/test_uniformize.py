@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from circletau.uniformize import (
     _cis_powers,
     _gluing_system,
     _householder_r,
+    _neville,
     _phi_prime_on_circles,
     _solve_collocation,
     _solve_rung,
@@ -316,11 +318,68 @@ class TestBoundaryTau:
         assert bv.method == "fold"
 
     def test_diverging_extrapolants_flagged(self):
-        # the Richardson guard raises once column gaps grow more than
+        # the extrapolator's guard raises once column gaps grow more than
         # tenfold; drive it with data whose deep rungs go erratic
-        from circletau.uniformize import _richardson
-
         ys = np.array([0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625])
         vals = ys * 1j + np.array([0.0, 0.0, 0.0, 0.0, 1e-6, 1e-1])
         with pytest.raises(ExtrapolationDiverged):
-            _richardson(ys, vals, 3)
+            _neville(ys, vals, 0.0, 3)
+
+
+def old_richardson(ys, vals, order):
+    """Richardson tableau in y before _neville, kept as its reference."""
+    T = [list(map(complex, vals))]
+    for m in range(1, order + 1):
+        prev = T[-1]
+        cur = []
+        for l in range(len(vals) - m):
+            r = ys[l] / ys[l + m]
+            cur.append(prev[l + 1] + (prev[l + 1] - prev[l]) / (r - 1.0))
+        T.append(cur)
+    return T[order][-1], abs(T[order][-1] - T[order - 1][-1])
+
+
+def old_neville(nodes, vals, target):
+    """Fold-variable interpolant before _neville, kept as its reference."""
+    p = [complex(v) for v in vals]
+    x = [complex(t) for t in nodes]
+    n = len(p)
+    for m in range(1, n):
+        for i in range(n - m):
+            p[i] = ((target - x[i + m]) * p[i] + (x[i] - target) * p[i + 1]) / (
+                x[i] - x[i + m]
+            )
+    return p[0]
+
+
+def ladder(bv):
+    """Rung heights and mod-1 unwrapped rung taus, as boundary_tau extrapolates them."""
+    taus = [bv.rungs[0].tau]
+    for r in bv.rungs[1:]:
+        prev = taus[-1]
+        taus.append(complex(prev.real + wrap_half(r.tau.real - prev.real), r.tau.imag))
+    return [r.y for r in bv.rungs], taus
+
+
+class TestExtrapolator:
+    def test_richardson_matches_old(self, arnold_tau0):
+        bv = arnold_tau0
+        ys, taus = ladder(bv)
+        value, est = old_richardson(np.asarray(ys), taus, 3)
+        assert bv.method == "richardson"
+        assert abs(bv.tau_raw - value) <= 1e-15
+        assert bv.error_estimate == pytest.approx(est, rel=1e-12, abs=0.0)
+
+    def test_fold_matches_old(self, two_humped):
+        bv = boundary_tau(two_humped, HUMP_EDGE_SAMPLE, edge_distance=-1.1e-3)
+        ys, taus = ladder(bv)
+        nodes = [cmath.sqrt(1.0 - 1j * y / -1.1e-3) for y in ys]
+        value = old_neville(nodes, taus, 1.0)
+        est = abs(value - old_neville(nodes[:-1], taus[:-1], 1.0))
+        assert bv.method == "fold"
+        assert abs(bv.tau_raw - value) <= 1e-15
+        assert bv.error_estimate == pytest.approx(est, rel=1e-12, abs=0.0)
+        # the estimate drops the lowest rung; dropping the highest instead
+        # would understate the error here
+        _, top_dropped = _neville(nodes, taus, 1.0, len(nodes) - 1)
+        assert top_dropped < 0.5 * est
