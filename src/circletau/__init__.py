@@ -50,6 +50,7 @@ from .experiments import (
     TsujiiRow,
     liouville_measure_estimate,
     noninjectivity_probe,
+    trace_atlas,
     trace_bubble,
     tsujii_gap,
 )
@@ -94,7 +95,7 @@ __all__ = [
     # experiments
     "BubbleSample", "BubbleTrace", "EndpointReport", "LiouvilleReport",
     "NoninjectivityReport", "TsujiiRow", "liouville_measure_estimate",
-    "noninjectivity_probe", "trace_bubble", "tsujii_gap",
+    "noninjectivity_probe", "trace_atlas", "trace_bubble", "tsujii_gap",
     # linearize
     "AnnuliCheck", "DiskRadius", "IterationChart", "QcTwistCheck", "SigmaData",
     "annuli_inequality_check", "bubble_disk_radius", "linearizing_inverse",

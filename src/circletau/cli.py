@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -19,7 +18,7 @@ from fractions import Fraction
 from . import __version__
 from .dynamics import cycles_to_csv_rows, find_cycles, rotation_estimate
 from .errors import ConfigError, NumericalError
-from .experiments import trace_bubble, tsujii_gap
+from .experiments import trace_atlas, trace_bubble, tsujii_gap
 from .linearize import sigma
 from .maps import CircleMap, total_distortion
 from .svgplot import render_bubble_svg
@@ -218,23 +217,14 @@ def run(args) -> int:
         })
 
     elif args.command == "atlas":
-        traces = []
-        rows = []
-        for q in range(1, args.qmax + 1):
-            for p in range(q):
-                if math.gcd(p, q) != 1 and not (p == 0 and q == 1):
-                    continue
-                try:
-                    tr = trace_bubble(fmap, p, q, samples=args.samples,
-                                      classify=False, workers=args.workers)
-                except NumericalError:
-                    continue
-                traces.append(tr)
-                rows.extend(tr.csv_rows())
+        traces, skipped = trace_atlas(fmap, args.qmax, samples=args.samples,
+                                      workers=args.workers)
+        for p, q, exc in skipped:
+            print(f"skipped {p}/{q}: {type(exc).__name__}: {exc}", file=sys.stderr)
         if "csv" in emit:
             _emit_csv(outdir, "atlas.csv",
                       ("omega", "p", "q", "tau_re", "tau_im", "h", "angle", "err"),
-                      rows)
+                      [row for tr in traces for row in tr.csv_rows()])
         if "svg" in emit:
             d = total_distortion(fmap).value
             with open(os.path.join(outdir, "atlas.svg"), "w") as fh:

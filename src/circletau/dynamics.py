@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,7 +39,7 @@ from .errors import (
     RootFindingIncomplete,
     WrongRotationNumber,
 )
-from .maps import CircleMap, _bisect, total_distortion
+from .maps import CircleMap, _bisect
 
 TOL_PARABOLIC = 1e-8  # |rho - 1| below root-refinement accuracy is parabolic
 

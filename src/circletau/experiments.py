@@ -8,6 +8,13 @@ monotone family change exactly at parameters carrying a parabolic cycle;
 the jump is bisected by ``maps._bisect``.  The plateau edge facing
 omega = 0 (Tsujii) and the Liouville margins are rotation-number
 crossings, ``dynamics._rot_crossing``.
+
+``trace_bubble`` and ``trace_atlas`` share three steps: ``_bubble_segment``
+plans a bubble (plateau, count-jump edge, Chebyshev nodes with their
+signed edge distances) in the calling process; ``_boundary_values``, the
+package's one fan-out, solves the boundary values of any list of such
+samples in process or over one process pool; ``_bubble_trace`` assembles
+the samples and optionally classifies the endpoints.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +34,6 @@ from .dynamics import (
     _rot_crossing,
     find_cycles,
     plateau,
-    plateau_bracket,
     rotation_estimate,
 )
 from .errors import (
@@ -112,7 +119,7 @@ def count_periodic_points(map, p: int, q: int, grid: int = 8192) -> int:
     return int(np.sum(g * np.roll(g, -1) < 0.0))
 
 
-def sample_to_boundary(map, omega: float, p: int, q: int,
+def sample_to_boundary(omega: float, p: int, q: int,
                        bv: BoundaryValue) -> BubbleSample:
     z = bv.tau_raw
     dx = wrap_half((z.real - p / q))
@@ -204,38 +211,25 @@ def _classify_endpoint(map, p, q, edge: float, side: str,
     return EndpointReport(edge, side, "none", tuple(trace))
 
 
-def _boundary_worker(args):
-    desc, omega, s, resid_target, n_cap = args
-    m = CircleMap.from_descriptor(desc)
-    return boundary_tau(m, omega, edge_distance=s, resid_target=resid_target,
-                        n_cap=n_cap)
+@dataclass(frozen=True)
+class _Segment:
+    """The planned part of a trace: plateau, bubble edges and its
+    (omega, signed edge distance) boundary jobs, ascending in omega."""
+
+    plateau: Plateau
+    bubble_lo: float
+    bubble_hi: float
+    jobs: list
 
 
-def trace_bubble(
-    map: CircleMap,
-    p: int,
-    q: int,
-    samples: int = 24,
-    bracket=None,
-    classify: bool = True,
-    resid_target: float = 3e-7,
-    n_cap: int = 384,
-    edge_tol: float = 1e-10,
-    workers: int = 1,
-    segment: str = "right",
-) -> BubbleTrace:
-    """Sample tau_bar at Chebyshev-spaced omega inside the bubble.
-
-    The traced interval is the maximal hyperbolic subinterval of the p/q
-    plateau abutting its right (or left, per `segment`) edge; its
-    endpoints are classified from the multiplier traces of the
-    continuing cycles.
-    """
+def _bubble_segment(map, p, q, samples: int, segment: str) -> _Segment:
+    """Plan the trace of one bubble: the plateau, the count-jump edge of
+    the traced segment and its Chebyshev nodes."""
     if samples < 6:
         raise ConfigError(f"need at least 6 samples, got {samples}")
     if segment not in ("left", "right"):
         raise ConfigError(f"segment must be 'left' or 'right', got {segment!r}")
-    plat = plateau(map, p, q, bracket, tol=edge_tol)
+    plat = plateau(map, p, q)
     if plat.width < _MIN_TRACEABLE_WIDTH:
         raise EmptyPlateau(
             f"plateau of {p}/{q} too narrow to trace ({plat.width:.3e})",
@@ -249,15 +243,10 @@ def trace_bubble(
         ref_omega = plat.omega_lo + 0.02 * plat.width
         scan = (ref_omega, plat.omega_hi)
     ref_count = count_periodic_points(map.shifted(ref_omega), p, q)
-    jump = _nearest_count_jump(
-        map, p, q, scan[0], scan[1], ref_count, from_right, tol=edge_tol
-    )
-    if from_right:
-        blo = plat.omega_lo if jump is None else jump
-        bhi = plat.omega_hi
-    else:
-        blo = plat.omega_lo
-        bhi = plat.omega_hi if jump is None else jump
+    jump = _nearest_count_jump(map, p, q, scan[0], scan[1], ref_count, from_right)
+    blo, bhi = plat.omega_lo, plat.omega_hi
+    if jump is not None:
+        blo, bhi = (jump, bhi) if from_right else (blo, jump)
 
     mid = 0.5 * (blo + bhi)
     hw = 0.5 * (bhi - blo)
@@ -265,31 +254,48 @@ def trace_bubble(
         mid + hw * math.cos((2 * k + 1) * math.pi / (2 * samples))
         for k in range(samples)
     )
-    jobs = []
-    for w in nodes:
-        d_lo, d_hi = w - blo, bhi - w
-        s = d_hi if d_hi <= d_lo else -d_lo
-        jobs.append((w, s))
-    if workers > 1 and isinstance(map, CircleMap):
-        from concurrent.futures import ProcessPoolExecutor
+    # signed distance to the nearer bubble edge: + to bhi, - to blo
+    jobs = [(w, bhi - w if bhi - w <= w - blo else blo - w) for w in nodes]
+    return _Segment(plat, blo, bhi, jobs)
 
-        desc = map.to_descriptor()
-        arglist = [(desc, w, s, resid_target, n_cap) for w, s in jobs]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            bvs = list(pool.map(_boundary_worker, arglist))
-    else:
-        bvs = [
-            boundary_tau(map, w, edge_distance=s, resid_target=resid_target,
-                         n_cap=n_cap)
-            for w, s in jobs
-        ]
-    out = [
-        sample_to_boundary(map, w, p, q, bv) for (w, s), bv in zip(jobs, bvs)
-    ]
 
+def _boundary_job(map, job):
+    omega, s = job
+    try:
+        return boundary_tau(map, omega, edge_distance=s)
+    except NumericalError as exc:
+        return exc
+
+
+def _boundary_values(map, jobs, workers: int) -> list:
+    """boundary_tau at every (omega, s) job, in job order; a job that
+    raises NumericalError yields the exception instead.
+
+    The package's one fan-out: in process for workers <= 1, otherwise one
+    process pool for all jobs.  No state carries between jobs, so neither
+    their order nor the worker count changes a bit of the results.
+    """
+    run = partial(_boundary_job, map)
+    if workers <= 1:
+        return [run(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, jobs))
+
+
+def _bubble_trace(map, seg: _Segment, values, classify: bool) -> BubbleTrace:
+    """Assemble a trace from its segment and boundary values, re-raising
+    the first failed sample; optionally classify the bubble's endpoints."""
+    for v in values:
+        if isinstance(v, NumericalError):
+            raise v
+    plat, blo, bhi = seg.plateau, seg.bubble_lo, seg.bubble_hi
+    p, q = plat.p, plat.q
+    out = [sample_to_boundary(w, p, q, bv) for (w, _), bv in zip(seg.jobs, values)]
     left = right = None
     if classify:
-        k = min(5, samples // 2)  # stay on the endpoint's side of the bubble
+        k = min(5, len(out) // 2)  # stay on the endpoint's side of the bubble
         left = _classify_endpoint(map, p, q, blo, "left", [s.omega for s in out[:k]])
         right = _classify_endpoint(
             map, p, q, bhi, "right", [s.omega for s in out[-k:]]
@@ -300,6 +306,49 @@ def trace_bubble(
             hi_kind=right.kind if bhi == plat.omega_hi else plat.hi_kind,
         )
     return BubbleTrace(p, q, plat, blo, bhi, tuple(out), left, right)
+
+
+def trace_bubble(map: CircleMap, p: int, q: int, samples: int = 24, classify: bool = True,
+                 workers: int = 1, segment: str = "right") -> BubbleTrace:
+    """Sample tau_bar at Chebyshev-spaced omega inside the bubble.
+
+    The traced interval is the maximal hyperbolic subinterval of the p/q
+    plateau abutting its right (or left, per `segment`) edge; its
+    endpoints are classified from the multiplier traces of the
+    continuing cycles.
+    """
+    seg = _bubble_segment(map, p, q, samples, segment)
+    return _bubble_trace(map, seg, _boundary_values(map, seg.jobs, workers), classify)
+
+
+def trace_atlas(map: CircleMap, q_max: int, samples: int = 16,
+                workers: int = 1) -> tuple[list, list]:
+    """Right-edge bubbles of every reduced p/q with q <= q_max, in (q, p)
+    order, with all their samples solved through one fan-out.
+
+    Returns (traces, skipped); a plateau whose planning or any sample
+    raises NumericalError is left out of traces and listed in skipped as
+    (p, q, error).  Endpoints are not classified.
+    """
+    planned, skipped = [], []
+    for q in range(1, q_max + 1):
+        for p in range(q):
+            if math.gcd(p, q) != 1:
+                continue
+            try:
+                planned.append(_bubble_segment(map, p, q, samples, "right"))
+            except NumericalError as exc:
+                skipped.append((p, q, exc))
+    values = _boundary_values(map, [j for seg in planned for j in seg.jobs], workers)
+    traces = []
+    for i, seg in enumerate(planned):
+        try:
+            traces.append(_bubble_trace(map, seg, values[i * samples:(i + 1) * samples],
+                                        classify=False))
+        except NumericalError as exc:
+            skipped.append((seg.plateau.p, seg.plateau.q, exc))
+    skipped.sort(key=lambda t: (t[1], t[0]))
+    return traces, skipped
 
 
 # -- non-injectivity scenario --------------------------------------------------
@@ -425,7 +474,6 @@ class TsujiiRow:
 def _convergents(theta: float, depth: int):
     """Continued-fraction convergents p/q of theta, k = 1..depth."""
     out = []
-    a = []
     x = theta
     p_prev, q_prev = 1, 0
     p_cur, q_cur = int(math.floor(theta)), 1
@@ -561,7 +609,7 @@ def liouville_measure_estimate(
         eps_q = q ** (-(2.0 + beta))
         total = 0.0
         for p in range(q):
-            if math.gcd(p, q) != 1 and not (p == 0 and q == 1):
+            if math.gcd(p, q) != 1:
                 continue
             plat = plateau(map, p, q, tol=tol)
             t_lo = _rational_near(p / q - eps_q, 1e-9)

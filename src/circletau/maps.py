@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -44,10 +43,6 @@ _VALIDATION_GRID = 8192
 _STRIP_GRID = 4096
 _STRIP_CAP = 4.0
 _STRIP_MARGIN = 0.1
-
-
-def _frac(x):
-    return x - np.floor(x)
 
 
 def _bisect(right, lo: float, hi: float, tol: float):
@@ -188,7 +183,7 @@ class CircleMap:
         """The map f_omega = f + omega.
 
         Real omega gives another CircleMap; complex omega gives a
-        ShiftedMap sending R/Z to R/Z + omega (used by the uniformizer).
+        ShiftedMap sending R/Z to R/Z + omega.
         """
         if np.iscomplexobj(omega) and np.imag(omega) != 0.0:
             return ShiftedMap(self, complex(omega))

@@ -2,10 +2,16 @@ import csv
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from circletau import experiments
 from circletau.cli import main
+from circletau.errors import IllConditioned
+from circletau.uniformize import BoundaryValue, UpperHalfPoint
 
 B = 1.0 / (4.0 * math.pi)
 ROT_MAP = json.dumps({"mean_shift": 0.3, "cos": [], "sin": []})
@@ -142,3 +148,37 @@ def test_atlas(tmp_path):
     assert len(rows) == 6 and all(r["q"] == "1" for r in rows)
     svg = (tmp_path / "atlas.svg").read_text()
     assert "<ellipse" in svg  # tangent disks at each p/q
+
+
+def test_atlas_names_skipped_plateaus(tmp_path, monkeypatch, capsys):
+    def stub(map, omega, edge_distance=None, **kwargs):
+        if omega > 0.25:
+            raise IllConditioned(f"stub refuses omega = {omega:.3f}")
+        z = complex(omega, abs(edge_distance))
+        return BoundaryValue(UpperHalfPoint(z.real, z.imag), z, 1e-9, (), "stub", omega)
+
+    monkeypatch.setattr(experiments, "boundary_tau", stub)
+    rc = run("atlas", "--map", ARNOLD_MAP, "--qmax", "2", "--samples", "6",
+             "--workers", "1", "--out", str(tmp_path))
+    assert rc == 0
+    rows = list(csv.DictReader((tmp_path / "atlas.csv").read_text().splitlines()))
+    assert len(rows) == 6 and {(r["p"], r["q"]) for r in rows} == {("0", "1")}
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("skipped 1/2: IllConditioned: stub refuses")
+
+
+def test_atlas_pool_matches_serial(tmp_path):
+    """The process-pool path writes the same bytes as the in-process one."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        subprocess.run(
+            [sys.executable, "-m", "circletau.cli", "atlas", "--map", ARNOLD_MAP,
+             "--qmax", "2", "--samples", "6", "--workers", workers, "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        outs.append((out / "atlas.csv").read_bytes())
+    assert outs[0] == outs[1]

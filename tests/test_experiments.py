@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from circletau import dynamics
+from circletau import dynamics, experiments
 from circletau.dynamics import find_cycles, plateau
 from circletau.errors import (
     ConfigError,
     EmptyPlateau,
+    IllConditioned,
     NoConvergence,
     NumericalError,
     WrongProfile,
@@ -22,12 +23,13 @@ from circletau.experiments import (
     displacement_maxima,
     liouville_measure_estimate,
     noninjectivity_probe,
+    trace_atlas,
     trace_bubble,
     tsujii_gap,
 )
 from circletau.linearize import bubble_disk_radius
 from circletau.maps import CircleMap, total_distortion
-from circletau.uniformize import wrap_half
+from circletau.uniformize import BoundaryValue, UpperHalfPoint, wrap_half
 
 B = 1.0 / (4.0 * math.pi)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -83,6 +85,45 @@ class TestTraceBubble:
     def test_sample_validation(self, arnold):
         with pytest.raises(ConfigError):
             trace_bubble(arnold, 0, 1, samples=3)
+
+
+def stub_boundary_tau(map, omega, edge_distance=None, **kwargs):
+    """A cheap deterministic stand-in for boundary_tau: tau from (omega, s)."""
+    z = complex(omega + 0.5 * edge_distance, abs(edge_distance))
+    return BoundaryValue(UpperHalfPoint(z.real, z.imag), z, 1e-9, (), "stub", omega)
+
+
+class TestTraceAtlas:
+    def test_matches_trace_bubble_per_plateau(self, arnold, monkeypatch):
+        monkeypatch.setattr(experiments, "boundary_tau", stub_boundary_tau)
+        traces, skipped = trace_atlas(arnold, 2, samples=6)
+        assert skipped == []
+        assert [(tr.p, tr.q) for tr in traces] == [(0, 1), (1, 2)]
+        for tr in traces:
+            alone = trace_bubble(arnold, tr.p, tr.q, samples=6, classify=False)
+            assert tr.samples == alone.samples
+            assert (tr.bubble_lo, tr.bubble_hi) == (alone.bubble_lo, alone.bubble_hi)
+            assert tr.plateau == alone.plateau
+            assert tr.left is None and tr.right is None
+
+    def test_failed_sample_skips_its_plateau(self, arnold, monkeypatch):
+        def stub(map, omega, edge_distance=None, **kwargs):
+            if omega > 0.25:
+                raise IllConditioned(f"stub refuses omega = {omega:.3f}")
+            return stub_boundary_tau(map, omega, edge_distance)
+
+        monkeypatch.setattr(experiments, "boundary_tau", stub)
+        traces, skipped = trace_atlas(arnold, 2, samples=6)
+        assert [(tr.p, tr.q) for tr in traces] == [(0, 1)]
+        assert [(p, q, type(exc)) for p, q, exc in skipped] == [(1, 2, IllConditioned)]
+
+    def test_failed_sample_raises_from_trace_bubble(self, arnold, monkeypatch):
+        def stub(map, omega, edge_distance=None, **kwargs):
+            raise IllConditioned("stub refuses every sample")
+
+        monkeypatch.setattr(experiments, "boundary_tau", stub)
+        with pytest.raises(IllConditioned, match="stub refuses every sample"):
+            trace_bubble(arnold, 0, 1, samples=6, classify=False)
 
 
 def loop_nearest_count_jump(map, p, q, lo, hi, ref_count, from_right, coarse=96, tol=1e-10):

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import types
 
 import circletau
@@ -9,3 +11,54 @@ def test_all_names_resolve_to_public_objects():
         obj = getattr(circletau, name)
         assert not isinstance(obj, types.ModuleType), name
 
+
+
+SRC = pathlib.Path(circletau.__file__).resolve().parent
+
+
+def _referenced(tree) -> set:
+    """Names a module reads: loaded names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_no_dead_top_level_names():
+    """Every top-level import is used in its module, and every private
+    top-level function, class or constant is referenced somewhere in the
+    package."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    used_anywhere = set().union(*(_referenced(t) for t in trees.values()))
+    dead = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                if getattr(stmt, "module", None) == "__future__":
+                    continue
+                for alias in stmt.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in loaded:
+                        dead.append(f"{name}: unused import {bound}")
+                continue
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for top in defined:
+                private = top.startswith("_") and not top.startswith("__")
+                if private and top not in used_anywhere:
+                    dead.append(f"{name}: unreferenced {top}")
+    assert dead == []
