@@ -46,6 +46,7 @@ TOL_PARABOLIC = 1e-8  # |rho - 1| below root-refinement accuracy is parabolic
 _G_GRID = 4096
 _ROOT_GRID = 1 << 14
 _SIGN_FLOOR = 1e-13
+_RING = 8192  # orbit steps before a stall check that rotation_estimate keeps
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,11 @@ def rotation_estimate(map, tol: float = 1e-10, max_iter: int = 10_000_000) -> Ro
     best = math.inf
     last_record = 0
     stall_allowance = 10000
-    ring = deque(maxlen=8192)  # recent (n, y, carries) for near-period detection
+    ring = deque(maxlen=_RING)  # recent (n, y, carries) for near-period detection
+    # only the last _RING steps before a stall check are ever read, and the
+    # check threshold 4 last_record + stall_allowance never falls, so the
+    # ring is filled from _RING steps below it
+    ring_from = stall_allowance - _RING
     n = 0
 
     def try_rational() -> Fraction | None:
@@ -248,11 +253,13 @@ def rotation_estimate(map, tol: float = 1e-10, max_iter: int = 10_000_000) -> Ro
         carry = math.floor(ynew)
         y = ynew - carry
         carries += carry
-        ring.append((n, y, carries))
+        if n > ring_from:
+            ring.append((n, y, carries))
         e = y - round(y)
         if abs(e) < best:
             best = abs(e)
             last_record = n
+            ring_from = 4 * last_record + stall_allowance - _RING
             p = carries + round(y)
             if e == 0.0:
                 cand = Fraction(p, n)
@@ -285,6 +292,7 @@ def rotation_estimate(map, tol: float = 1e-10, max_iter: int = 10_000_000) -> Ro
                     mid = (lo + hi) / 2
                     return RotationEstimate(float(mid), lo, hi, None, n)
             stall_allowance *= 4
+            ring_from = 4 * last_record + stall_allowance - _RING
 
     if hi - lo <= tol:
         mid = (lo + hi) / 2

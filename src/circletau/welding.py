@@ -30,9 +30,10 @@ class WeldingSolution:
     coeff_plus: tuple  # a_k, k = 1..N
     coeff_minus: tuple  # b_k against e^{-2 pi i k z}
     residual: float
-    cond: float  # upper bound on the 2-norm condition number, exact near COND_LIMIT
+    cond: float  # as ConjugacySolution.cond
     n_modes: int
     m_points: int
+    refine_steps: int  # double-precision refinement steps; 0 when the QR path solved
 
     def to_json_dict(self) -> dict:
         return {
@@ -72,7 +73,7 @@ def welding_constant(
     _cis_powers(-fx, N, out=Ab[:, N : 2 * N])
     Ab[:, 2 * N] = 1.0
     Ab[:, 2 * N + 1] = x - fx + gauge
-    sol, cond, residual = _solve_collocation(Ab, " in the welding system")
+    sol, cond, residual, steps = _solve_collocation(Ab, " in the welding system")
     c_minus = complex(sol[-1])
     return WeldingSolution(
         c_plus=gauge,
@@ -84,6 +85,7 @@ def welding_constant(
         cond=cond,
         n_modes=N,
         m_points=M,
+        refine_steps=steps,
     )
 
 

@@ -92,6 +92,20 @@ class TestRotationNumber:
         est = rotation_estimate(golden_tuned_arnold, tol=1e-9)
         assert est.bracket_width <= 1e-9
         assert float(est.lo) <= est.value <= float(est.hi)
+        # frozen from the orbit that kept every step in its ring
+        assert repr(est) == (
+            "RotationEstimate(value=0.6180363529022508, lo=Fraction(1330534, 2152841), "
+            "hi=Fraction(16763, 27123), exact=None, iterations=2152841)"
+        )
+
+    def test_near_period_certifies_a_large_denominator(self):
+        # rot = 987/1597 on a plateau of width ~1e-5: try_rational stops at
+        # denominator 1500, so the orbit's own lag-1597 return in the ring
+        # decides; iterations frozen from the ring that kept every step
+        m = CircleMap(987 / 1597, (), (0.0,) * 1596 + (1e-5,))
+        est = rotation_estimate(m, tol=1e-12, max_iter=400_000)
+        assert est.exact == Fraction(987, 1597)
+        assert est.iterations == 12441
 
     def test_no_convergence_reports_bracket(self):
         # a tiny perturbation of a rotation near 1/2 (the rigid rotation

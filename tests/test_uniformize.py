@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
+from circletau import uniformize
 from circletau.errors import (
     ConfigError,
     ExtrapolationDiverged,
@@ -19,6 +21,7 @@ from circletau.uniformize import (
     _householder_r,
     _neville,
     _phi_prime_on_circles,
+    _qr_solve,
     _solve_collocation,
     _solve_rung,
     boundary_tau,
@@ -34,6 +37,16 @@ B = 1.0 / (4.0 * math.pi)
 # a sample omega of the two-hump bubble, 1.1e-3 right of its left edge
 HUMP_EDGE_SAMPLE = 0.0033358979962851837
 KERNEL_CASES = [("arnold", 0.1 + 0.05j, 64), ("two_humped", HUMP_EDGE_SAMPLE + 8e-4j, 384)]
+# the kernel cases and two more fold-rung heights of the edge sample
+ORACLE_CASES = KERNEL_CASES + [
+    ("two_humped", HUMP_EDGE_SAMPLE + 1j * y, 384) for y in (3e-3, 2e-2)
+]
+
+
+@pytest.fixture(scope="module")
+def hump_edge_fold(two_humped):
+    """Default fold ladder of the edge sample."""
+    return boundary_tau(two_humped, HUMP_EDGE_SAMPLE, edge_distance=-1.1e-3)
 
 
 def lstsq_gluing_oracle(map, omega, N):
@@ -50,8 +63,11 @@ def lstsq_gluing_oracle(map, omega, N):
     return np.linalg.lstsq(A, -(fx - x), rcond=None)[0]
 
 
-def synthetic_system(singular_values, m=160, seed=0):
-    """[A | b] with A = U diag(s) V^H for random unitary U (m x n) and V."""
+def synthetic_system(singular_values, m=160, seed=0, b_rank=None):
+    """[A | b] with A = U diag(s) V^H for random unitary U (m x n) and V.
+
+    b is random, or confined to the span of the first b_rank columns of U.
+    """
     rng = np.random.default_rng(seed)
     s = np.asarray(singular_values, dtype=float)
     n = s.size
@@ -60,9 +76,23 @@ def synthetic_system(singular_values, m=160, seed=0):
         z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         return np.linalg.qr(z)[0]
 
-    A = unitary(m, n) * s @ unitary(n, n).conj().T
+    U = unitary(m, n)
+    A = U * s @ unitary(n, n).conj().T
     b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    if b_rank is not None:
+        b = U[:, :b_rank] @ b[:b_rank]
     return np.column_stack([A, b])
+
+
+def qr_oracle(Ab):
+    """(x, cond, residual) of the complex128 Householder QR path."""
+    x, cond = _qr_solve(Ab)
+    return x, cond, float(np.max(np.abs(Ab[:, :-1] @ x - Ab[:, -1])))
+
+
+def collocation_system(map, omega, N):
+    M = 4 * N + 8
+    return _gluing_system(np.asarray(np.real(map.lift(np.arange(M) / M)), dtype=float), omega, N)
 
 
 class TestUpperHalfPoint:
@@ -226,8 +256,9 @@ class TestCollocationKernel:
         s = np.r_[np.ones(10), np.full(30, 1e-11)]
         kappa_f = math.sqrt(np.sum(s**2) * np.sum(s**-2.0))
         assert kappa_f > COND_LIMIT
-        _, cond, _ = _solve_collocation(synthetic_system(s))
+        _, cond, _, steps = _solve_collocation(synthetic_system(s))
         assert cond == pytest.approx(1e11, rel=1e-3)
+        assert steps == 0
 
     @pytest.mark.parametrize(
         "s",
@@ -236,12 +267,73 @@ class TestCollocationKernel:
     )
     def test_cond_bounds_kappa_2(self, s):
         Ab = synthetic_system(s, seed=1)
-        sol, cond, residual = _solve_collocation(Ab)
+        sol, cond, residual, steps = _solve_collocation(Ab)
         assert cond >= (s.max() / s.min()) * (1.0 - 1e-6)
+        if steps > 0:
+            sv = svdvals(Ab[:, :-1])
+            assert cond >= sv[0] / sv[-1]
         assert residual == pytest.approx(float(np.max(np.abs(Ab[:, :-1] @ sol - Ab[:, -1]))))
         if s.max() / s.min() < 1e3:
             ref = np.linalg.lstsq(Ab[:, :-1], Ab[:, -1], rcond=None)[0]
             assert float(np.max(np.abs(sol - ref))) < 1e-12
+
+
+class TestGramRefinement:
+    @pytest.mark.parametrize("map_name, omega, N", ORACLE_CASES)
+    def test_matches_qr_oracle(self, request, map_name, omega, N):
+        Ab = collocation_system(request.getfixturevalue(map_name), omega, N)
+        sol, cond, residual, steps = _solve_collocation(Ab)
+        ref, _, ref_residual = qr_oracle(Ab)
+        assert steps > 0
+        assert abs(sol[-1] - ref[-1]) < 1e-14
+        sup = float(np.max(np.abs(ref[:-1])))
+        assert float(np.max(np.abs(sol[:-1] - ref[:-1]))) < 1e-12 * sup
+        assert residual == pytest.approx(ref_residual, rel=1e-10)
+        sv = svdvals(Ab[:, :-1])
+        assert cond >= sv[0] / sv[-1]
+
+    def test_matches_mpmath(self, arnold):
+        mpmath = pytest.importorskip("mpmath")
+        Ab = collocation_system(arnold, 0.1 + 0.05j, 16)
+        sol, _, _, steps = _solve_collocation(Ab)
+        with mpmath.workdps(40):
+            x, _ = mpmath.qr_solve(
+                mpmath.matrix(Ab[:, :-1].tolist()), mpmath.matrix(Ab[:, -1].tolist())
+            )
+        assert steps > 0
+        assert abs(sol[-1] - complex(x[len(sol) - 1])) < 1e-13
+
+    def test_solution_reports_its_path(self, arnold, monkeypatch):
+        assert complex_rotation_number(arnold, 0.1 + 0.05j, 32).refine_steps > 0
+        monkeypatch.setattr(uniformize, "_gram_refine", lambda Ab: None)
+        sol = complex_rotation_number(arnold, 0.1 + 0.05j, 32)
+        assert sol.refine_steps == 0
+        assert sol.cond == qr_oracle(collocation_system(arnold, 0.1 + 0.05j, 32))[1]
+
+    def test_fold_ladder_rungs_take_the_fast_path(self, hump_edge_fold):
+        assert all(r.refine_steps > 0 for r in hump_edge_fold.rungs)
+
+    @pytest.mark.parametrize(
+        "s",
+        [np.logspace(0.0, -5.0, 40), np.logspace(0.0, -4.0, 40),
+         np.logspace(0.0, -3.5, 40), np.logspace(0.0, -3.0, 40)],
+        ids=["cpotrf-fails", "cond-above-limit", "no-convergence-in-12", "stalls-at-1e-13"],
+    )
+    def test_declined_systems_take_the_qr_path(self, s):
+        Ab = synthetic_system(s)
+        sol, cond, residual, steps = _solve_collocation(Ab)
+        ref, ref_cond, ref_residual = qr_oracle(Ab)
+        assert steps == 0
+        assert (sol == ref).all() and cond == ref_cond and residual == ref_residual
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gate_holds_when_b_misses_the_small_direction(self, seed):
+        # kappa_2 = 1e13 through one direction b has no part in, so the
+        # refinement alone would converge: the single-precision factor
+        # fails, or (seed 3) its cond lands above FAST_COND_LIMIT
+        Ab = synthetic_system(np.r_[np.ones(39), 1e-13], seed=seed, b_rank=39)
+        with pytest.raises(IllConditioned):
+            _solve_collocation(Ab)
 
 
 class TestBoundaryTau:
@@ -270,6 +362,7 @@ class TestBoundaryTau:
         last = bv.rungs[-1]
         sol = complex_rotation_number(arnold, last.y * 1j, last.n_modes)
         assert last.cond == pytest.approx(sol.cond, rel=1e-9)
+        assert last.refine_steps == sol.refine_steps > 0
         assert last.cond >= 1.0
 
     def test_zero_target_misses_every_rung(self, arnold):
@@ -289,8 +382,7 @@ class TestBoundaryTau:
         if case == "arnold_center":
             m, bv = request.getfixturevalue("arnold"), arnold_tau0
         else:
-            m = request.getfixturevalue("two_humped")
-            bv = boundary_tau(m, HUMP_EDGE_SAMPLE, edge_distance=-1.1e-3)
+            m, bv = request.getfixturevalue("two_humped"), request.getfixturevalue("hump_edge_fold")
         cold = [_solve_rung(m, bv.omega, r.y, 3e-7, 384, 0.0) for r in bv.rungs]
         assert [(r.n_modes, r.tau) for r in bv.rungs] == [(c.n_modes, c.tau) for c in cold]
         assert sum(r.solves for r in bv.rungs) <= sum(c.solves for c in cold)
@@ -370,8 +462,8 @@ class TestExtrapolator:
         assert abs(bv.tau_raw - value) <= 1e-15
         assert bv.error_estimate == pytest.approx(est, rel=1e-12, abs=0.0)
 
-    def test_fold_matches_old(self, two_humped):
-        bv = boundary_tau(two_humped, HUMP_EDGE_SAMPLE, edge_distance=-1.1e-3)
+    def test_fold_matches_old(self, hump_edge_fold):
+        bv = hump_edge_fold
         ys, taus = ladder(bv)
         nodes = [cmath.sqrt(1.0 - 1j * y / -1.1e-3) for y in ys]
         value = old_neville(nodes, taus, 1.0)

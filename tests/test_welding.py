@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from circletau import uniformize
 from circletau.errors import ConfigError, IllConditioned
 from circletau.maps import CircleMap
 from circletau.uniformize import complex_rotation_number
@@ -35,6 +36,13 @@ class TestWeldingConstant:
         assert abs(arnold_weld.c_f - lstsq_welding_oracle(arnold, 48)) < 1e-12
         w = welding_constant(two_humped, 64, gauge_c_plus=0.5j)
         assert abs(w.c_f - lstsq_welding_oracle(two_humped, 64, 0.5j)) < 1e-12
+
+    def test_matches_qr_oracle(self, arnold, monkeypatch):
+        fast = welding_constant(arnold, 48)
+        monkeypatch.setattr(uniformize, "_gram_refine", lambda Ab: None)
+        oracle = welding_constant(arnold, 48)
+        assert fast.refine_steps > 0 and oracle.refine_steps == 0
+        assert abs(fast.c_f - oracle.c_f) < 1e-12
 
     def test_rotation_translation_welding(self):
         w = welding_constant(CircleMap(0.25), 16)
