@@ -405,6 +405,7 @@ def find_cycles(map, p: int, q: int, resolution: float = 1e-12) -> list[Cycle]:
 
     # group into orbits
     root_arr = np.array(merged)
+    step = map.lift_float if isinstance(map, CircleMap) else (lambda t: float(map.lift(t)))
     unused = set(range(len(merged)))
     cycles: list[Cycle] = []
     while unused:
@@ -413,7 +414,7 @@ def find_cycles(map, p: int, q: int, resolution: float = 1e-12) -> list[Cycle]:
         unused.discard(i0)
         cur = merged[i0]
         for _ in range(q - 1):
-            ynext = float(map.lift(cur)) % 1.0
+            ynext = step(cur) % 1.0
             j = int(np.argmin(np.minimum(np.abs(root_arr - ynext), 1.0 - np.abs(root_arr - ynext))))
             dist = min(abs(root_arr[j] - ynext), 1.0 - abs(root_arr[j] - ynext))
             if dist > 1e-7:

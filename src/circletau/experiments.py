@@ -44,7 +44,13 @@ from .errors import (
     WrongProfile,
 )
 from .maps import CircleMap, _bisect, total_distortion
-from .uniformize import BoundaryValue, boundary_tau, wrap_half
+from .uniformize import (
+    BoundaryValue,
+    _share_moments_in_process,
+    _shared_moments,
+    boundary_tau,
+    wrap_half,
+)
 
 _MIN_TRACEABLE_WIDTH = 1e-6
 _EDGE_PROBE = 1e-7
@@ -272,15 +278,20 @@ def _boundary_values(map, jobs, workers: int) -> list:
     raises NumericalError yields the exception instead.
 
     The package's one fan-out: in process for workers <= 1, otherwise one
-    process pool for all jobs.  No state carries between jobs, so neither
-    their order nor the worker count changes a bit of the results.
+    process pool for all jobs.  The jobs of one call share the gluing
+    moments of the map (see ``uniformize``): in process through one
+    store for the whole batch, in the pool through one store per worker,
+    dropped with the pool.  A stored moment has the bits a fresh one
+    has, so neither the job order nor the worker count changes a bit of
+    the results.
     """
     run = partial(_boundary_job, map)
     if workers <= 1:
-        return [run(job) for job in jobs]
+        with _shared_moments():
+            return [run(job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_share_moments_in_process) as pool:
         return list(pool.map(run, jobs))
 
 

@@ -36,9 +36,9 @@ from .errors import ConfigError, NotADiffeomorphism, StripExceeded
 
 TWO_PI = 2.0 * math.pi
 
-# Orientation is validated on this many grid points; together with the
-# coefficient certificate 2*pi*sum k(|a_k|+|b_k|) < 1 the sampled check
-# becomes rigorous.
+# min F' is sampled on this many grid points.  Every x lies within h/2 of
+# one (h = 1/_VALIDATION_GRID) and |F''| <= sum (2 pi k)^2 (|a_k| + |b_k|),
+# so a grid minimum above (h/2) times that sum proves min F' > 0.
 _VALIDATION_GRID = 8192
 _STRIP_GRID = 4096
 _STRIP_CAP = 4.0
@@ -79,8 +79,11 @@ class CircleMap:
     cos_coeffs, sin_coeffs:
         Coefficients a_k, b_k for k = 1..K (may have different lengths).
     validate:
-        Check min F' > 0 on the validation grid at construction.  Disable
-        only to probe degenerate inputs in tests.
+        Prove min F' > 0 at construction: the minimum of F' on the
+        validation grid must exceed (h/2) sum (2 pi k)^2 (|a_k| + |b_k|),
+        the most F' can fall between grid points h apart (up to the
+        rounding of the sampled values).  Disable only to probe
+        degenerate inputs in tests.
     """
 
     mean_shift: float = 0.0
@@ -99,10 +102,17 @@ class CircleMap:
         ))
         if self.validate:
             grid = np.linspace(0.0, 1.0, _VALIDATION_GRID, endpoint=False)
-            fp = self.deriv(grid)
-            if np.min(fp) <= 0.0:
+            fp_min = float(np.min(self.deriv(grid)))
+            curvature = sum(
+                (TWO_PI * k) ** 2 * abs(c)
+                for coeffs in (self.cos_coeffs, self.sin_coeffs)
+                for k, c in enumerate(coeffs, start=1)
+            )
+            margin = 0.5 / _VALIDATION_GRID * curvature
+            if not fp_min > margin:
                 raise NotADiffeomorphism(
-                    f"min F' = {np.min(fp):.6g} <= 0 on the validation grid"
+                    f"min F' = {fp_min:.6g} on the validation grid does not exceed "
+                    f"{margin:.3g}, the most F' can fall between its points"
                 )
 
     # -- basic queries ---------------------------------------------------
@@ -217,10 +227,12 @@ class CircleMap:
         """Largest delta with min Re F' > 0.1 on both lines Im z = +-delta.
 
         A cheap sufficient condition for univalence of the lift on the
-        strip, bisected between 2^-40 and the cap until the ends are
-        adjacent floats; rigid rotations are capped at delta = 4.  Returns
-        0 when even the real line fails the margin (no complex evaluation
-        then).
+        strip.  Re F' is sampled on _STRIP_GRID points of each line and
+        not bounded between them, so the width is a sampled estimate, not
+        a proven one.  It is bisected between 2^-40 and the cap until the
+        ends are adjacent floats; rigid rotations are capped at delta = 4.
+        Returns 0 when even the real line fails the margin (no complex
+        evaluation then).
         """
         x = np.linspace(0.0, 1.0, _STRIP_GRID, endpoint=False)
 

@@ -20,8 +20,8 @@ and sin are evaluated on M (B + N/B) angles instead of M N.
 The least squares A x = b is first solved from a single-precision Gram
 factor refined in double (Bjorck's corrected semi-normal equations, with
 mixed-precision refinement after Carson and Higham): the Cholesky factor
-R of A^H A is formed in complex64 (cherk, cpotrf), and from x = 0 the
-step x += R^-1 R^-H A^H (b - A x) runs with A, b, the residual and x in
+R of A^H A is formed in complex64 (cpotrf), and from x = 0 the step
+x += R^-1 R^-H A^H (b - A x) runs with A, b, the residual and x in
 complex128 until an update falls below 1e-15 max |x|.  The `cond` of
 such a solve is ||R||_F ||R^-1||_F of the single-precision factor
 (ctrtri).  The complex128 Householder QR of [A | b] (LAPACK zgeqrf with
@@ -39,6 +39,21 @@ work whose bits depend on the OpenBLAS thread count: over 11 solves of
 the Arnold and two-hump maps at N = 64..384, tau moved by at most 1.4
 ulp between 1 and 2 threads (5 ulp on the QR path), and min |Phi'| by
 at most 4e-12 relative on either path.
+
+For the gluing system A^H A is not formed from A.  The points x_j = j/M
+are equispaced, so every entry of A^H A is a D-weighted combination of
+the omega-free moments S(m) = sum_j e^{2 pi i m F(x_j)} (|m| <= 2N) and
+P(l, +-k) = sum_j e^{2 pi i l F(x_j)} e^{-+2 pi i k j / M}, the DFT over j
+of the columns of E_f, assembled in O(N^2) (_moments, _moment_gram).
+Only D changes between the solves of one map at one N, so the moments
+(2 N^2 complex64 values) are kept by (N, F(x_j)) and shared by every
+solve of one top-level call: one boundary_tau call, one in-process batch
+of boundary values, and one pool worker for the life of its pool (the
+pool belongs to one call).  Nothing is kept after the call returns, and
+a moment found in the store is the one a fresh computation gives, bit
+for bit, so no result depends on which solve computed it, on the job
+order or on the worker count.  Other systems (welding, tests) form
+A^H A by cherk of a complex64 copy of A.
 
 Injectivity is checked by min |Phi'| over 4M points of both boundary
 circles, each circle's values being one inverse FFT of the coefficients
@@ -60,11 +75,14 @@ escalation at the N of the previous rung's best solve.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_triangular, svdvals
 from scipy.linalg.blas import cherk, zgemv
 from scipy.linalg.lapack import cpotrf, ctrtri, zgeqrf, zgeqrf_lwork, ztrtri, ztrtrs
@@ -79,9 +97,14 @@ from .errors import (
 TWO_PI = 2.0 * math.pi
 COND_LIMIT = 1e12
 HARD_Y_FLOOR = 2e-5  # absolute floor for edge-adapted rungs
-POWER_BLOCK = 16  # fine-table width B of _cis_powers
+POWER_BLOCK = 16  # fine-table width B of _cis_blocks
 FAST_COND_LIMIT = 1e4  # largest single-precision cond the refinement is tried at
 REFINE_STEPS = 12  # most refinement steps before the QR path takes over
+FFT_BLOCK = 64  # columns of E_f per FFT in _moments
+
+# gluing moments by (N, F(x_j) bytes) while a sharing scope is open
+# (_shared_moments, _share_moments_in_process); None outside one
+_MOMENTS = contextvars.ContextVar("gluing_moments", default=None)
 
 
 def wrap_half(x: float) -> float:
@@ -188,26 +211,40 @@ def _cis(out, theta) -> None:
     np.sin(theta, out=out.imag)
 
 
-def _cis_powers(t, N: int, out=None):
-    """e^{2 pi i k t_j} for k = 1..N as an M x N array, from factored powers.
+def _cis_blocks(t, N: int, out=None):
+    """e^{2 pi i k t_j} for k = 1..N, from factored powers, one column block at a time.
 
     Writing k = B a + b with 1 <= b <= B, each entry is one complex
     multiply of a fine table e^{2 pi i b t_j} and a coarse table
     e^{2 pi i B a t_j}, so cos and sin are taken on M (B + N/B) angles
-    instead of M N.  The result is written into out when given.
+    instead of M N.  Yields (lo, block), block holding k = lo + 1 ..
+    lo + w as an M x w array: a column slice of out when out is given,
+    else a fresh array.  The first block is the fine table the later
+    ones are made from, so it must not be written to in between.
     """
     t = np.asarray(t, dtype=float)
     B = min(N, POWER_BLOCK)
-    if out is None:
-        out = np.empty((t.size, N), dtype=complex)
-    fine = out[:, :B]
+    fine = np.empty((t.size, B), dtype=complex) if out is None else out[:, :B]
     _cis(fine, TWO_PI * np.outer(t, np.arange(1, B + 1)))
     a = np.arange(1, -(-N // B))
     coarse = np.empty((t.size, a.size), dtype=complex)
     _cis(coarse, TWO_PI * np.outer(t, B * a))
+    yield 0, fine
     for i, lo in enumerate(B * a):
         w = min(B, N - lo)
-        np.multiply(fine[:, :w], coarse[:, i : i + 1], out=out[:, lo : lo + w])
+        dest = None if out is None else out[:, lo : lo + w]
+        yield lo, np.multiply(fine[:, :w], coarse[:, i : i + 1], out=dest)
+
+
+def _cis_powers(t, N: int, out=None):
+    """e^{2 pi i k t_j} for k = 1..N as an M x N array (see _cis_blocks).
+
+    The result is written into out when given.
+    """
+    if out is None:
+        out = np.empty((np.size(t), N), dtype=complex)
+    for _ in _cis_blocks(t, N, out):
+        pass
     return out
 
 
@@ -257,19 +294,21 @@ def _qr_solve(Ab, hint: str = ""):
     return solve_triangular(R11, R[:n, n], check_finite=False), cond
 
 
-def _gram_refine(Ab):
+def _gram_refine(Ab, gram=None):
     """Least squares A x = b from a complex64 Gram factor, refined in complex128.
 
-    The Cholesky factor R of A^H A is formed in single precision (cherk,
-    cpotrf) and promoted to complex128 once; from x = 0 the corrected
-    semi-normal step x += R^-1 R^-H A^H (b - A x) runs with A, b, the
-    residual and x in complex128.  Returns (x, cond, steps), cond being
-    ||R||_F ||R^-1||_F of the single-precision factor, or None on any of
-    the fallback rules of _solve_collocation.
+    The Cholesky factor R of A^H A is formed in single precision (cpotrf
+    of gram, the complex64 A^H A; when gram is None, cherk forms it from
+    a complex64 copy of A) and promoted to complex128 once; from x = 0
+    the corrected semi-normal step x += R^-1 R^-H A^H (b - A x) runs with
+    A, b, the residual and x in complex128.  Returns (x, cond, steps),
+    cond being ||R||_F ||R^-1||_F of the single-precision factor, or None
+    on any of the fallback rules of _solve_collocation.
     """
     n = Ab.shape[1] - 1
     A, b = Ab[:, :n], Ab[:, n]
-    gram = cherk(1.0, np.asfortranarray(A, dtype=np.complex64), trans=2)
+    if gram is None:
+        gram = cherk(1.0, np.asfortranarray(A, dtype=np.complex64), trans=2)
     R32, info = cpotrf(gram, overwrite_a=1)
     if info != 0:
         return None
@@ -296,11 +335,13 @@ def _gram_refine(Ab):
     return None
 
 
-def _solve_collocation(Ab, hint: str = ""):
+def _solve_collocation(Ab, hint: str = "", gram=None):
     """Least squares A x = b for the augmented matrix Ab = [A | b].
 
     The single-precision Gram factor refined in double (_gram_refine) is
-    tried first.  When the factor fails, its cond exceeds
+    tried first, factoring gram, the complex64 A^H A, when the caller has
+    it (the gluing system assembles it from its moments, _moment_gram),
+    else one cherk forms it.  When the factor fails, its cond exceeds
     FAST_COND_LIMIT, an update fails to halve, or the updates do not fall
     below 1e-15 max |x| within REFINE_STEPS steps, the complex128
     Householder QR (_qr_solve) solves instead; only that path raises
@@ -312,20 +353,130 @@ def _solve_collocation(Ab, hint: str = ""):
     the max of |A x - b| in complex128, and refine_steps is 0 when the
     QR path solved.
     """
-    fast = _gram_refine(Ab)
+    fast = _gram_refine(Ab, gram)
     sol, cond, steps = fast if fast is not None else (*_qr_solve(Ab, hint), 0)
     n = Ab.shape[1] - 1
     residual = float(np.max(np.abs(Ab[:, :n] @ sol - Ab[:, n])))
     return sol, cond, residual, steps
 
 
+@contextlib.contextmanager
+def _shared_moments():
+    """Share the gluing moments among every solve made inside the block.
+
+    The store lives until the block exits; inside an enclosing block the
+    enclosing store is used.  A moment is a function of (N, F(x_j)) only,
+    so a solve that finds its moments here gets the same bits as one that
+    computes them.
+    """
+    if _MOMENTS.get() is not None:
+        yield
+        return
+    token = _MOMENTS.set({})
+    try:
+        yield
+    finally:
+        _MOMENTS.reset(token)
+
+
+def _share_moments_in_process():
+    """Share the gluing moments among every later solve of this process.
+
+    The initializer of a pool worker, which lives as long as its pool.
+    """
+    _MOMENTS.set({})
+
+
+def _moments(ef):
+    """The omega-free moments of E_f = ef (M x N), in complex64.
+
+    S(m) = sum_j e^{2 pi i m F(x_j)} for m = 0..2N, and P(l, k) =
+    sum_j e^{2 pi i l F(x_j)} e^{-2 pi i k j / M} as pp[l, k] = P(l, k)
+    and pm[l, k] = P(l, -k) for k, l = 1..N.  P(l, k) and P(l, -k) are
+    rows k and M - k of the DFT over j of column l, taken FFT_BLOCK
+    columns at a time; S(l) = P(l, 0), and S(N + l) = sum_j E_f[j, N]
+    E_f[j, l] is one matrix-vector product.  Returns (S, pp, pm).
+    """
+    M, N = ef.shape
+    S = np.empty(2 * N + 1, dtype=np.complex64)
+    pp = np.empty((N, N), dtype=np.complex64)
+    pm = np.empty((N, N), dtype=np.complex64)
+    S[0] = M
+    for lo in range(0, N, FFT_BLOCK):
+        hi = min(N, lo + FFT_BLOCK)
+        dft = np.fft.fft(ef[:, lo:hi], axis=0)
+        S[1 + lo : 1 + hi] = dft[0]
+        pp[lo:hi] = dft[1 : N + 1].T
+        pm[lo:hi] = dft[M - 1 : M - N - 1 : -1].T
+    S[N + 1 :] = ef.T @ ef[:, N - 1]
+    return S, pp, pm
+
+
+def _gluing_moments(fx, ef):
+    """_moments(ef) for E_f = ef built from fx, from the shared store when
+    a _shared_moments block (or a pool worker's store) is open."""
+    store = _MOMENTS.get()
+    if store is None:
+        return _moments(ef)
+    key = (ef.shape[1], fx.tobytes())
+    if key not in store:
+        store[key] = _moments(ef)
+    return store[key]
+
+
+def _moment_gram(moments, D, M: int):
+    """A^H A of the gluing matrix A = Ab[:, :-1], in complex64, in O(N^2).
+
+    Since x_j = j / M, E_x^H E_x = M I and E_x^T E_x = 0, so with
+    T[k, l] = S(l - k) (Toeplitz), H[k, l] = S(k + l) (Hankel) and
+    Dc = conj(D), for 1 <= k, l <= N:
+      UU = Dc_k D_l T - Dc_k conj P(k, l) - D_l P(l, k) + M delta_kl
+      UV = Dc_k conj H - Dc_k D_l conj P(k, -l) - conj P(l, -k)
+      VV = conj T - D_l P(k, l) - Dc_k conj P(l, k) + M |D_k|^2 delta_kl
+    and the tau column is (-Dc_k conj S(k), -S(k), M).
+    """
+    S, pp, pm = moments
+    N = D.size
+    d = D.astype(np.complex64)
+    dc = d.conj()
+    # row k of T is S(-k .. N - 1 - k), a window of conj S(N - 1..1), S(0..N - 1)
+    T = sliding_window_view(np.concatenate([S[N - 1 : 0 : -1].conj(), S[:N]]), N)[::-1]
+    H = sliding_window_view(S[2:], N)
+    G = np.empty((2 * N + 1, 2 * N + 1), dtype=np.complex64, order="F")
+    UU, UV, VV = G[:N, :N], G[:N, N : 2 * N], G[N : 2 * N, N : 2 * N]
+    X = dc[:, None] * pp.conj()
+    np.multiply(T, np.outer(dc, d), out=UU)
+    UU -= X
+    UU -= X.conj().T
+    Z = pp * d
+    np.conjugate(T, out=VV)
+    VV -= Z
+    VV -= Z.conj().T
+    diag = np.arange(N)
+    UU[diag, diag] += M
+    VV[diag, diag] += M * (d * dc).real
+    np.multiply(d, pm.conj(), out=UV)
+    np.subtract(H.conj(), UV, out=UV)
+    UV *= dc[:, None]
+    UV -= pm.T.conj()
+    G[N : 2 * N, :N] = UV.conj().T
+    G[:N, 2 * N] = -dc * S[1 : N + 1].conj()
+    G[N : 2 * N, 2 * N] = -S[1 : N + 1]
+    G[2 * N, :] = G[:, 2 * N].conj()
+    G[2 * N, 2 * N] = M
+    return G
+
+
 def _gluing_system(fx, omega: complex, N: int):
-    """[E_f D - E_x, conj(E_f) - conj(E_x) D, -1 | x - F(x) - omega].
+    """[E_f D - E_x, conj(E_f) - conj(E_x) D, -1 | x - F(x) - omega] and its Gram matrix.
 
     E_f = e^{2 pi i k F(x_j)} and E_x = e^{2 pi i k x_j} are omega-free
-    tables from _cis_powers; D = diag(e^{2 pi i k omega}) carries omega.
-    Built in place in Fortran order, for zgeqrf, with one M x N complex
-    temporary beside the matrix.
+    tables from _cis_blocks; D = diag(e^{2 pi i k omega}) carries omega.
+    Built in place in Fortran order, for zgeqrf; E_x is applied one
+    column block at a time, so no M x N temporary is made.  Returns
+    (Ab, gram), gram being the complex64 A^H A of A = Ab[:, :-1] from
+    the moments of E_f, taken before D is applied (_gluing_moments,
+    _moment_gram).
     """
     M = fx.size
     x = np.arange(M) / M
@@ -333,17 +484,16 @@ def _gluing_system(fx, omega: complex, N: int):
     Ab = np.empty((M, 2 * N + 2), dtype=complex, order="F")
     up, dn = Ab[:, :N], Ab[:, N : 2 * N]
     _cis_powers(fx, N, out=up)
+    moments = _gluing_moments(fx, up)
     np.conjugate(up, out=dn)
     up *= D
-    ex = _cis_powers(x, N)
-    up -= ex
-    np.conjugate(ex, out=ex)
-    ex *= D
-    dn -= ex
-    del ex
+    for lo, ex in _cis_blocks(x, N):
+        cols = slice(lo, lo + ex.shape[1])
+        up[:, cols] -= ex
+        dn[:, cols] -= np.conjugate(ex) * D[cols]
     Ab[:, 2 * N] = -1.0
     Ab[:, 2 * N + 1] = x - (fx + omega)
-    return Ab
+    return Ab, _moment_gram(moments, D, M)
 
 
 def _phi_prime_on_circles(a, b, omega: complex, L: int):
@@ -397,8 +547,9 @@ def complex_rotation_number(
         raise ConfigError(f"m_points must be >= 4*n_modes + 4, got {M}")
 
     fx = np.asarray(np.real(map.lift(np.arange(M) / M)), dtype=float)
+    Ab, gram = _gluing_system(fx, omega, N)
     sol, cond, residual, steps = _solve_collocation(
-        _gluing_system(fx, omega, N), "; reduce n_modes or increase Im omega"
+        Ab, "; reduce n_modes or increase Im omega", gram
     )
     tau = complex(sol[-1])
     if tau.imag <= 0.0:
@@ -552,8 +703,9 @@ def boundary_tau(
 
     Rungs are solved in order of decreasing height, each starting its
     mode escalation at the N of the previous rung's best solve (see
-    _solve_rung); the first rung starts at its heuristic N.  Nothing
-    carries over between calls.
+    _solve_rung); the first rung starts at its heuristic N.  The solves
+    share the map's gluing moments (see the module docstring), or those
+    of an enclosing batch.  Nothing carries over between calls.
     """
     omega = float(omega)
     rungs_y = list(DEFAULT_LADDER if ladder is None else [float(y) for y in ladder])
@@ -577,9 +729,10 @@ def boundary_tau(
             floor = min(floor, HARD_Y_FLOOR)
 
     rungs = []
-    for y in rungs_y:
-        n_from = rungs[-1].n_modes if rungs else 0
-        rungs.append(_solve_rung(map, omega, y, resid_target, n_cap, floor, n_from))
+    with _shared_moments():
+        for y in rungs_y:
+            n_from = rungs[-1].n_modes if rungs else 0
+            rungs.append(_solve_rung(map, omega, y, resid_target, n_cap, floor, n_from))
 
     # unwrap: mod-1 jumps between rungs would wreck the extrapolation
     taus = [rungs[0].tau]

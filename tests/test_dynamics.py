@@ -272,6 +272,16 @@ class TestFindCycles:
         assert by_point[0.5].multiplier == pytest.approx(0.5, abs=1e-9)
         assert by_point[0.5].kind == "attracting"
 
+    @pytest.mark.parametrize(
+        "name, shift, p, q",
+        [("arnold", 0.0, 0, 1), ("arnold", 0.5, 1, 2), ("two_humped", 0.0, 0, 1)],
+    )
+    def test_orbit_continuation_matches_0d_path(self, request, monkeypatch, name, shift, p, q):
+        m = request.getfixturevalue(name).shifted(shift)
+        fast = find_cycles(m, p, q)
+        monkeypatch.setattr(CircleMap, "lift_float", lambda self, x: float(self.lift(x)))
+        assert fast == find_cycles(m, p, q)
+
     def test_identity_degenerate(self):
         with pytest.raises(RootFindingIncomplete):
             find_cycles(CircleMap(0.0), 0, 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from circletau import dynamics, experiments
+from circletau import dynamics, experiments, uniformize
 from circletau.dynamics import find_cycles, plateau
 from circletau.errors import (
     ConfigError,
@@ -116,6 +116,25 @@ class TestTraceAtlas:
         traces, skipped = trace_atlas(arnold, 2, samples=6)
         assert [(tr.p, tr.q) for tr in traces] == [(0, 1)]
         assert [(p, q, type(exc)) for p, q, exc in skipped] == [(1, 2, IllConditioned)]
+
+    def test_samples_share_one_moment_store_per_call(self, arnold, monkeypatch):
+        stores = []
+
+        def stub(map, omega, edge_distance=None, **kwargs):
+            stores.append(uniformize._MOMENTS.get())
+            return stub_boundary_tau(map, omega, edge_distance)
+
+        monkeypatch.setattr(experiments, "boundary_tau", stub)
+        calls = [lambda: trace_bubble(arnold, 0, 1, samples=6, classify=False),
+                 lambda: trace_atlas(arnold, 2, samples=6)]
+        firsts = []
+        for call in calls + calls:
+            stores.clear()
+            call()
+            assert stores[0] is not None and all(s is stores[0] for s in stores)
+            assert uniformize._MOMENTS.get() is None
+            firsts.append(stores[0])
+        assert len({id(s) for s in firsts}) == len(firsts)
 
     def test_failed_sample_raises_from_trace_bubble(self, arnold, monkeypatch):
         def stub(map, omega, edge_distance=None, **kwargs):

@@ -274,6 +274,26 @@ class TestValidationAndStrip:
         with pytest.raises(NotADiffeomorphism):
             CircleMap(0.0, (), (0.3,))
 
+    # theta = half a validation-grid step: F' = 1 - A cos(2 pi x - theta)
+    # bottoms out at -1e-8 between two grid points
+    HALF_STEP = math.pi / 8192
+
+    @pytest.mark.parametrize(
+        "cos_c, sin_c, true_min",
+        [((), ((1.0 - 1e-4) / (2.0 * math.pi),), 1e-4),
+         (((1.0 + 1e-8) * math.sin(HALF_STEP) / (2.0 * math.pi),),
+          (-(1.0 + 1e-8) * math.cos(HALF_STEP) / (2.0 * math.pi),), -1e-8)],
+        ids=["diffeo-under-margin", "fold-between-grid-points"],
+    )
+    def test_construction_needs_the_between_points_margin(self, cos_c, sin_c, true_min):
+        probe = CircleMap(0.0, cos_c, sin_c, validate=False)
+        grid = np.linspace(0.0, 1.0, 8192, endpoint=False)
+        assert float(np.min(probe.deriv(grid))) > 0.0
+        x_min = 0.5 if not cos_c else 0.5 / 8192
+        assert float(probe.deriv(x_min)) == pytest.approx(true_min, rel=1e-3)
+        with pytest.raises(NotADiffeomorphism):
+            CircleMap(0.0, cos_c, sin_c)
+
     def test_certificate(self, arnold):
         assert arnold.derivative_certificate  # 2 pi (1/4pi) = 0.5 < 1
         # coefficient sum 2 pi (0.1 + 2*0.03) > 1: still a diffeomorphism

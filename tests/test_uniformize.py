@@ -92,7 +92,8 @@ def qr_oracle(Ab):
 
 def collocation_system(map, omega, N):
     M = 4 * N + 8
-    return _gluing_system(np.asarray(np.real(map.lift(np.arange(M) / M)), dtype=float), omega, N)
+    fx = np.asarray(np.real(map.lift(np.arange(M) / M)), dtype=float)
+    return _gluing_system(fx, omega, N)[0]
 
 
 class TestUpperHalfPoint:
@@ -239,7 +240,7 @@ class TestCollocationKernel:
     def test_householder_r_matches_numpy(self, two_humped, N):
         M = 4 * N + 8
         fx = np.asarray(two_humped.lift(np.arange(M) / M), dtype=float)
-        Ab = _gluing_system(fx, HUMP_EDGE_SAMPLE + 8e-4j, N)
+        Ab, _ = _gluing_system(fx, HUMP_EDGE_SAMPLE + 8e-4j, N)
         ref = np.linalg.qr(Ab, mode="r")
         R = _householder_r(Ab)
         assert R.shape == ref.shape
@@ -305,7 +306,7 @@ class TestGramRefinement:
 
     def test_solution_reports_its_path(self, arnold, monkeypatch):
         assert complex_rotation_number(arnold, 0.1 + 0.05j, 32).refine_steps > 0
-        monkeypatch.setattr(uniformize, "_gram_refine", lambda Ab: None)
+        monkeypatch.setattr(uniformize, "_gram_refine", lambda *args: None)
         sol = complex_rotation_number(arnold, 0.1 + 0.05j, 32)
         assert sol.refine_steps == 0
         assert sol.cond == qr_oracle(collocation_system(arnold, 0.1 + 0.05j, 32))[1]
@@ -334,6 +335,86 @@ class TestGramRefinement:
         Ab = synthetic_system(np.r_[np.ones(39), 1e-13], seed=seed, b_rank=39)
         with pytest.raises(IllConditioned):
             _solve_collocation(Ab)
+
+
+class TestSharedMoments:
+    OMEGA = {"arnold": 0.1 + 0.05j, "two_humped": HUMP_EDGE_SAMPLE + 8e-4j}
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Moment computations (misses) and gluing systems built, by N."""
+        counts = {"misses": [], "systems": []}
+        moments, system = uniformize._moments, uniformize._gluing_system
+
+        def counted_moments(ef):
+            counts["misses"].append(ef.shape[1])
+            return moments(ef)
+
+        def counted_system(fx, omega, N):
+            counts["systems"].append(N)
+            return system(fx, omega, N)
+
+        monkeypatch.setattr(uniformize, "_moments", counted_moments)
+        monkeypatch.setattr(uniformize, "_gluing_system", counted_system)
+        return counts
+
+    @pytest.mark.parametrize("map_name", ["arnold", "two_humped"])
+    @pytest.mark.parametrize("N", [1, 16, 147, 384])
+    @pytest.mark.parametrize("extra_points", [4, 8])
+    def test_gram_matches_dense(self, request, map_name, N, extra_points):
+        M = 4 * N + extra_points
+        fx = np.asarray(request.getfixturevalue(map_name).lift(np.arange(M) / M), dtype=float)
+        Ab, gram = _gluing_system(fx, self.OMEGA[map_name], N)
+        A = Ab[:, :-1]
+        dense = A.conj().T @ A
+        assert gram.dtype == np.complex64 and gram.shape == dense.shape
+        scale = float(np.max(np.abs(dense)))
+        assert float(np.max(np.abs(gram.astype(complex) - dense))) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("map_name, omega, N", ORACLE_CASES)
+    def test_matches_qr_oracle(self, request, counts, map_name, omega, N):
+        m = request.getfixturevalue(map_name)
+        with uniformize._shared_moments():
+            miss = complex_rotation_number(m, omega, N, y_floor=0.0)
+            hit = complex_rotation_number(m, omega, N, y_floor=0.0)
+        assert counts["misses"] == [N] and counts["systems"] == [N, N]
+        alone = complex_rotation_number(m, omega, N, y_floor=0.0)
+        assert hit == miss == alone
+        ref, _, ref_residual = qr_oracle(collocation_system(m, omega, N))
+        assert miss.refine_steps > 0
+        assert abs(miss.tau_raw - ref[-1]) < 1e-14
+        coeffs = np.array(miss.coeff_up + miss.coeff_down)
+        sup = float(np.max(np.abs(ref[:-1])))
+        assert float(np.max(np.abs(coeffs - ref[:-1]))) < 1e-12 * sup
+
+    def test_second_map_at_same_n_gets_its_own(self, arnold, two_humped, counts):
+        omega = 0.1 + 0.05j
+        with uniformize._shared_moments():
+            complex_rotation_number(arnold, omega, 32)
+            shared = complex_rotation_number(two_humped, omega, 32)
+        assert counts["misses"] == [32, 32]
+        assert shared == complex_rotation_number(two_humped, omega, 32)
+
+    def test_boundary_tau_shares_within_the_call_only(self, arnold, counts):
+        def run():
+            counts["misses"].clear()
+            counts["systems"].clear()
+            bv = boundary_tau(arnold, 0.0, ladder=[0.2, 0.1, 0.05], resid_target=0.0, n_cap=64)
+            assert uniformize._MOMENTS.get() is None
+            return bv, sorted(counts["misses"]), list(counts["systems"])
+
+        bv, misses, systems = run()
+        assert len(systems) == sum(r.solves for r in bv.rungs) > len(misses)
+        assert misses == sorted(set(systems))
+        assert run() == (bv, misses, systems)
+
+    def test_enclosing_store_is_kept(self):
+        with uniformize._shared_moments():
+            outer = uniformize._MOMENTS.get()
+            with uniformize._shared_moments():
+                assert uniformize._MOMENTS.get() is outer
+            assert uniformize._MOMENTS.get() is outer
+        assert uniformize._MOMENTS.get() is None
 
 
 class TestBoundaryTau:
