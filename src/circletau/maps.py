@@ -118,10 +118,6 @@ class CircleMap:
     # -- basic queries ---------------------------------------------------
 
     @property
-    def degree(self) -> int:
-        return max(len(self.cos_coeffs), len(self.sin_coeffs))
-
-    @property
     def is_rotation(self) -> bool:
         return not any(self.cos_coeffs) and not any(self.sin_coeffs)
 

@@ -24,25 +24,24 @@ R of A^H A is formed in complex64 (cpotrf), and from x = 0 the step
 x += R^-1 R^-H A^H (b - A x) runs with A, b, the residual and x in
 complex128 until an update falls below 1e-15 max |x|.  The `cond` of
 such a solve is ||R||_F ||R^-1||_F of the single-precision factor
-(ctrtri).  The complex128 Householder QR of [A | b] (LAPACK zgeqrf with
-its tuned workspace, only R read) solves instead whenever the Gram
-factor fails, its cond exceeds FAST_COND_LIMIT = 1e4, an update fails
-to halve the one before it, or REFINE_STEPS = 12 steps do not converge.
-Its `cond` is ||R||_F ||R^-1||_F, replaced by the exact ratio of
-singular values of R only when that bound exceeds COND_LIMIT, so the
-IllConditioned gate acts on the 2-norm condition number.  A direction
-that A nearly annihilates leaves the single-precision Gram matrix
-indefinite or its factor with a cond above FAST_COND_LIMIT, so such a
-system reaches the gate (in every synthetic kappa_2 = 1e13 case tried,
-also when b has no part along that direction).  Both paths are BLAS
-work whose bits depend on the OpenBLAS thread count: over 11 solves of
-the Arnold and two-hump maps at N = 64..384, tau moved by at most 1.4
-ulp between 1 and 2 threads (5 ulp on the QR path), and min |Phi'| by
-at most 4e-12 relative on either path.
+(ctrtri).  The complex128 Householder QR of [A | b] (numpy's qr, only R
+read) solves instead whenever the Gram factor fails, its cond exceeds
+FAST_COND_LIMIT = 1e4, an update fails to halve the one before it, or
+REFINE_STEPS = 12 steps do not converge.  Its `cond` is
+||R||_F ||R^-1||_F, replaced by the exact ratio of singular values of R
+only when that bound exceeds COND_LIMIT, so the IllConditioned gate acts
+on the 2-norm condition number.  A direction that A nearly annihilates
+leaves the single-precision Gram matrix indefinite or its factor with a
+cond above FAST_COND_LIMIT, so such a system reaches the gate (in every
+synthetic kappa_2 = 1e13 case tried, also when b has no part along that
+direction).  Both paths are BLAS work whose bits depend on the OpenBLAS
+thread count: over 11 solves of the Arnold and two-hump maps at
+N = 64..384, tau moved by at most 1.4 ulp between 1 and 2 threads (5 ulp
+on the QR path), and min |Phi'| by at most 4e-12 relative on either path.
 
-For the gluing system A^H A is not formed from A.  The points x_j = j/M
-are equispaced, so every entry of A^H A is a D-weighted combination of
-the omega-free moments S(m) = sum_j e^{2 pi i m F(x_j)} (|m| <= 2N) and
+A^H A is not formed from A.  The points x_j = j/M are equispaced, so
+every entry of A^H A is a D-weighted combination of the omega-free
+moments S(m) = sum_j e^{2 pi i m F(x_j)} (|m| <= 2N) and
 P(l, +-k) = sum_j e^{2 pi i l F(x_j)} e^{-+2 pi i k j / M}, the DFT over j
 of the columns of E_f, assembled in O(N^2) (_moments, _moment_gram).
 Only D changes between the solves of one map at one N, so the moments
@@ -52,8 +51,8 @@ of boundary values, and one pool worker for the life of its pool (the
 pool belongs to one call).  Nothing is kept after the call returns, and
 a moment found in the store is the one a fresh computation gives, bit
 for bit, so no result depends on which solve computed it, on the job
-order or on the worker count.  Other systems (welding, tests) form
-A^H A by cherk of a complex64 copy of A.
+order or on the worker count.  The welding system of the welding module
+is this system at omega = +i inf (D = 0), so it takes the same path.
 
 Injectivity is checked by min |Phi'| over 4M points of both boundary
 circles, each circle's values being one inverse FFT of the coefficients
@@ -84,8 +83,8 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_triangular, svdvals
-from scipy.linalg.blas import cherk, zgemv
-from scipy.linalg.lapack import cpotrf, ctrtri, zgeqrf, zgeqrf_lwork, ztrtri, ztrtrs
+from scipy.linalg.blas import zgemv
+from scipy.linalg.lapack import cpotrf, ctrtri, ztrtri, ztrtrs
 
 from .errors import (
     ConfigError,
@@ -101,6 +100,7 @@ POWER_BLOCK = 16  # fine-table width B of _cis_blocks
 FAST_COND_LIMIT = 1e4  # largest single-precision cond the refinement is tried at
 REFINE_STEPS = 12  # most refinement steps before the QR path takes over
 FFT_BLOCK = 64  # columns of E_f per FFT in _moments
+RICHARDSON_ORDER = 3  # polynomial degree in y of the Richardson extrapolant
 
 # gluing moments by (N, F(x_j) bytes) while a sharing scope is open
 # (_shared_moments, _share_moments_in_process); None outside one
@@ -264,20 +264,6 @@ def _condition_bound(R) -> float:
     return float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
 
 
-def _householder_r(Ab):
-    """Triangular factor R of the Householder QR of Ab; Q is never formed.
-
-    LAPACK zgeqrf, with the workspace zgeqrf_lwork reports as optimal,
-    factors a Fortran-ordered copy, so Ab itself stays intact; only the
-    upper triangle of its output is read.
-    """
-    lwork, _ = zgeqrf_lwork(*Ab.shape)
-    qr, _, _, info = zgeqrf(Ab, lwork=int(lwork.real))
-    if info != 0:
-        raise ValueError(f"zgeqrf rejected argument {-info}")
-    return np.triu(qr[: min(Ab.shape)])
-
-
 def _qr_solve(Ab, hint: str = ""):
     """Least squares A x = b by Householder QR of [A | b], all in complex128.
 
@@ -286,7 +272,7 @@ def _qr_solve(Ab, hint: str = ""):
     COND_LIMIT.  Returns (x, cond) with cond from _condition_bound.
     """
     n = Ab.shape[1] - 1
-    R = _householder_r(Ab)
+    R = np.linalg.qr(Ab, mode="r")
     R11 = R[:n, :n]
     cond = _condition_bound(R11)
     if not cond <= COND_LIMIT:
@@ -294,21 +280,18 @@ def _qr_solve(Ab, hint: str = ""):
     return solve_triangular(R11, R[:n, n], check_finite=False), cond
 
 
-def _gram_refine(Ab, gram=None):
+def _gram_refine(Ab, gram):
     """Least squares A x = b from a complex64 Gram factor, refined in complex128.
 
     The Cholesky factor R of A^H A is formed in single precision (cpotrf
-    of gram, the complex64 A^H A; when gram is None, cherk forms it from
-    a complex64 copy of A) and promoted to complex128 once; from x = 0
-    the corrected semi-normal step x += R^-1 R^-H A^H (b - A x) runs with
-    A, b, the residual and x in complex128.  Returns (x, cond, steps),
+    of gram, the complex64 A^H A) and promoted to complex128 once; from
+    x = 0 the corrected semi-normal step x += R^-1 R^-H A^H (b - A x) runs
+    with A, b, the residual and x in complex128.  Returns (x, cond, steps),
     cond being ||R||_F ||R^-1||_F of the single-precision factor, or None
     on any of the fallback rules of _solve_collocation.
     """
     n = Ab.shape[1] - 1
     A, b = Ab[:, :n], Ab[:, n]
-    if gram is None:
-        gram = cherk(1.0, np.asfortranarray(A, dtype=np.complex64), trans=2)
     R32, info = cpotrf(gram, overwrite_a=1)
     if info != 0:
         return None
@@ -335,18 +318,17 @@ def _gram_refine(Ab, gram=None):
     return None
 
 
-def _solve_collocation(Ab, hint: str = "", gram=None):
+def _solve_collocation(Ab, gram, hint: str = ""):
     """Least squares A x = b for the augmented matrix Ab = [A | b].
 
     The single-precision Gram factor refined in double (_gram_refine) is
-    tried first, factoring gram, the complex64 A^H A, when the caller has
-    it (the gluing system assembles it from its moments, _moment_gram),
-    else one cherk forms it.  When the factor fails, its cond exceeds
-    FAST_COND_LIMIT, an update fails to halve, or the updates do not fall
-    below 1e-15 max |x| within REFINE_STEPS steps, the complex128
-    Householder QR (_qr_solve) solves instead; only that path raises
-    IllConditioned, when the 2-norm condition number of A exceeds
-    COND_LIMIT.
+    tried first, factoring gram, the complex64 A^H A (the gluing system
+    assembles it from its moments, _moment_gram).  When the factor
+    fails, its cond exceeds FAST_COND_LIMIT, an update fails to halve, or
+    the updates do not fall below 1e-15 max |x| within REFINE_STEPS
+    steps, the complex128 Householder QR (_qr_solve) solves instead;
+    only that path raises IllConditioned, when the 2-norm condition
+    number of A exceeds COND_LIMIT.
     Returns (x, cond, residual, refine_steps): cond is the Frobenius
     bound ||R||_F ||R^-1||_F of the factor that solved (single precision
     on the fast path, exact near COND_LIMIT on the QR path), residual
@@ -467,20 +449,35 @@ def _moment_gram(moments, D, M: int):
     return G
 
 
-def _gluing_system(fx, omega: complex, N: int):
-    """[E_f D - E_x, conj(E_f) - conj(E_x) D, -1 | x - F(x) - omega] and its Gram matrix.
+def _collocation_points(map, n_modes, m_points):
+    """(N, M, F(x_j)) at x_j = j / M, M defaulting to 4 N + 8.
+
+    Raises ConfigError unless N >= 1 and M >= 4 N + 4.
+    """
+    N = int(n_modes)
+    if N < 1:
+        raise ConfigError(f"n_modes must be >= 1, got {n_modes}")
+    M = 4 * N + 8 if m_points is None else int(m_points)
+    if M < 4 * N + 4:
+        raise ConfigError(f"m_points must be >= 4*n_modes + 4, got {M}")
+    return N, M, np.asarray(np.real(map.lift(np.arange(M) / M)), dtype=float)
+
+
+def _gluing_system(fx, D, shift: complex):
+    """[E_f D - E_x, conj(E_f) - conj(E_x) D, -1 | x - F(x) - shift] and its Gram matrix.
 
     E_f = e^{2 pi i k F(x_j)} and E_x = e^{2 pi i k x_j} are omega-free
-    tables from _cis_blocks; D = diag(e^{2 pi i k omega}) carries omega.
-    Built in place in Fortran order, for zgeqrf; E_x is applied one
+    tables from _cis_blocks, k = 1..N with N = D.size.  The gluing system
+    at omega has D = diag(e^{2 pi i k omega}) and shift = omega; the
+    welding system is its limit omega -> +i inf, D = 0.  Built in place
+    in Fortran order, for the BLAS calls of the solve; E_x is applied one
     column block at a time, so no M x N temporary is made.  Returns
     (Ab, gram), gram being the complex64 A^H A of A = Ab[:, :-1] from
     the moments of E_f, taken before D is applied (_gluing_moments,
     _moment_gram).
     """
-    M = fx.size
+    M, N = fx.size, D.size
     x = np.arange(M) / M
-    D = np.exp(2j * math.pi * np.arange(1, N + 1) * omega)
     Ab = np.empty((M, 2 * N + 2), dtype=complex, order="F")
     up, dn = Ab[:, :N], Ab[:, N : 2 * N]
     _cis_powers(fx, N, out=up)
@@ -492,7 +489,7 @@ def _gluing_system(fx, omega: complex, N: int):
         up[:, cols] -= ex
         dn[:, cols] -= np.conjugate(ex) * D[cols]
     Ab[:, 2 * N] = -1.0
-    Ab[:, 2 * N + 1] = x - (fx + omega)
+    Ab[:, 2 * N + 1] = x - (fx + shift)
     return Ab, _moment_gram(moments, D, M)
 
 
@@ -539,17 +536,10 @@ def complex_rotation_number(
             f"{floor:g} (annulus thinner than the basis resolves); "
             "boundary values are reached by extrapolation, not direct solves"
         )
-    N = int(n_modes)
-    if N < 1:
-        raise ConfigError(f"n_modes must be >= 1, got {n_modes}")
-    M = 4 * N + 8 if m_points is None else int(m_points)
-    if M < 4 * N + 4:
-        raise ConfigError(f"m_points must be >= 4*n_modes + 4, got {M}")
-
-    fx = np.asarray(np.real(map.lift(np.arange(M) / M)), dtype=float)
-    Ab, gram = _gluing_system(fx, omega, N)
+    N, M, fx = _collocation_points(map, n_modes, m_points)
+    D = np.exp(2j * math.pi * np.arange(1, N + 1) * omega)
     sol, cond, residual, steps = _solve_collocation(
-        Ab, "; reduce n_modes or increase Im omega", gram
+        *_gluing_system(fx, D, omega), "; reduce n_modes or increase Im omega"
     )
     tau = complex(sol[-1])
     if tau.imag <= 0.0:
@@ -684,10 +674,8 @@ def boundary_tau(
     omega: float,
     ladder: Sequence[float] | None = None,
     edge_distance: float | None = None,
-    order: int = 3,
     resid_target: float = 3e-7,
     n_cap: int = 384,
-    y_floor: float | None = None,
 ) -> BoundaryValue:
     """tau_bar(omega) = lim_{y->0} tau(omega + i y) by ladder extrapolation.
 
@@ -696,10 +684,13 @@ def boundary_tau(
     singularity lies to the right).  When given, rungs scaled to that
     distance are appended and the extrapolation runs in the fold
     variable u = sqrt(1 - i y / s); otherwise plain polynomial
-    Richardson of the given order is used, both by _neville.  Richardson
-    interpolates the last order + 1 rungs in y at 0, and its error
-    estimate drops the highest of them; the fold interpolates every rung
-    in u at 1, and its estimate drops the lowest rung.
+    Richardson of order RICHARDSON_ORDER is used, both by _neville.
+    Richardson interpolates the last RICHARDSON_ORDER + 1 rungs in y at 0,
+    and its error estimate drops the highest of them; the fold
+    interpolates every rung in u at 1, and its estimate drops the lowest
+    rung.  Every solve has the floor y_min(map), and the default ladder
+    keeps only rungs at or above it; near an edge (|s| < 0.02) the floor
+    drops to HARD_Y_FLOOR.
 
     Rungs are solved in order of decreasing height, each starting its
     mode escalation at the N of the previous rung's best solve (see
@@ -713,7 +704,7 @@ def boundary_tau(
         later >= earlier for later, earlier in zip(rungs_y[1:], rungs_y[:-1])
     ):
         raise ConfigError("ladder must be a decreasing sequence of positive heights")
-    floor = y_min(map) if y_floor is None else y_floor
+    floor = y_min(map)
     if ladder is None:
         rungs_y = [y for y in rungs_y if y >= floor] or [floor]
 
@@ -745,7 +736,7 @@ def boundary_tau(
         nodes = [cmath.sqrt(1.0 - 1j * y / s) for y in reversed(rungs_y)]
         value, est = _neville(nodes, taus[::-1], 1.0, len(taus) - 1)
     else:
-        value, est = _neville(rungs_y, taus, 0.0, min(order, len(rungs_y) - 1))
+        value, est = _neville(rungs_y, taus, 0.0, min(RICHARDSON_ORDER, len(rungs_y) - 1))
 
     im = value.imag
     if im < 0.0:

@@ -9,6 +9,12 @@ The one-sided frequency supports are the discrete form of holomorphy at
 the two punctures +-i inf, where phi+-(z) = z + C+- + o(1).  The welding
 constant C_f = C+ - C- is gauge-invariant and equals the +i inf
 asymptote of tau_f(omega) - omega.
+
+The collocation system is the gluing system of the uniformize module at
+omega = +i inf: with D = diag(e^{2 pi i k omega}) = 0 its columns are
+[-E_x, conj(E_f), -1], the unknowns (a, b, -C-), and with the shift -C+
+its right side is x - F(x) + C+.  It is built and solved by the same
+code, Gram matrix and QR fallback included.
 """
 
 from __future__ import annotations
@@ -19,7 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .uniformize import _cis_powers, _solve_collocation, complex_rotation_number, wrap_half
+from .uniformize import (
+    _collocation_points,
+    _gluing_system,
+    _solve_collocation,
+    complex_rotation_number,
+    wrap_half,
+)
 
 
 @dataclass(frozen=True)
@@ -56,25 +68,12 @@ def welding_constant(
     The gauge C+ is free ("unique up to addition of a constant"); C_f is
     invariant under it.
     """
-    N = int(n_modes)
-    if N < 1:
-        raise ConfigError(f"n_modes must be >= 1, got {n_modes}")
-    M = 4 * N + 8 if m_points is None else int(m_points)
-    if M < 4 * N + 4:
-        raise ConfigError(f"m_points must be >= 4*n_modes + 4, got {M}")
+    N, M, fx = _collocation_points(map, n_modes, m_points)
     gauge = complex(gauge_c_plus)
-
-    x = np.arange(M) / M
-    fx = np.asarray(np.real(map.lift(x)), dtype=float)
-    # unknowns [a_1..a_N, b_1..b_N, C-]: [-E_x, conj(E_f), 1 | x - F(x) + C+]
-    Ab = np.empty((M, 2 * N + 2), dtype=complex, order="F")
-    _cis_powers(x, N, out=Ab[:, :N])
-    Ab[:, :N] *= -1.0
-    _cis_powers(-fx, N, out=Ab[:, N : 2 * N])
-    Ab[:, 2 * N] = 1.0
-    Ab[:, 2 * N + 1] = x - fx + gauge
-    sol, cond, residual, steps = _solve_collocation(Ab, " in the welding system")
-    c_minus = complex(sol[-1])
+    sol, cond, residual, steps = _solve_collocation(
+        *_gluing_system(fx, np.zeros(N, dtype=complex), -gauge), " in the welding system"
+    )
+    c_minus = -complex(sol[-1])
     return WeldingSolution(
         c_plus=gauge,
         c_minus=c_minus,

@@ -62,3 +62,34 @@ def test_no_dead_top_level_names():
                 if private and top not in used_anywhere:
                     dead.append(f"{name}: unreferenced {top}")
     assert dead == []
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_no_unreferenced_public_names():
+    """Every public function, method, property or class of the package is
+    referenced somewhere in src/, tests/, demos/ or perfbench/ besides its
+    own definition; the package's re-exports in __init__.py do not count."""
+    refs = set()
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in sorted((REPO / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            if path == REPO / "src" / "circletau" / "__init__.py":
+                tree.body = [s for s in tree.body if not isinstance(s, ast.ImportFrom)]
+            refs |= _referenced(tree)
+    unreferenced = []
+    for path in sorted((REPO / "src" / "circletau").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef):
+                named = [(stmt.name, stmt.name)]
+            elif isinstance(stmt, ast.ClassDef):
+                named = [(stmt.name, stmt.name)] + [
+                    (m.name, f"{stmt.name}.{m.name}")
+                    for m in stmt.body if isinstance(m, ast.FunctionDef)
+                ]
+            else:
+                continue
+            unreferenced += [f"{path.name}: {qualname}" for name, qualname in named
+                             if not name.startswith("_") and name not in refs]
+    assert unreferenced == []

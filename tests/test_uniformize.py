@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
+from scipy.linalg.blas import cherk
 
-from circletau import uniformize
+from circletau import uniformize, welding
 from circletau.errors import (
     ConfigError,
     ExtrapolationDiverged,
@@ -18,7 +19,6 @@ from circletau.uniformize import (
     UpperHalfPoint,
     _cis_powers,
     _gluing_system,
-    _householder_r,
     _neville,
     _phi_prime_on_circles,
     _qr_solve,
@@ -31,6 +31,7 @@ from circletau.uniformize import (
     wrap_half,
     y_min,
 )
+from circletau.welding import welding_constant
 
 B = 1.0 / (4.0 * math.pi)
 
@@ -84,6 +85,12 @@ def synthetic_system(singular_values, m=160, seed=0, b_rank=None):
     return np.column_stack([A, b])
 
 
+def cherk_solve(Ab):
+    """_solve_collocation with the complex64 Gram matrix formed by cherk from A."""
+    gram = cherk(1.0, np.asfortranarray(Ab[:, :-1], dtype=np.complex64), trans=2)
+    return _solve_collocation(Ab, gram)
+
+
 def qr_oracle(Ab):
     """(x, cond, residual) of the complex128 Householder QR path."""
     x, cond = _qr_solve(Ab)
@@ -91,9 +98,10 @@ def qr_oracle(Ab):
 
 
 def collocation_system(map, omega, N):
+    """(Ab, gram) of the gluing system at omega with the default M."""
     M = 4 * N + 8
     fx = np.asarray(np.real(map.lift(np.arange(M) / M)), dtype=float)
-    return _gluing_system(fx, omega, N)[0]
+    return _gluing_system(fx, np.exp(2j * math.pi * np.arange(1, N + 1) * omega), omega)
 
 
 class TestUpperHalfPoint:
@@ -236,20 +244,10 @@ class TestCollocationKernel:
             )
         assert float(np.max(np.abs(got - exact))) < 1e-12
 
-    @pytest.mark.parametrize("N", [147, 384])
-    def test_householder_r_matches_numpy(self, two_humped, N):
-        M = 4 * N + 8
-        fx = np.asarray(two_humped.lift(np.arange(M) / M), dtype=float)
-        Ab, _ = _gluing_system(fx, HUMP_EDGE_SAMPLE + 8e-4j, N)
-        ref = np.linalg.qr(Ab, mode="r")
-        R = _householder_r(Ab)
-        assert R.shape == ref.shape
-        assert float(np.max(np.abs(R - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
-
     def test_cond_gate_raises_above_limit(self):
         s = np.logspace(0.0, -13.0, 40)  # kappa_2 = 1e13
         with pytest.raises(IllConditioned):
-            _solve_collocation(synthetic_system(s))
+            cherk_solve(synthetic_system(s))
 
     def test_cond_exact_fallback_passes_below_limit(self):
         # kappa_2 = 1e11, but 30 small singular values push the Frobenius
@@ -257,7 +255,7 @@ class TestCollocationKernel:
         s = np.r_[np.ones(10), np.full(30, 1e-11)]
         kappa_f = math.sqrt(np.sum(s**2) * np.sum(s**-2.0))
         assert kappa_f > COND_LIMIT
-        _, cond, _, steps = _solve_collocation(synthetic_system(s))
+        _, cond, _, steps = cherk_solve(synthetic_system(s))
         assert cond == pytest.approx(1e11, rel=1e-3)
         assert steps == 0
 
@@ -268,7 +266,7 @@ class TestCollocationKernel:
     )
     def test_cond_bounds_kappa_2(self, s):
         Ab = synthetic_system(s, seed=1)
-        sol, cond, residual, steps = _solve_collocation(Ab)
+        sol, cond, residual, steps = cherk_solve(Ab)
         assert cond >= (s.max() / s.min()) * (1.0 - 1e-6)
         if steps > 0:
             sv = svdvals(Ab[:, :-1])
@@ -282,8 +280,8 @@ class TestCollocationKernel:
 class TestGramRefinement:
     @pytest.mark.parametrize("map_name, omega, N", ORACLE_CASES)
     def test_matches_qr_oracle(self, request, map_name, omega, N):
-        Ab = collocation_system(request.getfixturevalue(map_name), omega, N)
-        sol, cond, residual, steps = _solve_collocation(Ab)
+        Ab, gram = collocation_system(request.getfixturevalue(map_name), omega, N)
+        sol, cond, residual, steps = _solve_collocation(Ab, gram)
         ref, _, ref_residual = qr_oracle(Ab)
         assert steps > 0
         assert abs(sol[-1] - ref[-1]) < 1e-14
@@ -295,8 +293,8 @@ class TestGramRefinement:
 
     def test_matches_mpmath(self, arnold):
         mpmath = pytest.importorskip("mpmath")
-        Ab = collocation_system(arnold, 0.1 + 0.05j, 16)
-        sol, _, _, steps = _solve_collocation(Ab)
+        Ab, gram = collocation_system(arnold, 0.1 + 0.05j, 16)
+        sol, _, _, steps = _solve_collocation(Ab, gram)
         with mpmath.workdps(40):
             x, _ = mpmath.qr_solve(
                 mpmath.matrix(Ab[:, :-1].tolist()), mpmath.matrix(Ab[:, -1].tolist())
@@ -309,7 +307,7 @@ class TestGramRefinement:
         monkeypatch.setattr(uniformize, "_gram_refine", lambda *args: None)
         sol = complex_rotation_number(arnold, 0.1 + 0.05j, 32)
         assert sol.refine_steps == 0
-        assert sol.cond == qr_oracle(collocation_system(arnold, 0.1 + 0.05j, 32))[1]
+        assert sol.cond == qr_oracle(collocation_system(arnold, 0.1 + 0.05j, 32)[0])[1]
 
     def test_fold_ladder_rungs_take_the_fast_path(self, hump_edge_fold):
         assert all(r.refine_steps > 0 for r in hump_edge_fold.rungs)
@@ -322,7 +320,7 @@ class TestGramRefinement:
     )
     def test_declined_systems_take_the_qr_path(self, s):
         Ab = synthetic_system(s)
-        sol, cond, residual, steps = _solve_collocation(Ab)
+        sol, cond, residual, steps = cherk_solve(Ab)
         ref, ref_cond, ref_residual = qr_oracle(Ab)
         assert steps == 0
         assert (sol == ref).all() and cond == ref_cond and residual == ref_residual
@@ -334,7 +332,7 @@ class TestGramRefinement:
         # fails, or (seed 3) its cond lands above FAST_COND_LIMIT
         Ab = synthetic_system(np.r_[np.ones(39), 1e-13], seed=seed, b_rank=39)
         with pytest.raises(IllConditioned):
-            _solve_collocation(Ab)
+            cherk_solve(Ab)
 
 
 class TestSharedMoments:
@@ -350,12 +348,13 @@ class TestSharedMoments:
             counts["misses"].append(ef.shape[1])
             return moments(ef)
 
-        def counted_system(fx, omega, N):
-            counts["systems"].append(N)
-            return system(fx, omega, N)
+        def counted_system(fx, D, shift):
+            counts["systems"].append(D.size)
+            return system(fx, D, shift)
 
         monkeypatch.setattr(uniformize, "_moments", counted_moments)
-        monkeypatch.setattr(uniformize, "_gluing_system", counted_system)
+        for module in (uniformize, welding):
+            monkeypatch.setattr(module, "_gluing_system", counted_system)
         return counts
 
     @pytest.mark.parametrize("map_name", ["arnold", "two_humped"])
@@ -364,12 +363,15 @@ class TestSharedMoments:
     def test_gram_matches_dense(self, request, map_name, N, extra_points):
         M = 4 * N + extra_points
         fx = np.asarray(request.getfixturevalue(map_name).lift(np.arange(M) / M), dtype=float)
-        Ab, gram = _gluing_system(fx, self.OMEGA[map_name], N)
-        A = Ab[:, :-1]
-        dense = A.conj().T @ A
-        assert gram.dtype == np.complex64 and gram.shape == dense.shape
-        scale = float(np.max(np.abs(dense)))
-        assert float(np.max(np.abs(gram.astype(complex) - dense))) <= 1e-6 * scale
+        omega = self.OMEGA[map_name]
+        # the gluing system at omega, and at omega = +i inf (D = 0, the welding system)
+        for D in (np.exp(2j * math.pi * np.arange(1, N + 1) * omega), np.zeros(N, dtype=complex)):
+            Ab, gram = _gluing_system(fx, D, omega)
+            A = Ab[:, :-1]
+            dense = A.conj().T @ A
+            assert gram.dtype == np.complex64 and gram.shape == dense.shape
+            scale = float(np.max(np.abs(dense)))
+            assert float(np.max(np.abs(gram.astype(complex) - dense))) <= 1e-6 * scale
 
     @pytest.mark.parametrize("map_name, omega, N", ORACLE_CASES)
     def test_matches_qr_oracle(self, request, counts, map_name, omega, N):
@@ -380,7 +382,7 @@ class TestSharedMoments:
         assert counts["misses"] == [N] and counts["systems"] == [N, N]
         alone = complex_rotation_number(m, omega, N, y_floor=0.0)
         assert hit == miss == alone
-        ref, _, ref_residual = qr_oracle(collocation_system(m, omega, N))
+        ref, _, ref_residual = qr_oracle(collocation_system(m, omega, N)[0])
         assert miss.refine_steps > 0
         assert abs(miss.tau_raw - ref[-1]) < 1e-14
         coeffs = np.array(miss.coeff_up + miss.coeff_down)
@@ -407,6 +409,11 @@ class TestSharedMoments:
         assert len(systems) == sum(r.solves for r in bv.rungs) > len(misses)
         assert misses == sorted(set(systems))
         assert run() == (bv, misses, systems)
+
+    def test_welding_builds_one_gluing_system(self, arnold, counts):
+        w = welding_constant(arnold, 48)
+        assert counts == {"misses": [48], "systems": [48]}
+        assert w.refine_steps > 0
 
     def test_enclosing_store_is_kept(self):
         with uniformize._shared_moments():
