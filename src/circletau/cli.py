@@ -167,6 +167,8 @@ def run(args) -> int:
     elif args.command == "boundary":
         _require(args, "omega")
         omega = _parse_omega(args.omega)
+        if omega.imag != 0.0:
+            raise ConfigError(f"boundary needs a real --omega, got imaginary part {omega.imag!r}")
         ladder = _parse_ladder(args.ladder) if args.ladder else None
         bv = boundary_tau(fmap, omega.real, ladder=ladder)
         _emit_json(outdir, "boundary.json", {

@@ -39,7 +39,7 @@ from .errors import (
     RootFindingIncomplete,
     WrongRotationNumber,
 )
-from .maps import CircleMap, _bisect
+from .maps import CircleMap, IteratedMap, _bisect
 
 TOL_PARABOLIC = 1e-8  # |rho - 1| below root-refinement accuracy is parabolic
 
@@ -47,6 +47,8 @@ _G_GRID = 4096
 _ROOT_GRID = 1 << 14
 _SIGN_FLOOR = 1e-13
 _RING = 8192  # orbit steps before a stall check that rotation_estimate keeps
+_ROOT_MERGE = 1e-12  # find_cycles merges roots closer than this
+_DENJOY_GRID = 256
 
 
 @dataclass(frozen=True)
@@ -307,9 +309,9 @@ def rotation_estimate(map, tol: float = 1e-10, max_iter: int = 10_000_000) -> Ro
     )
 
 
-def rotation_number(map, tol: float = 1e-10, max_iter: int = 10_000_000) -> float:
+def rotation_number(map, tol: float = 1e-10) -> float:
     """rot(f) in [0, 1), within tol."""
-    est = rotation_estimate(map, tol, max_iter)
+    est = rotation_estimate(map, tol)
     return est.value - math.floor(est.value)
 
 
@@ -358,12 +360,13 @@ def _grid_roots(g, x, scalar_g):
     return roots, suspects
 
 
-def find_cycles(map, p: int, q: int, resolution: float = 1e-12) -> list[Cycle]:
+def find_cycles(map, p: int, q: int) -> list[Cycle]:
     """All periodic orbits of type p/q, grouped and classified.
 
     Roots of G(x) = F^q(x) - x - p are located by a sign-change scan plus
     bisection and Newton polish; a sign-touching |G| minimum below 1e-10
     is kept as a parabolic root (tangencies are invisible to sign changes).
+    Roots closer than 1e-12 on the circle are merged into one.
     """
     if q < 1:
         raise ConfigError(f"period must be positive, got {q}")
@@ -395,10 +398,10 @@ def find_cycles(map, p: int, q: int, resolution: float = 1e-12) -> list[Cycle]:
     roots = sorted(float(r) % 1.0 for r in roots)
     merged: list[float] = []
     for r in roots:
-        if merged and abs(r - merged[-1]) < max(resolution, 1e-12):
+        if merged and abs(r - merged[-1]) < _ROOT_MERGE:
             continue
         merged.append(r)
-    if merged and (merged[0] + 1.0) - merged[-1] < max(resolution, 1e-12):
+    if merged and (merged[0] + 1.0) - merged[-1] < _ROOT_MERGE:
         merged.pop()
     if not merged:
         raise RootFindingIncomplete("no periodic points found despite rot = p/q")
@@ -540,7 +543,7 @@ def _arcs_disjoint(arcs) -> bool:
     return True
 
 
-def denjoy_distortion(map, interval, n: int, grid: int = 256) -> float:
+def denjoy_distortion(map, interval, n: int) -> float:
     """max over x, y in I of log (F^n)'(x) / (F^n)'(y).
 
     For n >= 2 the intervals I, f(I), ..., f^n(I) must be pairwise
@@ -567,11 +570,5 @@ def denjoy_distortion(map, interval, n: int, grid: int = 256) -> float:
             f"the intervals I, f(I), ..., f^{n}(I) are not pairwise disjoint"
         )
 
-    x = np.linspace(a, b, grid)
-    d1 = np.ones_like(x)
-    cur = x.copy()
-    for _ in range(n):
-        d1 *= map.deriv(cur)
-        cur = map.lift(cur)
-    logs = np.log(d1)
+    logs = np.log(IteratedMap(map, n).deriv(np.linspace(a, b, _DENJOY_GRID)))
     return float(logs.max() - logs.min())

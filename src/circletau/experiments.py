@@ -56,6 +56,12 @@ _MIN_TRACEABLE_WIDTH = 1e-6
 _EDGE_PROBE = 1e-7
 _REAL_DECAY_RATIO = 0.5  # inner/outer multiplier-gap ratio separating real/complex
 _COMPLEX_FLOOR = 1e-3
+_COUNT_GRID = 8192
+_JUMP_COARSE = 96  # count-jump scan points across the plateau
+_JUMP_TOL = 1e-10
+_GERM_POINTS = 6  # samples per endpoint germ of the non-injectivity report
+_TSUJII_TOL = 1e-12
+_LIOUVILLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,11 @@ class BubbleTrace:
         return [s.csv_row for s in self.samples]
 
 
-def count_periodic_points(map, p: int, q: int, grid: int = 8192) -> int:
+def count_periodic_points(map, p: int, q: int) -> int:
     """Sign changes of G = F^q - x - p between neighbours on a periodic grid:
     the transversal solutions of F^q(x) = x + p inside grid cells.
     Tangencies, and roots that land exactly on a grid point, count zero."""
-    x = np.linspace(0.0, 1.0, grid, endpoint=False)
+    x = np.linspace(0.0, 1.0, _COUNT_GRID, endpoint=False)
     g = _g_values(map, p, q, x)
     return int(np.sum(g * np.roll(g, -1) < 0.0))
 
@@ -142,8 +148,7 @@ def sample_to_boundary(omega: float, p: int, q: int,
     )
 
 
-def _nearest_count_jump(map, p, q, lo, hi, ref_count, from_right,
-                        coarse=96, tol=1e-10):
+def _nearest_count_jump(map, p, q, lo, hi, ref_count, from_right):
     """Interior parameter nearest the reference edge where the
     periodic-point count changes.
 
@@ -152,10 +157,10 @@ def _nearest_count_jump(map, p, q, lo, hi, ref_count, from_right,
     """
     width = hi - lo
     if from_right:
-        probes = [hi - width * (i + 1) / (coarse + 1) for i in range(coarse)]
+        probes = [hi - width * (i + 1) / (_JUMP_COARSE + 1) for i in range(_JUMP_COARSE)]
         last_equal = hi
     else:
-        probes = [lo + width * (i + 1) / (coarse + 1) for i in range(coarse)]
+        probes = [lo + width * (i + 1) / (_JUMP_COARSE + 1) for i in range(_JUMP_COARSE)]
         last_equal = lo
     first_diff = None
     for w in probes:  # marching away from the reference edge
@@ -169,7 +174,7 @@ def _nearest_count_jump(map, p, q, lo, hi, ref_count, from_right,
     a, b = _bisect(
         lambda w: (count_periodic_points(map.shifted(w), p, q) == ref_count) == from_right,
         *sorted((first_diff, last_equal)),
-        tol,
+        _JUMP_TOL,
     )
     return 0.5 * (a + b)
 
@@ -409,7 +414,6 @@ def displacement_maxima(map: CircleMap, grid: int = 8192):
 
 
 def noninjectivity_probe(map: CircleMap, samples: int = 24,
-                         germ_points: int = 6,
                          trace: BubbleTrace | None = None) -> NoninjectivityReport:
     """The two-maxima scenario: tangential exit at y1, horocycle entry at y2.
 
@@ -436,10 +440,10 @@ def noninjectivity_probe(map: CircleMap, samples: int = 24,
     left_ok = abs(inner_left.tangency_angle) < 0.1
     right_ok = inner_right.horocycle_height < 1e-2
     lg = tuple(
-        (s.omega, wrap_half(s.tau_re), s.tau_im) for s in trace.samples[:germ_points]
+        (s.omega, wrap_half(s.tau_re), s.tau_im) for s in trace.samples[:_GERM_POINTS]
     )
     rg = tuple(
-        (s.omega, wrap_half(s.tau_re), s.tau_im) for s in trace.samples[-germ_points:]
+        (s.omega, wrap_half(s.tau_re), s.tau_im) for s in trace.samples[-_GERM_POINTS:]
     )
     return NoninjectivityReport(
         y1=y1,
@@ -501,8 +505,7 @@ def _convergents(theta: float, depth: int):
     return out
 
 
-def _edge_facing_zero(map, p: int, q: int, side: int, limit: float,
-                      tol: float = 1e-12) -> float:
+def _edge_facing_zero(map, p: int, q: int, side: int, limit: float) -> float:
     """Plateau edge of p/q nearest to omega = 0.
 
     side=+1: plateau right of 0, returns its left edge (smallest omega
@@ -510,8 +513,8 @@ def _edge_facing_zero(map, p: int, q: int, side: int, limit: float,
     bracket's width doubles it.
     """
     if side > 0:
-        return _rot_crossing(map, p, q, 0.0, limit, 0, tol=tol, grow="hi")
-    return _rot_crossing(map, p, q, -limit, 0.0, 1, tol=tol, grow="lo")
+        return _rot_crossing(map, p, q, 0.0, limit, 0, tol=_TSUJII_TOL, grow="hi")
+    return _rot_crossing(map, p, q, -limit, 0.0, 1, tol=_TSUJII_TOL, grow="lo")
 
 
 def tsujii_gap(map: CircleMap, depth: int) -> list[TsujiiRow]:
@@ -601,9 +604,7 @@ def _margin_edge(map, target: Fraction, bracket, want_geq: bool,
                          grid=1024, tol=tol, grow=grow)
 
 
-def liouville_measure_estimate(
-    map: CircleMap, beta: float, q_max: int, tol: float = 1e-9
-) -> LiouvilleReport:
+def liouville_measure_estimate(map: CircleMap, beta: float, q_max: int) -> LiouvilleReport:
     """Measured size of {omega : 0 < |rot(f_omega) - p/q| < q^-(2+beta)}.
 
     Plateau neighborhoods are measured by bisection (dense omega grids
@@ -622,15 +623,15 @@ def liouville_measure_estimate(
         for p in range(q):
             if math.gcd(p, q) != 1:
                 continue
-            plat = plateau(map, p, q, tol=tol)
+            plat = plateau(map, p, q, tol=_LIOUVILLE_TOL)
             t_lo = _rational_near(p / q - eps_q, 1e-9)
             t_hi = _rational_near(p / q + eps_q, 1e-9)
             pad = 1.3 * C * eps_q + 1e-7
             left = _margin_edge(
-                map, t_lo, (plat.omega_lo - pad, plat.omega_lo), True, tol
+                map, t_lo, (plat.omega_lo - pad, plat.omega_lo), True, _LIOUVILLE_TOL
             )
             right = _margin_edge(
-                map, t_hi, (plat.omega_hi, plat.omega_hi + pad), False, tol
+                map, t_hi, (plat.omega_hi, plat.omega_hi + pad), False, _LIOUVILLE_TOL
             )
             total += (right - left) - plat.width
         rows.append(LiouvilleRow(q, total, 2.0 * C / q ** (1.0 + beta)))

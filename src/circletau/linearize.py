@@ -35,11 +35,12 @@ from .errors import (
     OutsideBasin,
     ParabolicPresent,
 )
-from .maps import total_distortion
+from .maps import IteratedMap, total_distortion
 from .uniformize import UpperHalfPoint, hyperbolic_distance_mod1, wrap_half
 
-_CHART_TOL = 1e-12
+_CHART_STOP = 1e-14  # |log| of a Schroeder step ratio at which a chart has converged
 _CHART_CAP = 100_000
+_XI_GRID = 65
 
 
 class IterationChart:
@@ -48,11 +49,11 @@ class IterationChart:
     def __init__(self, map, p: int, q: int, alpha: float, rho: float):
         if abs(rho - 1.0) <= 1e-12:
             raise NotHyperbolic(f"multiplier {rho} is parabolic at {alpha}")
-        self.map = map
         self.p = p
         self.q = q
         self.alpha = float(alpha)
         self.rho = float(rho)
+        self._fq = IteratedMap(map, q)
 
     @property
     def kind(self) -> str:
@@ -67,18 +68,10 @@ class IterationChart:
         return math.pi / abs(self.log_rho)
 
     def _h(self, x: float) -> float:
-        y = x
-        for _ in range(self.q):
-            y = float(self.map.lift(y))
-        return y - self.p
+        return float(self._fq.lift(x)) - self.p
 
     def _h_prime(self, x: float) -> float:
-        d = 1.0
-        y = x
-        for _ in range(self.q):
-            d *= float(self.map.deriv(y))
-            y = float(self.map.lift(y))
-        return d
+        return float(self._fq.deriv(x))
 
     def _h_inverse(self, target: float, seed: float) -> float:
         z = seed
@@ -89,14 +82,14 @@ class IterationChart:
                 return z
         raise NotConverged(f"Newton inversion of F^{self.q} stalled near {seed}")
 
-    def inverse_with_deriv(self, x: float, tol: float = _CHART_TOL,
-                           cap: int = _CHART_CAP):
+    def inverse_with_deriv(self, x: float):
         """(phi^{-1}(x), (phi^{-1})'(x)) for x in the lift chart adjacent to alpha.
 
         Iterates the ratio form of the Schroeder limit and, once the gap
         to alpha is ~1e-6 (still far above the rounding floor, where the
         per-step factors would pick up 1e-16/gap relative noise), sums
-        the remaining geometric tail from the measured contraction.
+        the remaining geometric tail from the measured contraction.  Stops
+        at |log ratio| <= 1e-14; raises NotConverged after 100,000 steps.
         """
         a, rho = self.alpha, self.rho
         d0 = x - a
@@ -110,7 +103,7 @@ class IterationChart:
         attracting = rho < 1.0
         prev_gap = abs(d0)
         tail_gap = 1e-6 * max(1.0, abs(d0))
-        for _ in range(cap):
+        for _ in range(_CHART_CAP):
             if attracting:
                 ynext = self._h(y)
                 ratio = (ynext - a) / ((y - a) * rho)
@@ -127,7 +120,7 @@ class IterationChart:
             u *= ratio
             du *= w
             log_r = math.log(abs(ratio))
-            if abs(log_r) <= max(1e-15, 0.01 * tol):
+            if abs(log_r) <= _CHART_STOP:
                 return u, du
             if gap < tail_gap:
                 kappa = gap / prev_gap
@@ -140,11 +133,11 @@ class IterationChart:
             y = ynext
             prev_gap = gap
         raise NotConverged(
-            f"chart iteration at alpha = {a} did not stabilize within {cap} steps"
+            f"chart iteration at alpha = {a} did not stabilize within {_CHART_CAP} steps"
         )
 
-    def inverse(self, x: float, tol: float = _CHART_TOL, cap: int = _CHART_CAP) -> float:
-        return self.inverse_with_deriv(x, tol, cap)[0]
+    def inverse(self, x: float) -> float:
+        return self.inverse_with_deriv(x)[0]
 
 
 def linearizing_inverse(map, cycle: Cycle, base_point: float) -> float:
@@ -186,15 +179,15 @@ class SigmaData:
         }
 
 
-def ordered_charts(map, p: int, q: int, cycles: Sequence[Cycle] | None = None):
-    """Charts at all periodic points, cyclically ordered, attracting first.
+def ordered_charts(map, p: int, q: int):
+    """Charts at all periodic points of type p/q (``find_cycles``),
+    cyclically ordered, attracting first.
 
     The 2mq fixed points of F^q - p are lifted to an increasing sequence
     alpha_0 < ... < alpha_{2mq-1} < alpha_0 + 1 with alpha_0 attracting
     and kinds alternating.
     """
-    if cycles is None:
-        cycles = find_cycles(map, p, q)
+    cycles = find_cycles(map, p, q)
     if any(not c.is_hyperbolic for c in cycles):
         raise NotHyperbolic("a parabolic cycle is present")
     pts = []
@@ -370,10 +363,11 @@ def qc_estimate_check(map, p: int, q: int, tau_bar) -> QcTwistCheck:
     return QcTwistCheck(dist, 5.0 * d_base, 5.0 * d_iter, sd, target)
 
 
-def xi_distortion(map, p: int, q: int, j: int, grid: int = 65) -> float:
+def xi_distortion(map, p: int, q: int, j: int) -> float:
     """Distortion of the gluing xi_j = chart_{j+1}^{-1} o chart_j over one period.
 
-    Parametrized by x in the fundamental interval between x_j and H(x_j):
+    Parametrized by 65 equally spaced x in the fundamental interval
+    between x_j and H(x_j):
     xi_j'(t) = s'(x) / t'(x) with t = log phi_j^{-1} / log rho_j and
     s = log |phi_{j+1}^{-1}| / log rho_{j+1}.
     """
@@ -388,8 +382,8 @@ def xi_distortion(map, p: int, q: int, j: int, grid: int = 65) -> float:
     x1 = cj._h(x0)
     lo, hi = (x1, x0) if x1 < x0 else (x0, x1)
     logs = []
-    for i in range(grid):
-        x = lo + (hi - lo) * i / (grid - 1)
+    for i in range(_XI_GRID):
+        x = lo + (hi - lo) * i / (_XI_GRID - 1)
         u, du = cj.inverse_with_deriv(x)
         v, dv = cnext.inverse_with_deriv(x - shift)
         tp = du / (u * cj.log_rho)

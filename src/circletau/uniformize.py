@@ -690,7 +690,8 @@ def boundary_tau(
     interpolates every rung in u at 1, and its estimate drops the lowest
     rung.  Every solve has the floor y_min(map), and the default ladder
     keeps only rungs at or above it; near an edge (|s| < 0.02) the floor
-    drops to HARD_Y_FLOOR.
+    drops to HARD_Y_FLOOR.  At least two rungs, fold rungs included,
+    must enter the extrapolation, or ConfigError is raised.
 
     Rungs are solved in order of decreasing height, each starting its
     mode escalation at the N of the previous rung's best solve (see
@@ -706,7 +707,7 @@ def boundary_tau(
         raise ConfigError("ladder must be a decreasing sequence of positive heights")
     floor = y_min(map)
     if ladder is None:
-        rungs_y = [y for y in rungs_y if y >= floor] or [floor]
+        rungs_y = [y for y in rungs_y if y >= floor]
 
     method = "richardson"
     if edge_distance is not None and edge_distance != 0.0:
@@ -718,6 +719,8 @@ def boundary_tau(
                 y for y in extra if y < rungs_y[-1] and y >= HARD_Y_FLOOR
             ]
             floor = min(floor, HARD_Y_FLOOR)
+    if len(rungs_y) < 2:
+        raise ConfigError(f"extrapolation needs at least two rungs, got {rungs_y}")
 
     rungs = []
     with _shared_moments():

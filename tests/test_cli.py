@@ -80,6 +80,15 @@ class TestExitCodes:
         assert run("tau", "--map", ROT_MAP, "--omega", "0.1,0.2",
                    "--emit", "pdf", "--out", str(tmp_path)) == 2
 
+    def test_boundary_refuses_complex_omega_and_one_rung(self, tmp_path, capsys):
+        assert run("boundary", "--map", ROT_MAP, "--omega", "0,0.1",
+                   "--out", str(tmp_path)) == 2
+        assert "imaginary part 0.1" in capsys.readouterr().err
+        assert run("boundary", "--map", ROT_MAP, "--omega", "0",
+                   "--ladder", "0.1", "--out", str(tmp_path)) == 2
+        assert "two rungs" in capsys.readouterr().err
+        assert not (tmp_path / "boundary.json").exists()
+
     def test_numerical_failure_is_3(self, tmp_path, capsys):
         # a rotation family has a point plateau: trace must fail loudly
         rc = run("trace", "--map", ROT_MAP, "--pq", "0/1",

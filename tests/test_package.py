@@ -93,3 +93,52 @@ def test_no_unreferenced_public_names():
             unreferenced += [f"{path.name}: {qualname}" for name, qualname in named
                              if not name.startswith("_") and name not in refs]
     assert unreferenced == []
+
+
+
+def _defaulted_params(func: ast.FunctionDef, is_method: bool):
+    """(name, positional index or None) of each defaulted, non-underscore
+    parameter; the index counts from the first argument a call passes."""
+    pos = func.args.posonlyargs + func.args.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list)
+    skip = int(is_method and not static)
+    out = [(a.arg, i - skip) for i, a in enumerate(pos)
+           if i >= len(pos) - len(func.args.defaults)]
+    out += [(a.arg, None) for a, d in zip(func.args.kwonlyargs, func.args.kw_defaults)
+            if d is not None]
+    return [(name, i) for name, i in out if not name.startswith("_")]
+
+
+def test_every_defaulted_parameter_is_set_by_a_call():
+    """Every defaulted, non-underscore parameter of a public function or
+    method of the package is set, by keyword or by position, by some call
+    in src/, tests/, demos/ or perfbench/.  Calls are matched by the
+    callee's name, and a call to a class is a call to its __init__."""
+    params = []  # (qualname, callee name, parameter, positional index)
+    for path in sorted((REPO / "src" / "circletau").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                params += [(f"{path.name}: {stmt.name}", stmt.name, n, i)
+                           for n, i in _defaulted_params(stmt, False)]
+            elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                for m in stmt.body:
+                    if not isinstance(m, ast.FunctionDef):
+                        continue
+                    callee = stmt.name if m.name == "__init__" else m.name
+                    if callee.startswith("_"):
+                        continue
+                    params += [(f"{path.name}: {stmt.name}.{m.name}", callee, n, i)
+                               for n, i in _defaulted_params(m, True)]
+    set_by_call = set()  # (callee name, parameter name or positional index)
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in sorted((REPO / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    set_by_call |= {(name, k.arg) for k in node.keywords if k.arg}
+                    set_by_call |= {(name, i) for i, a in enumerate(node.args)
+                                    if not isinstance(a, ast.Starred)}
+    unset = [f"{qualname}({name})" for qualname, callee, name, index in params
+             if (callee, name) not in set_by_call and (callee, index) not in set_by_call]
+    assert unset == []

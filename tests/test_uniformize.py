@@ -480,6 +480,12 @@ class TestBoundaryTau:
             boundary_tau(arnold, 0.0, ladder=[0.1, 0.2])
         with pytest.raises(ConfigError):
             boundary_tau(arnold, 0.0, ladder=[])
+        # a single rung is extrapolated against itself: its estimate would be 0
+        with pytest.raises(ConfigError, match="two rungs"):
+            boundary_tau(arnold, 0.0, ladder=[0.1])
+        # the count includes the fold rungs that an edge distance appends
+        bv = boundary_tau(CircleMap(0.3), 0.0, ladder=[0.1], edge_distance=0.01)
+        assert bv.method == "fold" and len(bv.rungs) == 4
 
     def test_edge_fold_matches_disk_radius(self, arnold):
         # at the plateau edge the boundary value rides the shrinking disk:
