@@ -10,24 +10,30 @@ so that every basis element has sup-modulus 1 on the closed annulus, and
 (a, b, tau) solve the collocation equations
 Phi(f(x_j) + omega) = Phi(x_j) + tau in least squares.
 
-The collocation matrix is [E_f D - E_x, conj(E_f) - conj(E_x) D, -1] with
-the omega-free tables E_f = e^{2 pi i k f(x_j)}, E_x = e^{2 pi i k x_j}
+The collocation matrix is A = [E_f D - E_x, conj(E_f) - conj(E_x) D, -1]
+with the omega-free tables E_f = e^{2 pi i k f(x_j)}, E_x = e^{2 pi i k x_j}
 and D = diag(e^{2 pi i k omega}).  Each table is built from factored
 powers: with k = B a + b, an entry is the product of a fine table
 e^{2 pi i b t_j} (b = 1..B) and a coarse one e^{2 pi i B a t_j}, so cos
-and sin are evaluated on M (B + N/B) angles instead of M N.
+and sin are evaluated on M (B + N/B) angles instead of M N.  A itself is
+not formed: the system (_GluingSystem) keeps E_f and applies A x and
+A^H r as products with E_f and one length-M FFT, since the points
+x_j = j / M are equispaced and E_x is a DFT.  Only the QR fallback forms
+the dense [A | b].
 
 The least squares A x = b is first solved from a single-precision Gram
 factor refined in double (Bjorck's corrected semi-normal equations, with
 mixed-precision refinement after Carson and Higham): the Cholesky factor
 R of A^H A is formed in complex64 (cpotrf), and from x = 0 the step
-x += R^-1 R^-H A^H (b - A x) runs with A, b, the residual and x in
-complex128 until an update falls below 1e-15 max |x|.  The `cond` of
-such a solve is ||R||_F ||R^-1||_F of the single-precision factor
-(ctrtri).  The complex128 Householder QR of [A | b] (numpy's qr, only R
-read) solves instead whenever the Gram factor fails, its cond exceeds
-FAST_COND_LIMIT = 1e4, an update fails to halve the one before it, or
-REFINE_STEPS = 12 steps do not converge.  Its `cond` is
+x += R^-1 R^-H A^H (b - A x) runs with the residual and x in complex128
+until an update falls below 1e-15 max |x|, or until an update that fails
+to halve the one before it is at most STALL_TOL = 4e-15 max |x| (the
+updates have stalled at rounding level).  The `cond` of such a solve is
+||R||_F ||R^-1||_F of the single-precision factor (ctrtri).  The
+complex128 Householder QR of [A | b] (numpy's qr, only R read) solves
+instead whenever the Gram factor fails, its cond exceeds FAST_COND_LIMIT
+= 1e4, an update above STALL_TOL max |x| fails to halve the one before
+it, or REFINE_STEPS = 12 steps do not converge.  Its `cond` is
 ||R||_F ||R^-1||_F, replaced by the exact ratio of singular values of R
 only when that bound exceeds COND_LIMIT, so the IllConditioned gate acts
 on the 2-norm condition number.  A direction that A nearly annihilates
@@ -39,11 +45,11 @@ thread count: over 11 solves of the Arnold and two-hump maps at
 N = 64..384, tau moved by at most 1.4 ulp between 1 and 2 threads (5 ulp
 on the QR path), and min |Phi'| by at most 4e-12 relative on either path.
 
-A^H A is not formed from A.  The points x_j = j/M are equispaced, so
-every entry of A^H A is a D-weighted combination of the omega-free
-moments S(m) = sum_j e^{2 pi i m F(x_j)} (|m| <= 2N) and
-P(l, +-k) = sum_j e^{2 pi i l F(x_j)} e^{-+2 pi i k j / M}, the DFT over j
-of the columns of E_f, assembled in O(N^2) (_moments, _moment_gram).
+A^H A is not formed from A either.  Every entry of A^H A is a D-weighted
+combination of the omega-free moments S(m) = sum_j e^{2 pi i m F(x_j)}
+(|m| <= 2N) and P(l, +-k) = sum_j e^{2 pi i l F(x_j)} e^{-+2 pi i k j / M},
+the DFT over j of the columns of E_f, assembled in O(N^2) (_moments,
+_moment_gram).
 Only D changes between the solves of one map at one N, so the moments
 (2 N^2 complex64 values) are kept by (N, F(x_j)) and shared by every
 solve of one top-level call: one boundary_tau call, one in-process batch
@@ -81,9 +87,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_triangular, svdvals
-from scipy.linalg.blas import zgemv
+from scipy.linalg.blas import zgemm, zgemv
 from scipy.linalg.lapack import cpotrf, ctrtri, ztrtri, ztrtrs
 
 from .errors import (
@@ -99,6 +106,7 @@ HARD_Y_FLOOR = 2e-5  # absolute floor for edge-adapted rungs
 POWER_BLOCK = 16  # fine-table width B of _cis_blocks
 FAST_COND_LIMIT = 1e4  # largest single-precision cond the refinement is tried at
 REFINE_STEPS = 12  # most refinement steps before the QR path takes over
+STALL_TOL = 4e-15  # relative size of an update below which a stall is convergence
 FFT_BLOCK = 64  # columns of E_f per FFT in _moments
 RICHARDSON_ORDER = 3  # polynomial degree in y of the Richardson extrapolant
 
@@ -280,65 +288,70 @@ def _qr_solve(Ab, hint: str = ""):
     return solve_triangular(R11, R[:n, n], check_finite=False), cond
 
 
-def _gram_refine(Ab, gram):
+def _gram_refine(system):
     """Least squares A x = b from a complex64 Gram factor, refined in complex128.
 
     The Cholesky factor R of A^H A is formed in single precision (cpotrf
-    of gram, the complex64 A^H A) and promoted to complex128 once; from
-    x = 0 the corrected semi-normal step x += R^-1 R^-H A^H (b - A x) runs
-    with A, b, the residual and x in complex128.  Returns (x, cond, steps),
+    of system.gram, the complex64 A^H A, in place) and promoted to
+    complex128 once; from x = 0 the corrected semi-normal step
+    x += R^-1 R^-H A^H (b - A x) runs in complex128, with A and A^H
+    applied by system.matvec and system.rmatvec.  The refinement has
+    converged once an update is at most 1e-15 max |x|, or once an update
+    that fails to halve the one before it is at most STALL_TOL max |x|:
+    there the updates stall at rounding level.  Returns (x, cond, steps),
     cond being ||R||_F ||R^-1||_F of the single-precision factor, or None
     on any of the fallback rules of _solve_collocation.
     """
-    n = Ab.shape[1] - 1
-    A, b = Ab[:, :n], Ab[:, n]
-    R32, info = cpotrf(gram, overwrite_a=1)
+    R32, info = cpotrf(system.gram, overwrite_a=1)
     if info != 0:
         return None
     r_inv, info = ctrtri(R32)
     if info != 0:
         return None
     cond = float(np.linalg.norm(R32)) * float(np.linalg.norm(r_inv))
+    del r_inv
     if not cond <= FAST_COND_LIMIT:
         return None
     R = R32.astype(complex)
-    x, r = np.zeros(n, dtype=complex), b
+    b = system.rhs
+    x, r = np.zeros(R.shape[0], dtype=complex), b
     last = math.inf
     for steps in range(1, REFINE_STEPS + 1):
-        w, _ = ztrtrs(R, zgemv(1.0, A, r, trans=2), trans=2)
+        w, _ = ztrtrs(R, system.rmatvec(r), trans=2)
         dx, _ = ztrtrs(R, w)
         x += dx
         size = float(np.max(np.abs(dx)))
-        if size <= 1e-15 * float(np.max(np.abs(x))):
+        top = float(np.max(np.abs(x)))
+        if size <= 1e-15 * top:
             return x, cond, steps
         if not size <= 0.5 * last:
-            return None
+            return (x, cond, steps) if size <= STALL_TOL * top else None
         last = size
-        r = b - A @ x
+        r = b - system.matvec(x)
     return None
 
 
-def _solve_collocation(Ab, gram, hint: str = ""):
-    """Least squares A x = b for the augmented matrix Ab = [A | b].
+def _solve_collocation(system, hint: str = ""):
+    """Least squares A x = b for a gluing system (_GluingSystem).
 
     The single-precision Gram factor refined in double (_gram_refine) is
-    tried first, factoring gram, the complex64 A^H A (the gluing system
-    assembles it from its moments, _moment_gram).  When the factor
-    fails, its cond exceeds FAST_COND_LIMIT, an update fails to halve, or
-    the updates do not fall below 1e-15 max |x| within REFINE_STEPS
-    steps, the complex128 Householder QR (_qr_solve) solves instead;
-    only that path raises IllConditioned, when the 2-norm condition
-    number of A exceeds COND_LIMIT.
+    tried first, factoring system.gram, the complex64 A^H A, and applying
+    A only through system.matvec and system.rmatvec.  When the factor
+    fails, its cond exceeds FAST_COND_LIMIT, an update above STALL_TOL
+    max |x| fails to halve the one before it, or the updates do not fall
+    below 1e-15 max |x| within REFINE_STEPS steps, the complex128
+    Householder QR (_qr_solve) of system.dense() solves instead; only
+    that path raises IllConditioned, when the 2-norm condition number of
+    A exceeds COND_LIMIT.
     Returns (x, cond, residual, refine_steps): cond is the Frobenius
     bound ||R||_F ||R^-1||_F of the factor that solved (single precision
     on the fast path, exact near COND_LIMIT on the QR path), residual
     the max of |A x - b| in complex128, and refine_steps is 0 when the
     QR path solved.
     """
-    fast = _gram_refine(Ab, gram)
-    sol, cond, steps = fast if fast is not None else (*_qr_solve(Ab, hint), 0)
-    n = Ab.shape[1] - 1
-    residual = float(np.max(np.abs(Ab[:, :n] @ sol - Ab[:, n])))
+    fast = _gram_refine(system)
+    sol, cond, steps = fast if fast is not None else (*_qr_solve(system.dense(), hint), 0)
+    residual = float(np.max(np.abs(system.matvec(sol) - system.rhs)))
     return sol, cond, residual, steps
 
 
@@ -463,34 +476,82 @@ def _collocation_points(map, n_modes, m_points):
     return N, M, np.asarray(np.real(map.lift(np.arange(M) / M)), dtype=float)
 
 
-def _gluing_system(fx, D, shift: complex):
-    """[E_f D - E_x, conj(E_f) - conj(E_x) D, -1 | x - F(x) - shift] and its Gram matrix.
+class _GluingSystem:
+    """The gluing matrix A = [E_f D - E_x, conj(E_f) - conj(E_x) D, -1] and b.
 
-    E_f = e^{2 pi i k F(x_j)} and E_x = e^{2 pi i k x_j} are omega-free
-    tables from _cis_blocks, k = 1..N with N = D.size.  The gluing system
-    at omega has D = diag(e^{2 pi i k omega}) and shift = omega; the
-    welding system is its limit omega -> +i inf, D = 0.  Built in place
-    in Fortran order, for the BLAS calls of the solve; E_x is applied one
-    column block at a time, so no M x N temporary is made.  Returns
-    (Ab, gram), gram being the complex64 A^H A of A = Ab[:, :-1] from
-    the moments of E_f, taken before D is applied (_gluing_moments,
-    _moment_gram).
+    Holds the omega-free table E_f = e^{2 pi i k F(x_j)} (M x N, Fortran
+    order), D, the right side b = x - F(x) - shift and gram, the complex64
+    A^H A (which the fast solve factors in place).  E_x = e^{2 pi i k x_j}
+    at x_j = j / M is applied by one length-M FFT: E_x a = fft(v) with
+    v[M - k] = a_k, conj(E_x) c = fft(v) with v[k] = c_k, and for
+    F = fft(r), E_x^H r = F[k] and E_x^T r = F[M - k].  So A x costs one
+    product of E_f with two vectors (zgemm) and one FFT, A^H r two
+    matrix-vector products with E_f (zgemv, never a copy of E_f^H) and
+    one FFT, and A itself is formed only by dense().
+    """
+
+    def __init__(self, ef, D, rhs, gram):
+        self.ef, self.D, self.rhs, self.gram = ef, D, rhs, gram
+
+    def matvec(self, x):
+        """A x = E_f (D a) + conj(E_f conj b) - [E_x a + conj(E_x) D b] - tau."""
+        M, N = self.ef.shape
+        a, b = x[:N], x[N : 2 * N]
+        v = np.zeros(M, dtype=complex)
+        v[M - N :] = a[::-1]
+        v[1 : N + 1] = self.D * b
+        up, dn = zgemm(1.0, self.ef, np.column_stack([self.D * a, b.conj()])).T
+        out = up + dn.conj()
+        out -= scipy.fft.fft(v)
+        out -= x[2 * N]
+        return out
+
+    def rmatvec(self, r):
+        """A^H r = (conj(D) E_f^H r - F[k], E_f^T r - conj(D) F[M - k], -sum r)."""
+        M, N = self.ef.shape
+        F = scipy.fft.fft(r)
+        dc = self.D.conj()
+        out = np.empty(2 * N + 1, dtype=complex)
+        out[:N] = dc * zgemv(1.0, self.ef, r, trans=2) - F[1 : N + 1]
+        out[N : 2 * N] = zgemv(1.0, self.ef, r, trans=1) - dc * F[M - 1 : M - N - 1 : -1]
+        out[2 * N] = -r.sum()
+        return out
+
+    def dense(self):
+        """[A | b] as an M x (2N + 2) complex128 array in Fortran order.
+
+        Only the QR fallback and the test oracles form it; E_x is applied
+        one column block at a time, so no M x N temporary is made.
+        """
+        M, N = self.ef.shape
+        Ab = np.empty((M, 2 * N + 2), dtype=complex, order="F")
+        up, dn = Ab[:, :N], Ab[:, N : 2 * N]
+        np.multiply(self.ef, self.D, out=up)
+        np.conjugate(self.ef, out=dn)
+        for lo, ex in _cis_blocks(np.arange(M) / M, N):
+            cols = slice(lo, lo + ex.shape[1])
+            up[:, cols] -= ex
+            dn[:, cols] -= np.conjugate(ex) * self.D[cols]
+        Ab[:, 2 * N] = -1.0
+        Ab[:, 2 * N + 1] = self.rhs
+        return Ab
+
+
+def _gluing_system(fx, D, shift: complex):
+    """The gluing system A x = b at D as a _GluingSystem.
+
+    A = [E_f D - E_x, conj(E_f) - conj(E_x) D, -1] and b = x - F(x) - shift,
+    with the omega-free tables E_f = e^{2 pi i k F(x_j)} and E_x =
+    e^{2 pi i k x_j}, k = 1..N with N = D.size.  The gluing system at
+    omega has D = diag(e^{2 pi i k omega}) and shift = omega; the welding
+    system is its limit omega -> +i inf, D = 0.  E_f is built in Fortran
+    order, for the BLAS calls of the solve, and the Gram matrix is
+    assembled from its moments (_gluing_moments, _moment_gram).
     """
     M, N = fx.size, D.size
-    x = np.arange(M) / M
-    Ab = np.empty((M, 2 * N + 2), dtype=complex, order="F")
-    up, dn = Ab[:, :N], Ab[:, N : 2 * N]
-    _cis_powers(fx, N, out=up)
-    moments = _gluing_moments(fx, up)
-    np.conjugate(up, out=dn)
-    up *= D
-    for lo, ex in _cis_blocks(x, N):
-        cols = slice(lo, lo + ex.shape[1])
-        up[:, cols] -= ex
-        dn[:, cols] -= np.conjugate(ex) * D[cols]
-    Ab[:, 2 * N] = -1.0
-    Ab[:, 2 * N + 1] = x - (fx + shift)
-    return Ab, _moment_gram(moments, D, M)
+    ef = _cis_powers(fx, N, out=np.empty((M, N), dtype=complex, order="F"))
+    gram = _moment_gram(_gluing_moments(fx, ef), D, M)
+    return _GluingSystem(ef, D, np.arange(M) / M - (fx + shift), gram)
 
 
 def _phi_prime_on_circles(a, b, omega: complex, L: int):
@@ -539,7 +600,7 @@ def complex_rotation_number(
     N, M, fx = _collocation_points(map, n_modes, m_points)
     D = np.exp(2j * math.pi * np.arange(1, N + 1) * omega)
     sol, cond, residual, steps = _solve_collocation(
-        *_gluing_system(fx, D, omega), "; reduce n_modes or increase Im omega"
+        _gluing_system(fx, D, omega), "; reduce n_modes or increase Im omega"
     )
     tau = complex(sol[-1])
     if tau.imag <= 0.0:

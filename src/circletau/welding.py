@@ -71,7 +71,7 @@ def welding_constant(
     N, M, fx = _collocation_points(map, n_modes, m_points)
     gauge = complex(gauge_c_plus)
     sol, cond, residual, steps = _solve_collocation(
-        *_gluing_system(fx, np.zeros(N, dtype=complex), -gauge), " in the welding system"
+        _gluing_system(fx, np.zeros(N, dtype=complex), -gauge), " in the welding system"
     )
     c_minus = -complex(sol[-1])
     return WeldingSolution(

@@ -1,10 +1,12 @@
 import cmath
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
-from scipy.linalg.blas import cherk
+from scipy.linalg.blas import cherk, zgemv
 
 from circletau import uniformize, welding
 from circletau.errors import (
@@ -38,16 +40,41 @@ B = 1.0 / (4.0 * math.pi)
 # a sample omega of the two-hump bubble, 1.1e-3 right of its left edge
 HUMP_EDGE_SAMPLE = 0.0033358979962851837
 KERNEL_CASES = [("arnold", 0.1 + 0.05j, 64), ("two_humped", HUMP_EDGE_SAMPLE + 8e-4j, 384)]
+# omega of the systems checked against their dense form, per map
+SYSTEM_OMEGA = {"arnold": 0.1 + 0.05j, "two_humped": HUMP_EDGE_SAMPLE + 8e-4j}
 # the kernel cases and two more fold-rung heights of the edge sample
 ORACLE_CASES = KERNEL_CASES + [
     ("two_humped", HUMP_EDGE_SAMPLE + 1j * y, 384) for y in (3e-3, 2e-2)
 ]
 
 
+@contextlib.contextmanager
+def counting_dense():
+    """Record the N of every dense [A | b] a gluing system forms inside the block."""
+    calls = []
+    dense = uniformize._GluingSystem.dense
+
+    def counted(system):
+        calls.append(system.ef.shape[1])
+        return dense(system)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uniformize._GluingSystem, "dense", counted)
+        yield calls
+
+
 @pytest.fixture(scope="module")
-def hump_edge_fold(two_humped):
+def hump_edge_fold_run(two_humped):
+    """Default fold ladder of the edge sample, and the dense matrices it formed."""
+    with counting_dense() as calls:
+        bv = boundary_tau(two_humped, HUMP_EDGE_SAMPLE, edge_distance=-1.1e-3)
+    return bv, calls
+
+
+@pytest.fixture(scope="module")
+def hump_edge_fold(hump_edge_fold_run):
     """Default fold ladder of the edge sample."""
-    return boundary_tau(two_humped, HUMP_EDGE_SAMPLE, edge_distance=-1.1e-3)
+    return hump_edge_fold_run[0]
 
 
 def lstsq_gluing_oracle(map, omega, N):
@@ -85,20 +112,41 @@ def synthetic_system(singular_values, m=160, seed=0, b_rank=None):
     return np.column_stack([A, b])
 
 
+class DenseSystem:
+    """A dense [A | b] behind the interface of uniformize._GluingSystem.
+
+    The complex64 Gram matrix is formed by cherk from A, and A and A^H
+    are applied as dense products.
+    """
+
+    def __init__(self, Ab):
+        self.Ab, self.rhs = Ab, Ab[:, -1]
+        self.gram = cherk(1.0, np.asfortranarray(Ab[:, :-1], dtype=np.complex64), trans=2)
+
+    def matvec(self, x):
+        return self.Ab[:, :-1] @ x
+
+    def rmatvec(self, r):
+        return zgemv(1.0, self.Ab[:, :-1], r, trans=2)
+
+    def dense(self):
+        return self.Ab
+
+
 def cherk_solve(Ab):
-    """_solve_collocation with the complex64 Gram matrix formed by cherk from A."""
-    gram = cherk(1.0, np.asfortranarray(Ab[:, :-1], dtype=np.complex64), trans=2)
-    return _solve_collocation(Ab, gram)
+    """_solve_collocation of the synthetic system [A | b] (see DenseSystem)."""
+    return _solve_collocation(DenseSystem(Ab))
 
 
-def qr_oracle(Ab):
+def qr_oracle(system):
     """(x, cond, residual) of the complex128 Householder QR path."""
+    Ab = system.dense()
     x, cond = _qr_solve(Ab)
     return x, cond, float(np.max(np.abs(Ab[:, :-1] @ x - Ab[:, -1])))
 
 
 def collocation_system(map, omega, N):
-    """(Ab, gram) of the gluing system at omega with the default M."""
+    """The gluing system at omega with the default M."""
     M = 4 * N + 8
     fx = np.asarray(np.real(map.lift(np.arange(M) / M)), dtype=float)
     return _gluing_system(fx, np.exp(2j * math.pi * np.arange(1, N + 1) * omega), omega)
@@ -280,21 +328,22 @@ class TestCollocationKernel:
 class TestGramRefinement:
     @pytest.mark.parametrize("map_name, omega, N", ORACLE_CASES)
     def test_matches_qr_oracle(self, request, map_name, omega, N):
-        Ab, gram = collocation_system(request.getfixturevalue(map_name), omega, N)
-        sol, cond, residual, steps = _solve_collocation(Ab, gram)
-        ref, _, ref_residual = qr_oracle(Ab)
+        system = collocation_system(request.getfixturevalue(map_name), omega, N)
+        sol, cond, residual, steps = _solve_collocation(system)
+        ref, _, ref_residual = qr_oracle(system)
         assert steps > 0
         assert abs(sol[-1] - ref[-1]) < 1e-14
         sup = float(np.max(np.abs(ref[:-1])))
         assert float(np.max(np.abs(sol[:-1] - ref[:-1]))) < 1e-12 * sup
         assert residual == pytest.approx(ref_residual, rel=1e-10)
-        sv = svdvals(Ab[:, :-1])
+        sv = svdvals(system.dense()[:, :-1])
         assert cond >= sv[0] / sv[-1]
 
     def test_matches_mpmath(self, arnold):
         mpmath = pytest.importorskip("mpmath")
-        Ab, gram = collocation_system(arnold, 0.1 + 0.05j, 16)
-        sol, _, _, steps = _solve_collocation(Ab, gram)
+        system = collocation_system(arnold, 0.1 + 0.05j, 16)
+        sol, _, _, steps = _solve_collocation(system)
+        Ab = system.dense()
         with mpmath.workdps(40):
             x, _ = mpmath.qr_solve(
                 mpmath.matrix(Ab[:, :-1].tolist()), mpmath.matrix(Ab[:, -1].tolist())
@@ -307,7 +356,7 @@ class TestGramRefinement:
         monkeypatch.setattr(uniformize, "_gram_refine", lambda *args: None)
         sol = complex_rotation_number(arnold, 0.1 + 0.05j, 32)
         assert sol.refine_steps == 0
-        assert sol.cond == qr_oracle(collocation_system(arnold, 0.1 + 0.05j, 32)[0])[1]
+        assert sol.cond == qr_oracle(collocation_system(arnold, 0.1 + 0.05j, 32))[1]
 
     def test_fold_ladder_rungs_take_the_fast_path(self, hump_edge_fold):
         assert all(r.refine_steps > 0 for r in hump_edge_fold.rungs)
@@ -321,9 +370,60 @@ class TestGramRefinement:
     def test_declined_systems_take_the_qr_path(self, s):
         Ab = synthetic_system(s)
         sol, cond, residual, steps = cherk_solve(Ab)
-        ref, ref_cond, ref_residual = qr_oracle(Ab)
+        ref, ref_cond, ref_residual = qr_oracle(DenseSystem(Ab))
         assert steps == 0
         assert (sol == ref).all() and cond == ref_cond and residual == ref_residual
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_updates_stalled_at_rounding_level_converge(self, seed, monkeypatch):
+        # kappa_2 = 10: the updates stop halving at about 1.2e-15 max |x|,
+        # which STALL_TOL accepts; without that rule these systems decline
+        Ab = synthetic_system(np.linspace(1.0, 0.1, 40), seed=seed)
+        sol, _, _, steps = cherk_solve(Ab)
+        ref = np.linalg.lstsq(Ab[:, :-1], Ab[:, -1], rcond=None)[0]
+        assert steps > 0
+        assert float(np.max(np.abs(sol - ref))) < 1e-12
+        monkeypatch.setattr(uniformize, "STALL_TOL", 0.0)
+        assert cherk_solve(Ab)[3] == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stalls_above_rounding_level_decline(self, seed):
+        # kappa_2 = 100: the updates stall at 9e-15 to 3.2e-14 max |x|
+        Ab = synthetic_system(np.linspace(1.0, 0.01, 40), seed=seed)
+        sol, cond, residual, steps = cherk_solve(Ab)
+        ref, ref_cond, ref_residual = qr_oracle(DenseSystem(Ab))
+        assert steps == 0
+        assert (sol == ref).all() and cond == ref_cond and residual == ref_residual
+
+    def test_fast_path_forms_no_dense_matrix(self, arnold, hump_edge_fold_run):
+        bv, calls = hump_edge_fold_run
+        assert calls == [] and all(r.refine_steps > 0 for r in bv.rungs)
+        with counting_dense() as calls:
+            assert welding_constant(arnold, 48).refine_steps > 0
+        assert calls == []
+
+    def test_declined_solves_form_one_dense_matrix_each(self, arnold, monkeypatch):
+        monkeypatch.setattr(uniformize, "_gram_refine", lambda *args: None)
+        with counting_dense() as calls:
+            bv = boundary_tau(arnold, 0.0, ladder=[0.2, 0.1, 0.05], resid_target=0.0, n_cap=64)
+        assert len(calls) == sum(r.solves for r in bv.rungs) > 3
+        assert all(r.refine_steps == 0 for r in bv.rungs)
+        with counting_dense() as calls:
+            assert welding_constant(arnold, 48).refine_steps == 0
+        assert calls == [48]
+
+    def test_fast_solve_allocates_less_than_the_dense_matrix(self, two_humped):
+        N = 384
+        system = collocation_system(two_humped, HUMP_EDGE_SAMPLE + 8e-4j, N)
+        M = system.ef.shape[0]
+        tracemalloc.start()
+        try:
+            steps = _solve_collocation(system)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps > 0
+        assert peak < M * (2 * N + 2) * np.dtype(complex).itemsize
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gate_holds_when_b_misses_the_small_direction(self, seed):
@@ -335,9 +435,36 @@ class TestGramRefinement:
             cherk_solve(Ab)
 
 
-class TestSharedMoments:
-    OMEGA = {"arnold": 0.1 + 0.05j, "two_humped": HUMP_EDGE_SAMPLE + 8e-4j}
+class TestGluingSystem:
+    @pytest.mark.parametrize("map_name", ["arnold", "two_humped"])
+    @pytest.mark.parametrize("N", [1, 16, 147, 384])
+    @pytest.mark.parametrize("extra_points", [4, 8])
+    def test_matches_dense(self, request, map_name, N, extra_points):
+        M = 4 * N + extra_points
+        x = np.arange(M) / M
+        fx = np.asarray(request.getfixturevalue(map_name).lift(x), dtype=float)
+        omega = SYSTEM_OMEGA[map_name]
+        rng = np.random.default_rng(N + extra_points)
+        v = rng.standard_normal(2 * N + 1) + 1j * rng.standard_normal(2 * N + 1)
+        r = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        k = np.arange(1, N + 1)
+        # the gluing system at omega, and at omega = +i inf (D = 0, the welding system)
+        for D in (np.exp(2j * math.pi * k * omega), np.zeros(N, dtype=complex)):
+            system = _gluing_system(fx, D, omega)
+            Ab = system.dense()
+            A = Ab[:, :-1]
+            for got, want in ((system.matvec(v), A @ v), (system.rmatvec(r), A.conj().T @ r)):
+                scale = float(np.max(np.abs(want)))
+                assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+            assert np.array_equal(Ab[:, -1], system.rhs)
+            assert np.array_equal(system.rhs, x - (fx + omega))
+            # the columns as exp outer products, independently of the power tables
+            ef, ex = np.exp(2j * math.pi * np.outer(fx, k)), np.exp(2j * math.pi * np.outer(x, k))
+            outer = np.hstack([ef * D - ex, ef.conj() - ex.conj() * D, -np.ones((M, 1))])
+            assert float(np.max(np.abs(A - outer))) < 1e-12 * float(np.max(np.abs(outer)))
 
+
+class TestSharedMoments:
     @pytest.fixture
     def counts(self, monkeypatch):
         """Moment computations (misses) and gluing systems built, by N."""
@@ -363,11 +490,11 @@ class TestSharedMoments:
     def test_gram_matches_dense(self, request, map_name, N, extra_points):
         M = 4 * N + extra_points
         fx = np.asarray(request.getfixturevalue(map_name).lift(np.arange(M) / M), dtype=float)
-        omega = self.OMEGA[map_name]
+        omega = SYSTEM_OMEGA[map_name]
         # the gluing system at omega, and at omega = +i inf (D = 0, the welding system)
         for D in (np.exp(2j * math.pi * np.arange(1, N + 1) * omega), np.zeros(N, dtype=complex)):
-            Ab, gram = _gluing_system(fx, D, omega)
-            A = Ab[:, :-1]
+            system = _gluing_system(fx, D, omega)
+            gram, A = system.gram, system.dense()[:, :-1]
             dense = A.conj().T @ A
             assert gram.dtype == np.complex64 and gram.shape == dense.shape
             scale = float(np.max(np.abs(dense)))
@@ -382,7 +509,7 @@ class TestSharedMoments:
         assert counts["misses"] == [N] and counts["systems"] == [N, N]
         alone = complex_rotation_number(m, omega, N, y_floor=0.0)
         assert hit == miss == alone
-        ref, _, ref_residual = qr_oracle(collocation_system(m, omega, N)[0])
+        ref, _, ref_residual = qr_oracle(collocation_system(m, omega, N))
         assert miss.refine_steps > 0
         assert abs(miss.tau_raw - ref[-1]) < 1e-14
         coeffs = np.array(miss.coeff_up + miss.coeff_down)
