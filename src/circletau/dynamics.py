@@ -1,10 +1,12 @@
 """Real one-dimensional dynamics: rotation numbers, cycles, plateaus, distortion.
 
-Rotation numbers are produced with a rigorous rational bracket: signed
-closest returns of the orbit of 0 give convergents p/q with
-rot >= p/q or rot <= p/q depending on the sign of the return error, so
-consecutive records bracket rot within 1/(q_k q_{k+1}).  Rational values
-are then certified exactly through the sign of G(x) = F^q(x) - x - p,
+Rotation numbers come with a rational bracket: signed closest returns of
+the orbit of 0 give convergents p/q with rot >= p/q or rot <= p/q
+depending on the sign of the return error, so consecutive records
+bracket rot within 1/(q_k q_{k+1}).  The records are those of the
+computed float orbit, a pseudo-orbit of f with a rounding error at every
+step, so the bracket is exact for that orbit but is not a proof about f.
+Rational values are certified through the sign of G(x) = F^q(x) - x - p,
 which is also what powers plateau-edge bisection.
 
 All bisection is ``maps._bisect``, on a monotone predicate.  Plateau edges,
@@ -16,13 +18,14 @@ The orbit of ``rotation_estimate`` and every scalar G of a ``CircleMap``
 (the Brent and brentq refinements) step ``CircleMap.lift_float``, which
 returns the same bits as ``lift`` (see ``circletau.maps``), and
 ``compare_to_rational`` refines only the grid extremum its sign rule
-still needs.
+still needs.  ``rotation_estimate`` steps its orbit in chunks and finds
+each chunk's records with numpy; its result has the same bits as a loop
+that checks every step as it is taken.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -47,6 +50,7 @@ _G_GRID = 4096
 _ROOT_GRID = 1 << 14
 _SIGN_FLOOR = 1e-13
 _RING = 8192  # orbit steps before a stall check that rotation_estimate keeps
+_CHUNK = 256  # first orbit chunk of rotation_estimate; chunks double up to _RING
 _ROOT_MERGE = 1e-12  # find_cycles merges roots closer than this
 _DENJOY_GRID = 256
 
@@ -174,12 +178,21 @@ class RotationEstimate:
 
 
 def rotation_estimate(map, tol: float = 1e-10, max_iter: int = 10_000_000) -> RotationEstimate:
-    """Rotation number of the lift with a rigorous bracket.
+    """Rotation number of the lift with a rational bracket.
 
-    Birkhoff orbit of x = 0 with acceleration at closest-return times;
-    when the record sequence stalls, the smallest-denominator rational in
-    the bracket is tested exactly via the sign of G.  The orbit steps
-    ``CircleMap.lift_float``.
+    Birkhoff orbit of x = 0, stepped with ``CircleMap.lift_float``, with
+    acceleration at closest-return times.  A closest-return record at
+    step n with return error e gives rot >= p/n (e > 0) or rot <= p/n
+    (e < 0).  The records are exact for the computed float orbit, which is
+    a pseudo-orbit of f with a rounding error at every step, so the
+    bracket is not a proof about f itself.  When the records stall, the
+    smallest-denominator rationals in the bracket and the orbit's own
+    near-period are tested through the sign of G (``compare_to_rational``);
+    that certifies rational values only.
+
+    The orbit is stepped in chunks of at most _RING steps whose records
+    are found with numpy and replayed in order, so the result has the same
+    bits as a loop that checks every step as it is taken.
     """
     if tol < 1e-12:
         raise ConfigError(f"tol must be >= 1e-12, got {tol}")
@@ -188,18 +201,20 @@ def rotation_estimate(map, tol: float = 1e-10, max_iter: int = 10_000_000) -> Ro
         return RotationEstimate(theta, Fraction(theta), Fraction(theta), None, 0)
 
     step = map.lift_float
+    floor = math.floor
 
     lo, hi = Fraction(-10), Fraction(10)
     y = 0.0
     carries = 0
     best = math.inf
     last_record = 0
-    stall_allowance = 10000
-    ring = deque(maxlen=_RING)  # recent (n, y, carries) for near-period detection
-    # only the last _RING steps before a stall check are ever read, and the
-    # check threshold 4 last_record + stall_allowance never falls, so the
-    # ring is filled from _RING steps below it
-    ring_from = stall_allowance - _RING
+    stall_allowance = 10000  # above _RING: a stall check finds _RING steps kept
+    # y and carry of the latest steps, ys[kept - 1] being step n; a chunk is
+    # written after the last _RING steps, which are all a stall check reads
+    ys = [0.0] * (2 * _RING)
+    cs = [0] * (2 * _RING)
+    kept = 0
+    size = _CHUNK
     n = 0
 
     def try_rational() -> Fraction | None:
@@ -235,45 +250,57 @@ def rotation_estimate(map, tol: float = 1e-10, max_iter: int = 10_000_000) -> Ro
         return None
 
     def near_period_candidate():
-        """Smallest-lag near-return of the recent orbit, as a fraction."""
-        best_gap, cand = 0.01, None
-        for m, ym, cm in ring:
-            if m == n:
-                continue
-            d = y - ym
-            d -= round(d)
-            if abs(d) < best_gap:
-                best_gap = abs(d)
-                qc = n - m
-                pc = carries - cm + round((y - ym) - d)
-                cand = Fraction(pc, qc)
-        return cand
+        """Closest return to step n among the last _RING steps (the longest
+        lag among equal gaps), as a fraction."""
+        d = y - np.array(ys[kept - _RING:kept - 1])
+        d -= np.round(d)
+        gap = np.abs(d)
+        j = int(np.argmin(gap))
+        if not gap[j] < 0.01:
+            return None
+        lag = _RING - 1 - j
+        pc = sum(cs[kept - lag:kept]) + round((y - ys[kept - 1 - lag]) - float(d[j]))
+        return Fraction(pc, lag)
 
     while n < max_iter:
-        n += 1
-        ynew = step(y)
-        carry = math.floor(ynew)
-        y = ynew - carry
-        carries += carry
-        if n > ring_from:
-            ring.append((n, y, carries))
-        e = y - round(y)
-        if abs(e) < best:
+        # records only raise the next stall check, so a chunk that ends at
+        # its first step passes no other check
+        length = min(size, max_iter - n, 4 * last_record + stall_allowance + 1 - n)
+        size = min(2 * size, _RING)
+        if kept + length > len(ys):
+            ys[:_RING] = ys[kept - _RING:kept]
+            cs[:_RING] = cs[kept - _RING:kept]
+            kept = _RING
+        for i in range(kept, kept + length):
+            ynew = step(y)
+            c = floor(ynew)
+            y = ynew - c
+            ys[i] = y
+            cs[i] = c
+        chunk = np.array(ys[kept:kept + length])
+        err = np.abs(chunk - np.round(chunk))
+        records = np.flatnonzero(err < np.minimum.accumulate(np.concatenate(([best], err[:-1]))))
+        carried = np.cumsum(cs[kept:kept + length])
+        for i in records.tolist():
+            yr = ys[kept + i]
+            e = yr - round(yr)
             best = abs(e)
-            last_record = n
-            ring_from = 4 * last_record + stall_allowance - _RING
-            p = carries + round(y)
+            last_record = n + i + 1
+            p = carries + int(carried[i]) + round(yr)
             if e == 0.0:
-                cand = Fraction(p, n)
+                cand = Fraction(p, last_record)
                 if compare_to_rational(map, cand.numerator, cand.denominator) == 0:
-                    return RotationEstimate(float(cand), cand, cand, cand, n)
+                    return RotationEstimate(float(cand), cand, cand, cand, last_record)
             elif e > 0.0:
-                lo = max(lo, Fraction(p, n))
+                lo = max(lo, Fraction(p, last_record))
             else:
-                hi = min(hi, Fraction(p, n))
+                hi = min(hi, Fraction(p, last_record))
             if hi - lo <= tol:
                 mid = (lo + hi) / 2
-                return RotationEstimate(float(mid), lo, hi, None, n)
+                return RotationEstimate(float(mid), lo, hi, None, last_record)
+        carries += int(carried[-1])
+        kept += length
+        n += length
         if n > 4 * last_record + stall_allowance:
             # a big continued-fraction quotient (or a rational limit) is
             # pending: certify a small rational, or test the orbit's own
@@ -294,7 +321,6 @@ def rotation_estimate(map, tol: float = 1e-10, max_iter: int = 10_000_000) -> Ro
                     mid = (lo + hi) / 2
                     return RotationEstimate(float(mid), lo, hi, None, n)
             stall_allowance *= 4
-            ring_from = 4 * last_record + stall_allowance - _RING
 
     if hi - lo <= tol:
         mid = (lo + hi) / 2

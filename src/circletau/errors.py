@@ -29,7 +29,8 @@ class NotADiffeomorphism(NumericalError):
 class NoConvergence(NumericalError):
     """Rotation-number estimator stalled above tolerance.
 
-    Carries the rigorous bracket that was reached.
+    Carries the bracket that was reached (closest-return records of the
+    computed float orbit; see ``rotation_estimate``).
     """
 
     def __init__(self, message, bracket=None):

@@ -307,6 +307,12 @@ class IteratedMap:
         return self.base.is_rotation
 
     def lift(self, z, _check=True):
+        if isinstance(z, float) and isinstance(self.base, CircleMap):
+            # one real float: the bits of the 0-d array path, without numpy
+            lift = self.base.lift_float
+            for _ in range(self.q):
+                z = lift(z)
+            return z
         z = np.asarray(z)
         complex_input = np.iscomplexobj(z)
         out = z

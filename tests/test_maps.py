@@ -205,6 +205,15 @@ class TestIterate:
         with pytest.raises(ConfigError):
             arnold.iterate(0)
 
+    @pytest.mark.parametrize("name", ["arnold", "two_humped"])
+    @pytest.mark.parametrize("q", [1, 2, 5])
+    def test_float_lift_matches_0d_array(self, request, name, q):
+        h = request.getfixturevalue(name).iterate(q)
+        for t in np.random.default_rng(q).uniform(-1.0, 2.0, 200).tolist():
+            via_float = h.lift(t)
+            assert type(via_float) is float
+            assert via_float == h.lift(np.asarray(t))
+
     @pytest.mark.parametrize("name, q", [("arnold", 2), ("two_humped", 2), ("two_humped", 3)])
     def test_strip_inside_loop_bracket(self, request, name, q):
         # the earlier fixed 50 halvings of [0, delta0] take the same midpoints,
