@@ -89,9 +89,9 @@ class Plateau:
 # -- G(x) = F^q(x) - x - p machinery ----------------------------------------
 
 
-def _g_values(map, p: int, q: int, x):
+def _g_values(map: CircleMap, p: int, q: int, x):
     """G(x) = F^q(x) - x - p on an array, or on a Python float (float path)."""
-    if isinstance(x, float) and isinstance(map, CircleMap):
+    if isinstance(x, float):
         lift = map.lift_float
         y = x
         for _ in range(q):
@@ -103,7 +103,7 @@ def _g_values(map, p: int, q: int, x):
     return y - x - p
 
 
-def compare_to_rational(map, p: int, q: int, grid: int = _G_GRID) -> int:
+def compare_to_rational(map: CircleMap, p: int, q: int, grid: int = _G_GRID) -> int:
     """Sign of rot(f) - p/q: +1, -1, or 0 (p/q attained).
 
     rot > p/q iff G > 0 everywhere, rot < p/q iff G < 0 everywhere,
@@ -116,9 +116,8 @@ def compare_to_rational(map, p: int, q: int, grid: int = _G_GRID) -> int:
     sign (or touches zero) on the grid and p/q is attained.
     """
     floor = _SIGN_FLOOR * max(1, q)
-    if getattr(map, "is_rotation", False):
-        base = map.mean_shift if isinstance(map, CircleMap) else float(map.lift(0.0))
-        val = q * base - p  # G is the constant q*theta - p
+    if map.is_rotation:
+        val = q * map.mean_shift - p  # G is the constant q*theta - p
         if val > floor:
             return 1
         if val < -floor:
@@ -386,12 +385,14 @@ def _grid_roots(g, x, scalar_g):
     return roots, suspects
 
 
-def find_cycles(map, p: int, q: int) -> list[Cycle]:
+def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
     """All periodic orbits of type p/q, grouped and classified.
 
-    Roots of G(x) = F^q(x) - x - p are located by a sign-change scan plus
-    bisection and Newton polish; a sign-touching |G| minimum below 1e-10
-    is kept as a parabolic root (tangencies are invisible to sign changes).
+    Roots of G(x) = F^q(x) - x - p are located on a grid of 2^14 points:
+    brentq refines each cell where G changes sign, and bounded Brent
+    minimisation of |G| near a sign-touching grid minimum keeps it as a
+    parabolic root when |G| < 1e-10 there (tangencies are invisible to
+    sign changes); see _grid_roots.
     Roots closer than 1e-12 on the circle are merged into one.
     """
     if q < 1:
@@ -434,7 +435,7 @@ def find_cycles(map, p: int, q: int) -> list[Cycle]:
 
     # group into orbits
     root_arr = np.array(merged)
-    step = map.lift_float if isinstance(map, CircleMap) else (lambda t: float(map.lift(t)))
+    step = map.lift_float
     unused = set(range(len(merged)))
     cycles: list[Cycle] = []
     while unused:

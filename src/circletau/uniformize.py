@@ -137,10 +137,6 @@ class UpperHalfPoint:
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
 
-    def lift_near(self, x0: float) -> complex:
-        """The representative with Re nearest to x0."""
-        return complex(x0 + wrap_half(self.re - x0), self.im)
-
     @staticmethod
     def from_complex(z: complex) -> "UpperHalfPoint":
         return UpperHalfPoint(z.real % 1.0, z.imag)
@@ -193,15 +189,6 @@ class ConjugacySolution:
     @property
     def non_injective(self) -> bool:
         return self.min_phi_prime <= 1e-12
-
-    def phi(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = z.astype(complex).copy()
-        for k, a in enumerate(self.coeff_up, start=1):
-            out += a * np.exp(2j * math.pi * k * z)
-        for k, b in enumerate(self.coeff_down, start=1):
-            out += b * np.exp(-2j * math.pi * k * (z - self.omega))
-        return out if out.shape else out[()]
 
     def phi_prime(self, z):
         z = np.asarray(z, dtype=complex)
@@ -473,7 +460,7 @@ def _collocation_points(map, n_modes, m_points):
     M = 4 * N + 8 if m_points is None else int(m_points)
     if M < 4 * N + 4:
         raise ConfigError(f"m_points must be >= 4*n_modes + 4, got {M}")
-    return N, M, np.asarray(np.real(map.lift(np.arange(M) / M)), dtype=float)
+    return N, M, map.lift(np.arange(M) / M)
 
 
 class _GluingSystem:

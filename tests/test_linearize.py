@@ -55,10 +55,12 @@ class _LocalLinearMap:
     def __init__(self, alpha, rho):
         self.alpha, self.rho = alpha, rho
 
-    def lift(self, x, _check=True):
+    def lift(self, x):
         return self.alpha + self.rho * (x - self.alpha)
 
-    def deriv(self, x, order=1, _check=True):
+    lift_float = lift
+
+    def deriv(self, x, order=1):
         return self.rho if order == 1 else 0.0
 
 

@@ -101,11 +101,12 @@ class TestShift:
         x = np.linspace(0, 1, 17)
         assert np.allclose(shifted.lift(x), arnold.lift(x), atol=0)
 
-    def test_complex_shift_constant_imag(self, arnold):
-        fm = arnold.shifted(0.1j)
-        x = np.linspace(0, 1, 64)
-        im = np.imag(fm.lift(x))
-        assert np.allclose(im, 0.1, atol=1e-15)
+    def test_complex_shift_refused(self, arnold):
+        # float(np.complex128) drops Im with only a warning, so shifted
+        # must test the imaginary part itself
+        for omega in (0.1j, 0.2 + 0.1j, np.complex128(0.1j)):
+            with pytest.raises(ConfigError):
+                arnold.shifted(omega)
 
 
 def loop_fpp_kinks(map, grid=4096):
@@ -205,6 +206,13 @@ class TestIterate:
         with pytest.raises(ConfigError):
             arnold.iterate(0)
 
+    @pytest.mark.parametrize("method", ["lift", "deriv"])
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_strip_exceeded(self, arnold, method, q):
+        z = 0.3 + 1.5j * arnold.strip_halfwidth
+        with pytest.raises(StripExceeded):
+            getattr(arnold.iterate(q), method)(z)
+
     @pytest.mark.parametrize("name", ["arnold", "two_humped"])
     @pytest.mark.parametrize("q", [1, 2, 5])
     def test_float_lift_matches_0d_array(self, request, name, q):
@@ -273,10 +281,22 @@ def loop_strip_halfwidth(map):
     return lo
 
 
+def random_map(seed, modes=3, size=0.01):
+    """Random a0, a_k, b_k in (-size, size) for k = 1..modes; with the
+    defaults 2 pi sum k (|a_k| + |b_k|) < 0.76, so F' > 0."""
+    c = np.random.default_rng(seed).uniform(-size, size, 2 * modes + 1)
+    return CircleMap(c[0], tuple(c[1:modes + 1]), tuple(c[modes + 1:]))
+
+
+RANDOM_MAPS = {"random3-seed1": random_map(1), "random3-seed2": random_map(2)}
+
+
 class TestValidationAndStrip:
-    @pytest.mark.parametrize("name", ["arnold", "two_humped", "rotation"])
+    @pytest.mark.parametrize("name", ["arnold", "two_humped", "rotation", "period2_family",
+                                      *RANDOM_MAPS])
     def test_strip_matches_loop(self, request, name):
-        m = request.getfixturevalue(name)
+        # the oracle samples both lines Im z = +-delta, the property only +delta
+        m = RANDOM_MAPS.get(name) or request.getfixturevalue(name)
         assert m.strip_halfwidth == loop_strip_halfwidth(m)
 
     def test_construction_rejects_non_diffeo(self):
@@ -302,12 +322,6 @@ class TestValidationAndStrip:
         assert float(probe.deriv(x_min)) == pytest.approx(true_min, rel=1e-3)
         with pytest.raises(NotADiffeomorphism):
             CircleMap(0.0, cos_c, sin_c)
-
-    def test_certificate(self, arnold):
-        assert arnold.derivative_certificate  # 2 pi (1/4pi) = 0.5 < 1
-        # coefficient sum 2 pi (0.1 + 2*0.03) > 1: still a diffeomorphism
-        # on the grid, but the rigorous certificate no longer applies
-        assert not CircleMap(0.0, (0.1, 0.03), ()).derivative_certificate
 
     def test_rotation_strip_capped(self, rotation):
         assert rotation.strip_halfwidth == 4.0

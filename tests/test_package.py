@@ -67,12 +67,12 @@ def test_no_dead_top_level_names():
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_no_unreferenced_public_names():
-    """Every public function, method, property or class of the package is
-    referenced somewhere in src/, tests/, demos/ or perfbench/ besides its
-    own definition; the package's re-exports in __init__.py do not count."""
+def _unreferenced_public(folders) -> list:
+    """Public functions, methods, properties and classes of the package
+    that no file in folders references besides their own definition; the
+    package's re-exports in __init__.py do not count."""
     refs = set()
-    for folder in ("src", "tests", "demos", "perfbench"):
+    for folder in folders:
         for path in sorted((REPO / folder).rglob("*.py")):
             tree = ast.parse(path.read_text())
             if path == REPO / "src" / "circletau" / "__init__.py":
@@ -92,8 +92,38 @@ def test_no_unreferenced_public_names():
                 continue
             unreferenced += [f"{path.name}: {qualname}" for name, qualname in named
                              if not name.startswith("_") and name not in refs]
-    assert unreferenced == []
+    return unreferenced
 
+
+def test_no_unreferenced_public_names():
+    """Every public function, method, property or class of the package is
+    referenced somewhere in src/, tests/, demos/ or perfbench/."""
+    assert _unreferenced_public(("src", "tests", "demos", "perfbench")) == []
+
+
+# The public names that only tests reach and that stay: the paper-level
+# API kept for users, phi_prime (perfbench/tracer.py patches it by name,
+# which the scan cannot see) and the properties of the result reports.
+TEST_ONLY_API = {
+    "dynamics.py: denjoy_distortion",
+    "linearize.py: linearizing_inverse",
+    "linearize.py: QcTwistCheck.within_base",
+    "linearize.py: QcTwistCheck.within_iterated",
+    "maps.py: CircleMap.mirrored",
+    "uniformize.py: ConjugacySolution.non_injective",
+    "uniformize.py: ConjugacySolution.phi_prime",
+    "uniformize.py: BoundaryValue.rungs_missed",
+    "uniformize.py: BoundaryValue.max_rung_residual",
+    "welding.py: AsymptoteReport.decreasing",
+    "welding.py: asymptote_check",
+}
+
+
+def test_no_public_names_only_tests_reach():
+    """Every public function, method, property or class of the package is
+    referenced in src/, demos/ or perfbench/, or is listed in TEST_ONLY_API;
+    every listed name still exists and is still reached only by tests."""
+    assert sorted(_unreferenced_public(("src", "demos", "perfbench"))) == sorted(TEST_ONLY_API)
 
 
 def _defaulted_params(func: ast.FunctionDef, is_method: bool):
