@@ -60,14 +60,6 @@ def _parse_ladder(text: str):
     return vals
 
 
-def _validate_nm(n, m):
-    if n is not None:
-        if n < 8:
-            raise ConfigError(f"--n must be >= 8, got {n}")
-        if m is not None and m < 4 * n + 4:
-            raise ConfigError(f"--m must be >= 4*n + 4 = {4 * n + 4}, got {m}")
-
-
 def _emit_json(outdir, name, payload):
     path = os.path.join(outdir, name)
     with open(path, "w") as fh:
@@ -126,7 +118,8 @@ def run(args) -> int:
         raise ConfigError(f"--emit entries must be csv,json,svg, got {args.emit}")
     if args.tol <= 0:
         raise ConfigError("--tol must be positive")
-    _validate_nm(args.n, args.m)
+    if args.n is not None and args.n < 8:
+        raise ConfigError(f"--n must be >= 8, got {args.n}")
     os.makedirs(args.out, exist_ok=True)
     outdir = args.out
     n_modes = args.n if args.n is not None else 48

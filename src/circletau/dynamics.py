@@ -14,13 +14,14 @@ Tsujii approximant edges and Liouville margins are rotation-number
 crossings, ``_rot_crossing``: the smallest omega with rot(f + omega)
 >= p/q (want = 0) or > p/q (want = 1).
 
-The orbit of ``rotation_estimate`` and every scalar G of a ``CircleMap``
-(the Brent and brentq refinements) step ``CircleMap.lift_float``, which
-returns the same bits as ``lift`` (see ``circletau.maps``), and
-``compare_to_rational`` refines only the grid extremum its sign rule
-still needs.  ``rotation_estimate`` steps its orbit in chunks and finds
-each chunk's records with numpy; its result has the same bits as a loop
-that checks every step as it is taken.
+The orbit of ``rotation_estimate`` steps ``CircleMap.lift_float``, which
+returns the same bits as ``lift`` (see ``circletau.maps``), and every G,
+on a grid or on one float (the Brent and brentq refinements), goes
+through ``IteratedMap.lift``.  Every bounded Brent refinement of a grid
+point is ``_grid_min``, and ``compare_to_rational`` refines only the grid
+extremum its sign rule still needs.  ``rotation_estimate`` steps its
+orbit in chunks and finds each chunk's records with numpy; its result
+has the same bits as a loop that checks every step as it is taken.
 """
 
 from __future__ import annotations
@@ -89,18 +90,15 @@ class Plateau:
 # -- G(x) = F^q(x) - x - p machinery ----------------------------------------
 
 
-def _g_values(map: CircleMap, p: int, q: int, x):
-    """G(x) = F^q(x) - x - p on an array, or on a Python float (float path)."""
-    if isinstance(x, float):
-        lift = map.lift_float
-        y = x
-        for _ in range(q):
-            y = lift(y)
-        return y - x - p
-    y = np.asarray(x, dtype=float)
-    for _ in range(q):
-        y = map.lift(y)
-    return y - x - p
+def _grid_min(fn, x0, h):
+    """Bounded Brent minimum of fn on [x0 - h, x0 + h], the two cells of
+    spacing h around the grid point x0; fn is called on Python floats."""
+    return minimize_scalar(
+        lambda t: fn(float(t)),
+        bounds=(x0 - h, x0 + h),
+        method="bounded",
+        options={"xatol": 1e-14, "maxiter": 300},
+    )
 
 
 def compare_to_rational(map: CircleMap, p: int, q: int, grid: int = _G_GRID) -> int:
@@ -124,19 +122,12 @@ def compare_to_rational(map: CircleMap, p: int, q: int, grid: int = _G_GRID) -> 
             return -1
         return 0
     x = np.linspace(0.0, 1.0, grid, endpoint=False)
-    g = _g_values(map, p, q, x)
-    step = 1.0 / grid
+    fq = map.iterate(q)
+    g = fq.lift(x) - x - p
 
     def refined(idx, sign):
         # sign * min of sign*G over the two cells around grid point idx
-        x0 = x[idx]
-        res = minimize_scalar(
-            lambda t: sign * float(_g_values(map, p, q, float(t))),
-            bounds=(x0 - step, x0 + step),
-            method="bounded",
-            options={"xatol": 1e-14, "maxiter": 300},
-        )
-        return sign * res.fun
+        return sign * _grid_min(lambda t: sign * (fq.lift(t) - t - p), x[idx], 1.0 / grid).fun
 
     gmin, gmax = float(g.min()), float(g.max())
     if gmin > floor:
@@ -372,12 +363,7 @@ def _grid_roots(g, x, scalar_g):
             roots.append(brentq(scalar_g, xl, xl + h, xtol=1e-15, rtol=8.9e-16))
         else:
             sgn = 1.0 if g[i] >= 0.0 else -1.0
-            res = minimize_scalar(
-                lambda t: sgn * scalar_g(t),
-                bounds=(xl - h, xl + h),
-                method="bounded",
-                options={"xatol": 1e-14, "maxiter": 300},
-            )
+            res = _grid_min(lambda t: sgn * scalar_g(t), xl, h)
             if abs(res.fun) < 1e-10:
                 roots.append(float(res.x) % 1.0)
             elif abs(res.fun) < 1e-8:
@@ -403,7 +389,8 @@ def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
         raise WrongRotationNumber(f"rot(f) != {p}/{q}")
 
     x = np.linspace(0.0, 1.0, _ROOT_GRID, endpoint=False)
-    g = _g_values(map, p, q, x)
+    fq = map.iterate(q)
+    g = fq.lift(x) - x - p
     if float(np.max(np.abs(g))) < 1e-13:
         raise RootFindingIncomplete(
             "G vanishes identically at grid resolution: a continuum of "
@@ -411,10 +398,7 @@ def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
             suspect_intervals=[(0.0, 1.0)],
         )
 
-    def scalar_g(t):
-        return float(_g_values(map, p, q, float(t)))
-
-    roots, suspects = _grid_roots(g, x, scalar_g)
+    roots, suspects = _grid_roots(g, x, lambda t: fq.lift(t) - t - p)
 
     if suspects:
         raise RootFindingIncomplete(

@@ -13,8 +13,9 @@ crossings, ``dynamics._rot_crossing``.
 plans a bubble (plateau, count-jump edge, Chebyshev nodes with their
 signed edge distances) in the calling process; ``_boundary_values``, the
 package's one fan-out, solves the boundary values of any list of such
-samples in process or over one process pool; ``_bubble_trace`` assembles
-the samples and optionally classifies the endpoints.
+samples with ``_boundary_batch``, in process or on one slice of the list
+per worker of one process pool; ``_bubble_trace`` assembles the samples
+and optionally classifies the endpoints.
 """
 
 from __future__ import annotations
@@ -22,15 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dynamics import (
     Plateau,
-    _g_values,
+    _grid_min,
     _rot_crossing,
     find_cycles,
     plateau,
@@ -46,7 +45,6 @@ from .errors import (
 from .maps import CircleMap, _bisect, total_distortion
 from .uniformize import (
     BoundaryValue,
-    _share_moments_in_process,
     _shared_moments,
     boundary_tau,
     wrap_half,
@@ -127,7 +125,7 @@ def count_periodic_points(map, p: int, q: int) -> int:
     the transversal solutions of F^q(x) = x + p inside grid cells.
     Tangencies, and roots that land exactly on a grid point, count zero."""
     x = np.linspace(0.0, 1.0, _COUNT_GRID, endpoint=False)
-    g = _g_values(map, p, q, x)
+    g = map.iterate(q).lift(x) - x - p
     return int(np.sum(g * np.roll(g, -1) < 0.0))
 
 
@@ -270,34 +268,41 @@ def _bubble_segment(map, p, q, samples: int, segment: str) -> _Segment:
     return _Segment(plat, blo, bhi, jobs)
 
 
-def _boundary_job(map, job):
-    omega, s = job
-    try:
-        return boundary_tau(map, omega, edge_distance=s)
-    except NumericalError as exc:
-        return exc
+def _boundary_batch(map, jobs) -> list:
+    """boundary_tau at every (omega, s) job, in job order, all sharing one
+    store of gluing moments; a job that raises NumericalError yields the
+    exception in its slot."""
+    out = []
+    with _shared_moments():
+        for omega, s in jobs:
+            try:
+                out.append(boundary_tau(map, omega, edge_distance=s))
+            except NumericalError as exc:
+                out.append(exc)
+    return out
 
 
 def _boundary_values(map, jobs, workers: int) -> list:
-    """boundary_tau at every (omega, s) job, in job order; a job that
-    raises NumericalError yields the exception instead.
+    """_boundary_batch of all jobs, in job order.
 
-    The package's one fan-out: in process for workers <= 1, otherwise one
-    process pool for all jobs.  The jobs of one call share the gluing
-    moments of the map (see ``uniformize``): in process through one
-    store for the whole batch, in the pool through one store per worker,
-    dropped with the pool.  A stored moment has the bits a fresh one
-    has, so neither the job order nor the worker count changes a bit of
-    the results.
+    The package's one fan-out: with n = min(workers, len(jobs)), in
+    process for n <= 1, otherwise each of the n workers of one process
+    pool runs _boundary_batch on the slice jobs[i::n], so the map is sent
+    once per worker.  Each batch has its own moment store (see ``uniformize``).
+    A stored moment has the bits a fresh one has, so neither the job
+    order nor the worker count changes a bit of the results.
     """
-    run = partial(_boundary_job, map)
-    if workers <= 1:
-        with _shared_moments():
-            return [run(job) for job in jobs]
+    n = min(workers, len(jobs))
+    if n <= 1:
+        return _boundary_batch(map, jobs)
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers, initializer=_share_moments_in_process) as pool:
-        return list(pool.map(run, jobs))
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        batches = list(pool.map(_boundary_batch, [map] * n, [jobs[i::n] for i in range(n)]))
+    out = [None] * len(jobs)
+    for i, values in enumerate(batches):
+        out[i::n] = values
+    return out
 
 
 def _bubble_trace(map, seg: _Segment, values, classify: bool) -> BubbleTrace:
@@ -402,12 +407,7 @@ def displacement_maxima(map: CircleMap, grid: int = 8192):
     peaks = (g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
     out = []
     for i in np.flatnonzero(peaks):
-        res = minimize_scalar(
-            lambda t: float(map.displacement(t)),
-            bounds=(x[i] - 1.0 / grid, x[i] + 1.0 / grid),
-            method="bounded",
-            options={"xatol": 1e-14},
-        )
+        res = _grid_min(lambda t: float(map.displacement(t)), x[i], 1.0 / grid)
         out.append((float(res.x) % 1.0, -float(res.fun)))
     out.sort(key=lambda t: t[1])
     return out
@@ -505,18 +505,6 @@ def _convergents(theta: float, depth: int):
     return out
 
 
-def _edge_facing_zero(map, p: int, q: int, side: int, limit: float) -> float:
-    """Plateau edge of p/q nearest to omega = 0.
-
-    side=+1: plateau right of 0, returns its left edge (smallest omega
-    with rot >= p/q); side=-1 symmetric.  Growing the far end by the
-    bracket's width doubles it.
-    """
-    if side > 0:
-        return _rot_crossing(map, p, q, 0.0, limit, 0, tol=_TSUJII_TOL, grow="hi")
-    return _rot_crossing(map, p, q, -limit, 0.0, 1, tol=_TSUJII_TOL, grow="lo")
-
-
 def tsujii_gap(map: CircleMap, depth: int) -> list[TsujiiRow]:
     """|omega_0| <= e^{D_f} |theta - p/q| for continued-fraction approximants.
 
@@ -546,8 +534,14 @@ def tsujii_gap(map: CircleMap, depth: int) -> list[TsujiiRow]:
     rows = []
     for pk, qk in approximants:
         gap = abs(theta - pk / qk)
-        side = 1 if pk / qk > theta else -1
-        omega0 = _edge_facing_zero(map, pk, qk, side, limit=1.05 * grow * gap + 1e-9)
+        limit = 1.05 * grow * gap + 1e-9
+        # the plateau edge nearest omega = 0: a plateau right of 0 gives its
+        # left edge (smallest omega with rot >= p/q), one left of 0 its right
+        # edge; growing the far end by the bracket's width doubles it
+        if pk / qk > theta:
+            omega0 = _rot_crossing(map, pk, qk, 0.0, limit, 0, tol=_TSUJII_TOL, grow="hi")
+        else:
+            omega0 = _rot_crossing(map, pk, qk, -limit, 0.0, 1, tol=_TSUJII_TOL, grow="lo")
         bound = grow * gap
         rows.append(TsujiiRow(pk, qk, gap, omega0, bound, bound - abs(omega0)))
     return rows
@@ -596,14 +590,6 @@ def _rational_near(value: float, rel_tol: float) -> Fraction:
     return f
 
 
-def _margin_edge(map, target: Fraction, bracket, want_geq: bool,
-                 tol: float) -> float:
-    """Smallest omega with rot >= target (want_geq) or largest with rot <= target."""
-    want, grow = (0, "lo") if want_geq else (1, "hi")
-    return _rot_crossing(map, target.numerator, target.denominator, *bracket, want,
-                         grid=1024, tol=tol, grow=grow)
-
-
 def liouville_measure_estimate(map: CircleMap, beta: float, q_max: int) -> LiouvilleReport:
     """Measured size of {omega : 0 < |rot(f_omega) - p/q| < q^-(2+beta)}.
 
@@ -627,12 +613,13 @@ def liouville_measure_estimate(map: CircleMap, beta: float, q_max: int) -> Liouv
             t_lo = _rational_near(p / q - eps_q, 1e-9)
             t_hi = _rational_near(p / q + eps_q, 1e-9)
             pad = 1.3 * C * eps_q + 1e-7
-            left = _margin_edge(
-                map, t_lo, (plat.omega_lo - pad, plat.omega_lo), True, _LIOUVILLE_TOL
-            )
-            right = _margin_edge(
-                map, t_hi, (plat.omega_hi, plat.omega_hi + pad), False, _LIOUVILLE_TOL
-            )
+            # smallest omega with rot >= t_lo, largest with rot <= t_hi
+            left = _rot_crossing(map, t_lo.numerator, t_lo.denominator,
+                                 plat.omega_lo - pad, plat.omega_lo, 0,
+                                 grid=1024, tol=_LIOUVILLE_TOL, grow="lo")
+            right = _rot_crossing(map, t_hi.numerator, t_hi.denominator,
+                                  plat.omega_hi, plat.omega_hi + pad, 1,
+                                  grid=1024, tol=_LIOUVILLE_TOL, grow="hi")
             total += (right - left) - plat.width
         rows.append(LiouvilleRow(q, total, 2.0 * C / q ** (1.0 + beta)))
     return LiouvilleReport(beta, q_max, C, tuple(rows))

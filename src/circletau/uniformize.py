@@ -52,13 +52,13 @@ the DFT over j of the columns of E_f, assembled in O(N^2) (_moments,
 _moment_gram).
 Only D changes between the solves of one map at one N, so the moments
 (2 N^2 complex64 values) are kept by (N, F(x_j)) and shared by every
-solve of one top-level call: one boundary_tau call, one in-process batch
-of boundary values, and one pool worker for the life of its pool (the
-pool belongs to one call).  Nothing is kept after the call returns, and
-a moment found in the store is the one a fresh computation gives, bit
-for bit, so no result depends on which solve computed it, on the job
-order or on the worker count.  The welding system of the welding module
-is this system at omega = +i inf (D = 0), so it takes the same path.
+solve of one boundary_tau call, or of one batch of boundary values
+(``experiments._boundary_batch``, in process or in one pool worker).
+Nothing is kept after the call returns, and a moment found in the store
+is the one a fresh computation gives, bit for bit, so no result depends
+on which solve computed it, on the job order or on the worker count.
+The welding system of the welding module is this system at
+omega = +i inf (D = 0), so it takes the same path.
 
 Injectivity is checked by min |Phi'| over 4M points of both boundary
 circles, each circle's values being one inverse FFT of the coefficients
@@ -110,8 +110,8 @@ STALL_TOL = 4e-15  # relative size of an update below which a stall is convergen
 FFT_BLOCK = 64  # columns of E_f per FFT in _moments
 RICHARDSON_ORDER = 3  # polynomial degree in y of the Richardson extrapolant
 
-# gluing moments by (N, F(x_j) bytes) while a sharing scope is open
-# (_shared_moments, _share_moments_in_process); None outside one
+# gluing moments by (N, F(x_j) bytes) while a _shared_moments block is
+# open; None outside one
 _MOMENTS = contextvars.ContextVar("gluing_moments", default=None)
 
 
@@ -361,14 +361,6 @@ def _shared_moments():
         _MOMENTS.reset(token)
 
 
-def _share_moments_in_process():
-    """Share the gluing moments among every later solve of this process.
-
-    The initializer of a pool worker, which lives as long as its pool.
-    """
-    _MOMENTS.set({})
-
-
 def _moments(ef):
     """The omega-free moments of E_f = ef (M x N), in complex64.
 
@@ -386,7 +378,7 @@ def _moments(ef):
     S[0] = M
     for lo in range(0, N, FFT_BLOCK):
         hi = min(N, lo + FFT_BLOCK)
-        dft = np.fft.fft(ef[:, lo:hi], axis=0)
+        dft = scipy.fft.fft(ef[:, lo:hi], axis=0)
         S[1 + lo : 1 + hi] = dft[0]
         pp[lo:hi] = dft[1 : N + 1].T
         pm[lo:hi] = dft[M - 1 : M - N - 1 : -1].T
@@ -396,7 +388,7 @@ def _moments(ef):
 
 def _gluing_moments(fx, ef):
     """_moments(ef) for E_f = ef built from fx, from the shared store when
-    a _shared_moments block (or a pool worker's store) is open."""
+    a _shared_moments block is open."""
     store = _MOMENTS.get()
     if store is None:
         return _moments(ef)
@@ -558,7 +550,7 @@ def _phi_prime_on_circles(a, b, omega: complex, L: int):
     c[:, 0] = 1.0
     c[0, k], c[0, L - k] = da, db * D
     c[1, k], c[1, L - k] = da * D, db
-    return np.fft.ifft(c, axis=1, norm="forward")
+    return scipy.fft.ifft(c, axis=1, norm="forward")
 
 
 def complex_rotation_number(
@@ -744,8 +736,9 @@ def boundary_tau(
     Rungs are solved in order of decreasing height, each starting its
     mode escalation at the N of the previous rung's best solve (see
     _solve_rung); the first rung starts at its heuristic N.  The solves
-    share the map's gluing moments (see the module docstring), or those
-    of an enclosing batch.  Nothing carries over between calls.
+    share the map's gluing moments (see the module docstring), or the
+    store of an enclosing batch (``experiments._boundary_batch``).
+    Nothing carries over between calls.
     """
     omega = float(omega)
     rungs_y = list(DEFAULT_LADDER if ladder is None else [float(y) for y in ladder])

@@ -80,6 +80,17 @@ class TestExitCodes:
         assert run("tau", "--map", ROT_MAP, "--omega", "0.1,0.2",
                    "--emit", "pdf", "--out", str(tmp_path)) == 2
 
+    def test_m_is_checked_by_the_library(self, tmp_path, capsys):
+        floor = "m_points must be >= 4*n_modes + 4, got 30"
+        assert run("tau", "--map", ROT_MAP, "--omega", "0.1,0.2", "--n", "8",
+                   "--m", "30", "--out", str(tmp_path)) == 2
+        assert floor in capsys.readouterr().err
+        assert run("weld", "--map", ROT_MAP, "--m", "30", "--out", str(tmp_path)) == 2
+        assert floor in capsys.readouterr().err
+        # commands that take no --m ignore it
+        assert run("rot", "--map", ROT_MAP, "--n", "8", "--m", "10",
+                   "--out", str(tmp_path)) == 0
+
     def test_boundary_refuses_complex_omega_and_one_rung(self, tmp_path, capsys):
         assert run("boundary", "--map", ROT_MAP, "--omega", "0,0.1",
                    "--out", str(tmp_path)) == 2

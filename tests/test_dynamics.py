@@ -9,7 +9,6 @@ from scipy.optimize import brentq, minimize_scalar
 from circletau import dynamics
 from circletau.dynamics import (
     _SIGN_FLOOR,
-    _g_values,
     _grid_roots,
     _rot_crossing,
     compare_to_rational,
@@ -300,6 +299,21 @@ def old_rotation_step(map):
     return step
 
 
+def loop_g_values(map, p, q, x):
+    """G(x) = F^q(x) - x - p as dynamics evaluated it before IteratedMap.lift,
+    kept as its reference: on an array, or on a Python float (float path)."""
+    if isinstance(x, float):
+        lift = map.lift_float
+        y = x
+        for _ in range(q):
+            y = lift(y)
+        return y - x - p
+    y = np.asarray(x, dtype=float)
+    for _ in range(q):
+        y = map.lift(y)
+    return y - x - p
+
+
 class TestFloatPath:
     MAPS = [
         CircleMap(0.6180339887, (), (B,)),
@@ -309,10 +323,12 @@ class TestFloatPath:
     @pytest.mark.parametrize("m", MAPS)
     @pytest.mark.parametrize("p, q", [(0, 1), (3, 5), (77, 125), (377, 610)])
     def test_g_float_equals_0d_array(self, m, p, q):
+        fq = m.iterate(q)
         for t in np.random.default_rng(q).uniform(-1.0, 2.0, 12):
-            via_float = _g_values(m, p, q, float(t))
+            via_float = fq.lift(float(t)) - float(t) - p
             assert type(via_float) is float
-            assert via_float == float(_g_values(m, p, q, np.asarray(t)))
+            assert via_float == float(fq.lift(np.asarray(t)) - t - p)
+            assert via_float == loop_g_values(m, p, q, float(t))
 
     @pytest.mark.parametrize("m", MAPS)
     def test_rotation_orbit_matches_old_step(self, m):
@@ -328,12 +344,12 @@ class TestFloatPath:
 def two_sided_compare(map, p, q, grid=4096):
     """compare_to_rational as it was: both grid extremes refined, then the sign rule."""
     x = np.linspace(0.0, 1.0, grid, endpoint=False)
-    g = _g_values(map, p, q, x)
+    g = loop_g_values(map, p, q, x)
     step = 1.0 / grid
 
     def refine(idx, sign):
         res = minimize_scalar(
-            lambda t: sign * float(_g_values(map, p, q, float(t))),
+            lambda t: sign * float(loop_g_values(map, p, q, float(t))),
             bounds=(x[idx] - step, x[idx] + step),
             method="bounded",
             options={"xatol": 1e-14, "maxiter": 300},
@@ -420,10 +436,11 @@ class TestFindCycles:
     )
     def test_grid_scan_matches_loop(self, m, p, q):
         x = np.linspace(0.0, 1.0, 1 << 14, endpoint=False)
-        g = _g_values(m, p, q, x)
+        g = loop_g_values(m, p, q, x)
+        assert np.array_equal(m.iterate(q).lift(x) - x - p, g)
 
         def scalar_g(t):
-            return float(_g_values(m, p, q, float(t)))
+            return float(loop_g_values(m, p, q, float(t)))
 
         roots, suspects = _grid_roots(g, x, scalar_g)
         assert roots

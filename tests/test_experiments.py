@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from circletau import dynamics, experiments, uniformize
-from circletau.dynamics import find_cycles, plateau
+from circletau.dynamics import _rot_crossing, find_cycles, plateau
 from circletau.errors import (
     ConfigError,
     EmptyPlateau,
@@ -15,8 +15,7 @@ from circletau.errors import (
     WrongProfile,
 )
 from circletau.experiments import (
-    _edge_facing_zero,
-    _margin_edge,
+    _boundary_values,
     _nearest_count_jump,
     _rational_near,
     count_periodic_points,
@@ -145,6 +144,27 @@ class TestTraceAtlas:
             trace_bubble(arnold, 0, 1, samples=6, classify=False)
 
 
+class TestBoundaryValues:
+    @pytest.mark.parametrize("count", [0, 1, 5, 7])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_job_order_with_failure_in_its_slot(self, arnold, monkeypatch, workers, count):
+        # pool workers are forked, so they inherit the stub
+        def stub(map, omega, edge_distance=None, **kwargs):
+            if omega == 3 / 8:
+                raise IllConditioned(f"stub refuses omega = {omega}")
+            return stub_boundary_tau(map, omega, edge_distance)
+
+        monkeypatch.setattr(experiments, "boundary_tau", stub)
+        jobs = [(k / 8, (k + 1) / 64) for k in range(count)]
+        values = _boundary_values(arnold, jobs, workers)
+        assert len(values) == count
+        for (omega, s), v in zip(jobs, values):
+            if omega == 3 / 8:
+                assert type(v) is IllConditioned and str(v) == "stub refuses omega = 0.375"
+            else:
+                assert v == stub_boundary_tau(arnold, omega, s)
+
+
 def loop_nearest_count_jump(map, p, q, lo, hi, ref_count, from_right, coarse=96, tol=1e-10):
     """The count-jump search before _bisect, kept as its reference."""
     width = hi - lo
@@ -264,7 +284,7 @@ class TestNoninjectivity:
 
 
 def loop_edge_facing_zero(map, p, q, side, limit, tol=1e-12):
-    """_edge_facing_zero before _rot_crossing, kept as its reference."""
+    """The Tsujii edge facing omega = 0 before _rot_crossing, kept as its reference."""
     cmp = dynamics.compare_to_rational
     if side > 0:
         lo, hi = 0.0, limit
@@ -298,7 +318,7 @@ def loop_edge_facing_zero(map, p, q, side, limit, tol=1e-12):
 
 
 def loop_margin_edge(map, target, bracket, want_geq, tol):
-    """_margin_edge before _rot_crossing, kept as its reference."""
+    """A Liouville margin edge before _rot_crossing, kept as its reference."""
     lo, hi = bracket
 
     def side_at(w):
@@ -345,7 +365,11 @@ class TestCrossingsMatchLoops:
         m = golden_tuned_arnold
         side = 1 if p / q > GOLDEN else -1
         limit = reach * math.exp(arnold_distortion) * abs(GOLDEN - p / q) + 1e-9
-        got = _edge_facing_zero(m, p, q, side, limit)
+        # the two calls tsujii_gap makes
+        if side > 0:
+            got = _rot_crossing(m, p, q, 0.0, limit, 0, tol=1e-12, grow="hi")
+        else:
+            got = _rot_crossing(m, p, q, -limit, 0.0, 1, tol=1e-12, grow="lo")
         calls = list(compare_log)
         compare_log.clear()
         assert got == loop_edge_facing_zero(m, p, q, side, limit)
@@ -368,7 +392,10 @@ class TestCrossingsMatchLoops:
         ]
         for target, bracket, want_geq in margins:
             compare_log.clear()
-            got = _margin_edge(arnold, target, bracket, want_geq, 1e-9)
+            # the two calls liouville_measure_estimate makes
+            want, grow = (0, "lo") if want_geq else (1, "hi")
+            got = _rot_crossing(arnold, target.numerator, target.denominator, *bracket, want,
+                                grid=1024, tol=1e-9, grow=grow)
             calls = list(compare_log)
             compare_log.clear()
             assert got == loop_margin_edge(arnold, target, bracket, want_geq, 1e-9)

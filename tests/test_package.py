@@ -1,4 +1,6 @@
 import ast
+import importlib.util
+import inspect
 import pathlib
 import types
 
@@ -172,3 +174,14 @@ def test_every_defaulted_parameter_is_set_by_a_call():
     unset = [f"{qualname}({name})" for qualname, callee, name, index in params
              if (callee, name) not in set_by_call and (callee, index) not in set_by_call]
     assert unset == []
+
+
+def test_tracer_targets_resolve():
+    """Every entry point perfbench/tracer.py patches by name still exists,
+    so a deletion in the package cannot break a traced benchmark run."""
+    path = REPO / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for owner, attr, _ in tracer.TARGETS:
+        inspect.getattr_static(owner, attr)
