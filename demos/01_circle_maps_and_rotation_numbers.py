@@ -28,8 +28,7 @@ print("lift at 1/4:", f.lift(0.25), " (= 1/4 + 1/4pi)")
 print("F'(0) =", f.deriv(0.0), "  F'(1/2) =", f.deriv(0.5))
 
 d = total_distortion(f)
-print(f"total distortion D_f = {d.value:.12f}  (2 ln 3 = {2*math.log(3):.12f}),",
-      f"quadrature error {d.quadrature_error:.1e}")
+print(f"total distortion D_f = {d:.12f}  (2 ln 3 = {2*math.log(3):.12f})")
 
 print("\nfixed points of f:")
 for c in find_cycles(f, 0, 1):

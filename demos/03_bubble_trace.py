@@ -37,5 +37,5 @@ for s in trace.samples:
 
 out = os.path.join(os.path.dirname(__file__) or ".", "bubble.svg")
 with open(out, "w") as fh:
-    fh.write(render_bubble_svg([trace], distortion=total_distortion(f).value))
+    fh.write(render_bubble_svg([trace], distortion=total_distortion(f)))
 print(f"\nwrote {out}")

@@ -22,7 +22,7 @@ from circletau import (
 
 b = 1.0 / (4.0 * math.pi)
 f = CircleMap(sin_coeffs=(b,))
-d_f = total_distortion(f).value
+d_f = total_distortion(f)
 
 sd = sigma(f, 0, 1)
 print(f"sigma = {sd.sigma:.10f}")

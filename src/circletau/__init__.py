@@ -69,7 +69,7 @@ from .linearize import (
     sigma_from_charts,
     xi_distortion,
 )
-from .maps import CircleMap, DistortionConstant, IteratedMap, total_distortion
+from .maps import CircleMap, IteratedMap, total_distortion
 from .uniformize import (
     BoundaryValue,
     ConjugacySolution,
@@ -102,7 +102,7 @@ __all__ = [
     "ordered_charts", "qc_estimate_check", "sigma", "sigma_from_charts",
     "xi_distortion",
     # maps
-    "CircleMap", "DistortionConstant", "IteratedMap", "total_distortion",
+    "CircleMap", "IteratedMap", "total_distortion",
     # uniformize
     "BoundaryValue", "ConjugacySolution", "UpperHalfPoint", "boundary_tau",
     "complex_rotation_number", "hyperbolic_distance", "hyperbolic_distance_mod1",

@@ -4,6 +4,11 @@ Subcommands: rot, cycles, tau, boundary, trace, weld, sigma, tsujii,
 atlas.  Outputs are deterministic files under --out; exit code 0 on
 success, 2 on a validation error, 3 on a numerical failure (the error
 class name is printed).
+
+rot writes rot.json: rot (mod 1, converged to --tol), exact_rational
+([p, q] when certified, else null), bracket_width (the width of the
+closest-return bracket of the orbit that was run, usually wider than
+--tol; 0 when exact) and iterations (that orbit's length).
 """
 
 from __future__ import annotations
@@ -190,9 +195,8 @@ def run(args) -> int:
                 "plateau": [tr.plateau.omega_lo, tr.plateau.omega_hi],
             })
         if "svg" in emit:
-            d = total_distortion(fmap).value
             with open(os.path.join(outdir, "trace.svg"), "w") as fh:
-                fh.write(render_bubble_svg([tr], distortion=d))
+                fh.write(render_bubble_svg([tr], distortion=total_distortion(fmap)))
 
     elif args.command == "weld":
         w = welding_constant(fmap, n_modes, args.m)
@@ -221,9 +225,8 @@ def run(args) -> int:
                       ("omega", "p", "q", "tau_re", "tau_im", "h", "angle", "err"),
                       [row for tr in traces for row in tr.csv_rows()])
         if "svg" in emit:
-            d = total_distortion(fmap).value
             with open(os.path.join(outdir, "atlas.svg"), "w") as fh:
-                fh.write(render_bubble_svg(traces, distortion=d))
+                fh.write(render_bubble_svg(traces, distortion=total_distortion(fmap)))
 
     return 0
 

@@ -1,13 +1,14 @@
 """Real one-dimensional dynamics: rotation numbers, cycles, plateaus, distortion.
 
-Rotation numbers come with a rational bracket: signed closest returns of
-the orbit of 0 give convergents p/q with rot >= p/q or rot <= p/q
-depending on the sign of the return error, so consecutive records
-bracket rot within 1/(q_k q_{k+1}).  The records are those of the
-computed float orbit, a pseudo-orbit of f with a rounding error at every
-step, so the bracket is exact for that orbit but is not a proof about f.
-Rational values are certified through the sign of G(x) = F^q(x) - x - p,
-which is also what powers plateau-edge bisection.
+Rotation numbers are weighted Birkhoff averages of the displacement along
+the orbit of 0, doubled in length until they settle to tol.  Next to the
+value come the closest-return records of that orbit: a record at step n
+with return error e gives rot >= p/n (e > 0) or rot <= p/n (e < 0).  The
+records are those of the computed float orbit, a pseudo-orbit of f with a
+rounding error at every step, so the bracket is exact for that orbit but
+is not a proof about f, and the average must lie inside it.  Rational
+values are certified through the sign of G(x) = F^q(x) - x - p, which is
+also what powers plateau-edge bisection.
 
 All bisection is ``maps._bisect``, on a monotone predicate.  Plateau edges,
 Tsujii approximant edges and Liouville margins are rotation-number
@@ -19,14 +20,13 @@ returns the same bits as ``lift`` (see ``circletau.maps``), and every G,
 on a grid or on one float (the Brent and brentq refinements), goes
 through ``IteratedMap.lift``.  Every bounded Brent refinement of a grid
 point is ``_grid_min``, and ``compare_to_rational`` refines only the grid
-extremum its sign rule still needs.  ``rotation_estimate`` steps its
-orbit in chunks and finds each chunk's records with numpy; its result
-has the same bits as a loop that checks every step as it is taken.
+extremum its sign rule still needs.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -50,8 +50,7 @@ TOL_PARABOLIC = 1e-8  # |rho - 1| below root-refinement accuracy is parabolic
 _G_GRID = 4096
 _ROOT_GRID = 1 << 14
 _SIGN_FLOOR = 1e-13
-_RING = 8192  # orbit steps before a stall check that rotation_estimate keeps
-_CHUNK = 256  # first orbit chunk of rotation_estimate; chunks double up to _RING
+_ORBIT_START = 1024  # first orbit length of rotation_estimate; lengths double
 _ROOT_MERGE = 1e-12  # find_cycles merges roots closer than this
 _DENJOY_GRID = 256
 
@@ -156,6 +155,14 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class RotationEstimate:
+    """rot(f) from the weighted Birkhoff average of an orbit of 0.
+
+    value has converged to tol, or is the certified rational exact; lo
+    and hi are the closest-return records of the orbit that was run, exact
+    for that float orbit but usually wider than tol (both equal exact
+    when it is set); iterations is that orbit's length.
+    """
+
     value: float
     lo: Fraction
     hi: Fraction
@@ -167,162 +174,101 @@ class RotationEstimate:
         return float(self.hi - self.lo)
 
 
+def _closest_return_bracket(ys, carries) -> tuple:
+    """(lo, hi) from the closest-return records of a reduced orbit.
+
+    ys[n] is step n reduced mod 1 and carries[n] what the reduction took
+    off.  A record at step n (|y_n - round(y_n)| below every earlier
+    step's) with lift p + e gives rot >= p/n when e > 0 and rot <= p/n
+    when e < 0.
+    """
+    y = ys[1:]
+    e = y - np.round(y)
+    err = np.abs(e)
+    records = np.flatnonzero(err < np.minimum.accumulate(np.concatenate(([np.inf], err[:-1]))))
+    lifts = np.cumsum(carries[1:]) + np.round(y).astype(np.int64)
+    lo, hi = Fraction(-10), Fraction(10)
+    for i in records.tolist():
+        if e[i] > 0.0:
+            lo = max(lo, Fraction(int(lifts[i]), i + 1))
+        elif e[i] < 0.0:
+            hi = min(hi, Fraction(int(lifts[i]), i + 1))
+    return lo, hi
+
+
 def rotation_estimate(map, tol: float = 1e-10, max_iter: int = 10_000_000) -> RotationEstimate:
-    """Rotation number of the lift with a rational bracket.
+    """Rotation number of the lift, converged to tol.
 
-    Birkhoff orbit of x = 0, stepped with ``CircleMap.lift_float``, with
-    acceleration at closest-return times.  A closest-return record at
-    step n with return error e gives rot >= p/n (e > 0) or rot <= p/n
-    (e < 0).  The records are exact for the computed float orbit, which is
-    a pseudo-orbit of f with a rounding error at every step, so the
-    bracket is not a proof about f itself.  When the records stall, the
-    smallest-denominator rationals in the bracket and the orbit's own
-    near-period are tested through the sign of G (``compare_to_rational``);
-    that certifies rational values only.
+    The orbit of 0 is stepped with ``CircleMap.lift_float``, reduced mod 1
+    with its carries kept, and rot is the weighted Birkhoff average of the
+    displacement along it, with the bump w(t) = exp(-1/(t(1 - t))); for a
+    Diophantine rot it converges faster than any power of the length (Das,
+    Sander and Yorke, Nonlinearity 30, 2017).  The length doubles from
+    1024, at most to max_iter, until two successive averages agree within
+    tol/10; past max_iter NoConvergence is raised with the orbit's
+    closest-return bracket.
 
-    The orbit is stepped in chunks of at most _RING steps whose records
-    are found with numpy and replayed in order, so the result has the same
-    bits as a loop that checks every step as it is taken.
+    At each doubling the simplest rational within twice the change of
+    the average (at least 1e-12) is tested through the sign of G
+    (``compare_to_rational``), up to denominator 1500 while the average
+    still moves and up to 20000 once it has converged; a rational so
+    certified is returned as exact.  Otherwise lo and hi are the
+    closest-return records of the orbit that was run, which is a
+    pseudo-orbit of f with a rounding error at every step, so they bound
+    rot of that float orbit, not of f; an average outside them raises
+    NumericalError.
     """
     if tol < 1e-12:
         raise ConfigError(f"tol must be >= 1e-12, got {tol}")
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     if map.is_rotation:
         theta = map.mean_shift - math.floor(map.mean_shift)
         return RotationEstimate(theta, Fraction(theta), Fraction(theta), None, 0)
 
     step = map.lift_float
     floor = math.floor
-
-    lo, hi = Fraction(-10), Fraction(10)
+    ys, carries = array("d", [0.0]), array("q", [0])
     y = 0.0
-    carries = 0
-    best = math.inf
-    last_record = 0
-    stall_allowance = 10000  # above _RING: a stall check finds _RING steps kept
-    # y and carry of the latest steps, ys[kept - 1] being step n; a chunk is
-    # written after the last _RING steps, which are all a stall check reads
-    ys = [0.0] * (2 * _RING)
-    cs = [0] * (2 * _RING)
-    kept = 0
-    size = _CHUNK
-    n = 0
-
-    def try_rational() -> Fraction | None:
-        # the bracket endpoints are record convergents and are often the
-        # exact rational limit themselves: test them first
-        for cand in (lo, hi):
-            if abs(cand.denominator) <= 1500 and compare_to_rational(
-                map, cand.numerator, cand.denominator
-            ) == 0:
-                return cand
-        probe_lo, probe_hi = lo, hi
-        for _ in range(8):
-            try:
-                cand = _simplest_between(probe_lo, probe_hi)
-            except ValueError:
-                return None
-            if cand in (probe_lo, probe_hi):
-                # closed-interval simplest hit an endpoint: the mediant is
-                # the simplest strictly interior point
-                cand = Fraction(
-                    probe_lo.numerator + probe_hi.numerator,
-                    probe_lo.denominator + probe_hi.denominator,
-                )
-            if cand.denominator > 1500:
-                return None
-            side = compare_to_rational(map, cand.numerator, cand.denominator)
-            if side == 0:
-                return cand
-            if side > 0:
-                probe_lo = cand
-            else:
-                probe_hi = cand
-        return None
-
-    def near_period_candidate():
-        """Closest return to step n among the last _RING steps (the longest
-        lag among equal gaps), as a fraction."""
-        d = y - np.array(ys[kept - _RING:kept - 1])
-        d -= np.round(d)
-        gap = np.abs(d)
-        j = int(np.argmin(gap))
-        if not gap[j] < 0.01:
-            return None
-        lag = _RING - 1 - j
-        pc = sum(cs[kept - lag:kept]) + round((y - ys[kept - 1 - lag]) - float(d[j]))
-        return Fraction(pc, lag)
-
-    while n < max_iter:
-        # records only raise the next stall check, so a chunk that ends at
-        # its first step passes no other check
-        length = min(size, max_iter - n, 4 * last_record + stall_allowance + 1 - n)
-        size = min(2 * size, _RING)
-        if kept + length > len(ys):
-            ys[:_RING] = ys[kept - _RING:kept]
-            cs[:_RING] = cs[kept - _RING:kept]
-            kept = _RING
-        for i in range(kept, kept + length):
+    prev = None
+    n = min(_ORBIT_START, max_iter)
+    while True:
+        for _ in range(n + 1 - len(ys)):
             ynew = step(y)
             c = floor(ynew)
             y = ynew - c
-            ys[i] = y
-            cs[i] = c
-        chunk = np.array(ys[kept:kept + length])
-        err = np.abs(chunk - np.round(chunk))
-        records = np.flatnonzero(err < np.minimum.accumulate(np.concatenate(([best], err[:-1]))))
-        carried = np.cumsum(cs[kept:kept + length])
-        for i in records.tolist():
-            yr = ys[kept + i]
-            e = yr - round(yr)
-            best = abs(e)
-            last_record = n + i + 1
-            p = carries + int(carried[i]) + round(yr)
-            if e == 0.0:
-                cand = Fraction(p, last_record)
-                if compare_to_rational(map, cand.numerator, cand.denominator) == 0:
-                    return RotationEstimate(float(cand), cand, cand, cand, last_record)
-            elif e > 0.0:
-                lo = max(lo, Fraction(p, last_record))
-            else:
-                hi = min(hi, Fraction(p, last_record))
-            if hi - lo <= tol:
-                mid = (lo + hi) / 2
-                return RotationEstimate(float(mid), lo, hi, None, last_record)
-        carries += int(carried[-1])
-        kept += length
-        n += length
-        if n > 4 * last_record + stall_allowance:
-            # a big continued-fraction quotient (or a rational limit) is
-            # pending: certify a small rational, or test the orbit's own
-            # near-period; if neither settles it, raise the threshold
-            cand = try_rational()
-            if cand is not None:
+            ys.append(y)
+            carries.append(c)
+        t = (np.arange(n) + 0.5) / n
+        w = np.exp(-1.0 / (t * (1.0 - t)))
+        orbit = np.array(ys)
+        value = float(w @ map.displacement(orbit[:n]) / w.sum())
+        converged = prev is not None and abs(value - prev) <= 0.1 * tol
+        if prev is not None:
+            # twice the last change covers an error that halves per doubling
+            # (a parabolic cycle); 1e-12, the smallest tol, covers rounding
+            radius = max(2.0 * abs(value - prev), 1e-12)
+            cand = _simplest_between(Fraction(value - radius), Fraction(value + radius))
+            if cand.denominator <= (20000 if converged else 1500) and compare_to_rational(
+                map, cand.numerator, cand.denominator
+            ) == 0:
                 return RotationEstimate(float(cand), cand, cand, cand, n)
-            near = near_period_candidate()
-            if near is not None and lo <= near <= hi and near.denominator <= 20000:
-                side = compare_to_rational(map, near.numerator, near.denominator)
-                if side == 0:
-                    return RotationEstimate(float(near), near, near, near, n)
-                if side > 0:
-                    lo = max(lo, near)
-                else:
-                    hi = min(hi, near)
-                if hi - lo <= tol:
-                    mid = (lo + hi) / 2
-                    return RotationEstimate(float(mid), lo, hi, None, n)
-            stall_allowance *= 4
+        if converged or n == max_iter:
+            break
+        prev = value
+        n = min(2 * n, max_iter)
 
-    if hi - lo <= tol:
-        mid = (lo + hi) / 2
-        return RotationEstimate(float(mid), lo, hi, None, n)
-    cand = try_rational()
-    if cand is not None:
-        return RotationEstimate(float(cand), cand, cand, cand, n)
-    raise NoConvergence(
-        f"rotation number bracket stalled at width {float(hi - lo):.3e} "
-        f"after {n} iterations (tol {tol:g})",
-        bracket=(lo, hi),
-    )
+    lo, hi = _closest_return_bracket(orbit, np.array(carries))
+    if not converged:
+        raise NoConvergence(
+            f"rotation number average still moves after {n} iterations (tol {tol:g})",
+            bracket=(lo, hi),
+        )
+    if not lo <= Fraction(value) <= hi:
+        raise NumericalError(
+            f"average {value!r} lies outside the closest-return bracket [{lo}, {hi}]"
+        )
+    return RotationEstimate(value, lo, hi, None, n)
 
 
 def rotation_number(map, tol: float = 1e-10) -> float:

@@ -27,10 +27,10 @@ class NotADiffeomorphism(NumericalError):
 
 
 class NoConvergence(NumericalError):
-    """Rotation-number estimator stalled above tolerance.
+    """Rotation-number average still moved at the iteration cap.
 
-    Carries the bracket that was reached (closest-return records of the
-    computed float orbit; see ``rotation_estimate``).
+    Carries the closest-return bracket (lo, hi) of the float orbit that
+    was run; see ``rotation_estimate``.
     """
 
     def __init__(self, message, bracket=None):

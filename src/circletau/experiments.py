@@ -508,20 +508,21 @@ def _convergents(theta: float, depth: int):
 def tsujii_gap(map: CircleMap, depth: int) -> list[TsujiiRow]:
     """|omega_0| <= e^{D_f} |theta - p/q| for continued-fraction approximants.
 
-    theta = rot(f) must be irrational at working precision; approximants
-    whose q^2 exceeds the rotation-number resolution raise NoConvergence.
+    theta = rot(f) must be irrational at working precision.  It is
+    converged to resolution = 1e-10, and approximants with 1/q^2 below
+    50 times that raise NoConvergence.
     """
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
-    est = rotation_estimate(map, tol=1e-10, max_iter=3_000_000)
+    resolution = 1e-10
+    est = rotation_estimate(map, tol=resolution, max_iter=3_000_000)
     if est.exact is not None:
         raise ConfigError(
             f"rot(f) = {est.exact} is rational; the inequality needs an "
             "irrational rotation number"
         )
     theta = est.value
-    resolution = max(est.bracket_width, 4e-16)
-    d_f = total_distortion(map).value
+    d_f = total_distortion(map)
     grow = math.exp(d_f)
     approximants = _convergents(theta, depth)
     for pk, qk in approximants:
@@ -601,7 +602,7 @@ def liouville_measure_estimate(map: CircleMap, beta: float, q_max: int) -> Liouv
         raise ConfigError(f"beta must be positive, got {beta}")
     if q_max < 0:
         raise ConfigError(f"q_max must be >= 0, got {q_max}")
-    C = math.exp(total_distortion(map).value)
+    C = math.exp(total_distortion(map))
     rows = []
     for q in range(1, q_max + 1):
         eps_q = q ** (-(2.0 + beta))

@@ -358,8 +358,8 @@ def qc_estimate_check(map, p: int, q: int, tau_bar) -> QcTwistCheck:
     if z.imag <= 0.0:
         raise NotInUpperHalfPlane("tau_bar must be interior (hyperbolic case)")
     dist = hyperbolic_distance_mod1(q * z, target)
-    d_base = total_distortion(map).value
-    d_iter = d_base if q == 1 else total_distortion(map.iterate(q)).value
+    d_base = total_distortion(map)
+    d_iter = d_base if q == 1 else total_distortion(map.iterate(q))
     return QcTwistCheck(dist, 5.0 * d_base, 5.0 * d_iter, sd, target)
 
 

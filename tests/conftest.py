@@ -38,7 +38,7 @@ def period2_family():
 
 @pytest.fixture(scope="session")
 def arnold_distortion(arnold):
-    return total_distortion(arnold).value
+    return total_distortion(arnold)
 
 
 @pytest.fixture(scope="session")
@@ -75,9 +75,8 @@ def hump_mirror_trace(two_humped):
     return trace_bubble(two_humped.mirrored(), 0, 1, samples=16, segment="left")
 
 
-@pytest.fixture(scope="session")
-def golden_parameter(arnold):
-    """omega with rot(f + omega) within ~2e-6 of the golden mean.
+def golden_omega(base):
+    """omega with rot(base + omega) within ~2e-6 of the golden mean.
 
     Located by bisection against the convergents 233/377 (below) and
     377/610 (above the golden mean).
@@ -85,7 +84,7 @@ def golden_parameter(arnold):
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        fm = arnold.shifted(mid)
+        fm = base.shifted(mid)
         if compare_to_rational(fm, 233, 377) > 0:  # above the upper convergent
             hi = mid
         elif compare_to_rational(fm, 377, 610) < 0:  # below the lower one
@@ -93,6 +92,11 @@ def golden_parameter(arnold):
         else:
             return mid
     raise AssertionError("bisection failed to land between the convergents")
+
+
+@pytest.fixture(scope="session")
+def golden_parameter(arnold):
+    return golden_omega(arnold)
 
 
 @pytest.fixture(scope="session")

@@ -79,7 +79,7 @@ def test_criterion_03_multiplier_bound():
             a0 = brentq(h, 0.5 - 2 * osc - 0.1, 0.5 + 2 * osc + 0.1, xtol=1e-14)
             m = CircleMap(a0, cos_c, sin_c)
             p, q = 1, 2
-        d_f = total_distortion(m).value
+        d_f = total_distortion(m)
         for c in find_cycles(m, p, q):
             assert abs(math.log(c.multiplier)) <= d_f + 1e-8
             checked_cycles += 1
@@ -173,7 +173,7 @@ def test_criterion_11_symmetry_covariance(hump_trace, hump_mirror_trace):
 
 
 def test_criterion_12_gluing_distortion(arnold, arnold_distortion):
-    bound = 4.0 * total_distortion(arnold.iterate(1)).value + 1e-6
+    bound = 4.0 * total_distortion(arnold.iterate(1)) + 1e-6
     assert bound == pytest.approx(4.0 * arnold_distortion + 1e-6, rel=1e-12)
     for j in (0, 1):
         assert xi_distortion(arnold, 0, 1, j) <= bound

