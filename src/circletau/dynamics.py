@@ -326,6 +326,14 @@ def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
     parabolic root when |G| < 1e-10 there (tangencies are invisible to
     sign changes); see _grid_roots.
     Roots closer than 1e-12 on the circle are merged into one.
+
+    f permutes the n merged points in their cyclic order, so n = m q, f
+    shifts their indices by p m, and orbit j < m is every m-th point from
+    point j.  One vectorised check asserts that f maps each point within
+    1e-7 (mod 1) of the point p m places on; RootFindingIncomplete is
+    raised when it fails or when q does not divide n, since a root was
+    then lost or is spurious.  The multiplier of an orbit is the product
+    of f' over its points in ascending order.
     """
     if q < 1:
         raise ConfigError(f"period must be positive, got {q}")
@@ -363,33 +371,21 @@ def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
     if not merged:
         raise RootFindingIncomplete("no periodic points found despite rot = p/q")
 
-    # group into orbits
+    n = len(merged)
+    m = n // q
     root_arr = np.array(merged)
-    step = map.lift_float
-    unused = set(range(len(merged)))
+    image = map.lift(root_arr) % 1.0
+    gap = np.abs(np.roll(root_arr, -p * m) - image)
+    lost = image[np.minimum(gap, 1.0 - gap) > 1e-7]
+    if n % q or lost.size:
+        raise RootFindingIncomplete(
+            f"the {n} periodic points found are not orbits of type {p}/{q} "
+            "shifted cyclically by f: a root was lost or is spurious",
+            suspect_intervals=[(y - 1e-6, y + 1e-6) for y in lost.tolist()] or [(0.0, 1.0)],
+        )
     cycles: list[Cycle] = []
-    while unused:
-        i0 = min(unused)
-        orbit_idx = [i0]
-        unused.discard(i0)
-        cur = merged[i0]
-        for _ in range(q - 1):
-            ynext = step(cur) % 1.0
-            j = int(np.argmin(np.minimum(np.abs(root_arr - ynext), 1.0 - np.abs(root_arr - ynext))))
-            dist = min(abs(root_arr[j] - ynext), 1.0 - abs(root_arr[j] - ynext))
-            if dist > 1e-7:
-                raise RootFindingIncomplete(
-                    f"orbit continuation lost at x = {cur:.12f} -> {ynext:.12f}",
-                    suspect_intervals=[(ynext - 1e-6, ynext + 1e-6)],
-                )
-            if j not in unused:
-                raise RootFindingIncomplete(
-                    f"orbit of {merged[i0]:.12f} revisits a used point before period {q}"
-                )
-            unused.discard(j)
-            orbit_idx.append(j)
-            cur = merged[j]
-        pts = sorted(merged[j] for j in orbit_idx)
+    for j in range(m):
+        pts = merged[j::m]
         rho = 1.0
         for t in pts:
             rho *= float(map.deriv(t))
@@ -400,8 +396,6 @@ def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
         else:
             kind = "repelling"
         cycles.append(Cycle(tuple(pts), q, p, rho, kind))
-
-    cycles.sort(key=lambda c: c.points[0])
     return cycles
 
 

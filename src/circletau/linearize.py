@@ -17,6 +17,13 @@ the chart coordinates
 are branch-unambiguous, and sigma = sum_j (s_j - r_j) is the modulus of
 the translation-glued comparison torus whose negative reciprocal is
 quasiconformally close to the complex rotation number.
+
+Charts take arrays.  ``IterationChart.inverse_with_deriv`` applies H (or
+its Newton inverse) to all points still live at once, and each point
+stops under its own rules, so it takes the steps, and gets the bits, of
+a call on it alone.  ``sigma_from_charts`` evaluates each chart at its
+two markers in one call, and ``xi_distortion`` each of its two charts on
+the whole seam grid in one call.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .dynamics import Cycle, find_cycles
 from .errors import (
@@ -44,7 +53,8 @@ _XI_GRID = 65
 
 
 class IterationChart:
-    """Schroeder chart inverse at a hyperbolic fixed point of H = F^q - p."""
+    """Schroeder chart inverse at a hyperbolic fixed point of H = F^q - p,
+    on a point or an array of points."""
 
     def __init__(self, map, p: int, q: int, alpha: float, rho: float):
         if abs(rho - 1.0) <= 1e-12:
@@ -67,76 +77,83 @@ class IterationChart:
     def modulus(self) -> float:
         return math.pi / abs(self.log_rho)
 
-    def _h(self, x: float) -> float:
-        return float(self._fq.lift(x)) - self.p
+    def _h(self, x):
+        return self._fq.lift(x) - self.p
 
-    def _h_prime(self, x: float) -> float:
-        return float(self._fq.deriv(x))
-
-    def _h_inverse(self, target: float, seed: float) -> float:
-        z = seed
+    def _h_inverse(self, target, z):
+        """H^{-1}(target) by Newton from z, which it updates; each point
+        stops at its own |step| < 1e-15 max(1, |z|)."""
+        live = np.arange(z.size)
         for _ in range(80):
-            step = (self._h(z) - target) / self._h_prime(z)
-            z -= step
-            if abs(step) < 1e-15 * max(1.0, abs(z)):
+            zl = z[live]
+            step = (self._h(zl) - target[live]) / self._fq.deriv(zl)
+            zl = zl - step
+            z[live] = zl
+            live = live[np.abs(step) >= 1e-15 * np.maximum(1.0, np.abs(zl))]
+            if not live.size:
                 return z
-        raise NotConverged(f"Newton inversion of F^{self.q} stalled near {seed}")
+        raise NotConverged(f"Newton inversion of F^{self.q} stalled near {z[live]}")
 
-    def inverse_with_deriv(self, x: float):
+    def inverse_with_deriv(self, x):
         """(phi^{-1}(x), (phi^{-1})'(x)) for x in the lift chart adjacent to alpha.
 
-        Iterates the ratio form of the Schroeder limit and, once the gap
-        to alpha is ~1e-6 (still far above the rounding floor, where the
-        per-step factors would pick up 1e-16/gap relative noise), sums
-        the remaining geometric tail from the measured contraction.  Stops
-        at |log ratio| <= 1e-14; raises NotConverged after 100,000 steps.
+        x is a point or an array of points, and both results have its
+        shape.  Each step applies H (attracting) or its Newton inverse
+        (repelling) to the points still live, and each point stops on
+        its own: it iterates the ratio form of the Schroeder limit and,
+        once its gap to alpha is ~1e-6 (still far above the rounding
+        floor, where the per-step factors would pick up 1e-16/gap
+        relative noise), sums the remaining geometric tail from the
+        measured contraction, or stops at |log ratio| <= 1e-14.  So a
+        point takes the steps, and gets the bits, of a call on it alone.
+        Raises OutsideBasin when a point moves away from alpha and
+        NotConverged when one is still live after 100,000 steps.
         """
         a, rho = self.alpha, self.rho
-        d0 = x - a
-        if d0 == 0.0:
-            return 0.0, 1.0
-        if abs(d0) >= 0.75:
-            raise OutsideBasin(f"{x} is not adjacent to the periodic point {a}")
-        u = d0
-        du = 1.0
-        y = x
-        attracting = rho < 1.0
-        prev_gap = abs(d0)
-        tail_gap = 1e-6 * max(1.0, abs(d0))
+        start = np.array(x, dtype=float).reshape(-1)
+        u = start - a
+        far = np.abs(u) >= 0.75
+        if far.any():
+            raise OutsideBasin(f"{start[far]} is not adjacent to the periodic point {a}")
+        du = np.ones_like(u)
+        y = start.copy()
+        prev_gap = np.abs(u)
+        tail_gap = 1e-6 * np.maximum(1.0, prev_gap)
+        live = np.flatnonzero(u)  # a point at alpha keeps (0, 1)
         for _ in range(_CHART_CAP):
-            if attracting:
-                ynext = self._h(y)
-                ratio = (ynext - a) / ((y - a) * rho)
-                w = self._h_prime(y) / rho
+            if not live.size:
+                return u.reshape(np.shape(x))[()], du.reshape(np.shape(x))[()]
+            yl = y[live]
+            if rho < 1.0:
+                ynext = self._h(yl)
+                ratio = (ynext - a) / ((yl - a) * rho)
+                w = self._fq.deriv(yl) / rho
             else:
-                ynext = self._h_inverse(y, a + (y - a) / rho)
-                ratio = (ynext - a) * rho / (y - a)
-                w = rho / self._h_prime(ynext)
-            gap = abs(ynext - a)
-            if gap >= prev_gap and gap > 1e-14:
+                ynext = self._h_inverse(yl, a + (yl - a) / rho)
+                ratio = (ynext - a) * rho / (yl - a)
+                w = rho / self._fq.deriv(ynext)
+            gap = np.abs(ynext - a)
+            away = (gap >= prev_gap[live]) & (gap > 1e-14)
+            if away.any():
                 raise OutsideBasin(
-                    f"orbit of {x} moves away from {a}: outside the basin"
+                    f"orbit of {start[live][away]} moves away from {a}: outside the basin"
                 )
-            u *= ratio
-            du *= w
-            log_r = math.log(abs(ratio))
-            if abs(log_r) <= _CHART_STOP:
-                return u, du
-            if gap < tail_gap:
-                kappa = gap / prev_gap
-                if kappa < 0.9 or gap < 1e-12:
-                    tail = kappa / (1.0 - kappa)
-                    return (
-                        u * math.exp(log_r * tail),
-                        du * math.exp(math.log(abs(w)) * tail),
-                    )
-            y = ynext
-            prev_gap = gap
+            ul = u[live] * ratio
+            dul = du[live] * w
+            log_r = np.log(np.abs(ratio))
+            kappa = gap / prev_gap[live]
+            stop = np.abs(log_r) <= _CHART_STOP
+            tail = ~stop & (gap < tail_gap[live]) & ((kappa < 0.9) | (gap < 1e-12))
+            t = kappa[tail] / (1.0 - kappa[tail])
+            ul[tail] *= np.exp(log_r[tail] * t)
+            dul[tail] *= np.exp(np.log(np.abs(w[tail])) * t)
+            u[live], du[live], y[live], prev_gap[live] = ul, dul, ynext, gap
+            live = live[~(stop | tail)]
         raise NotConverged(
             f"chart iteration at alpha = {a} did not stabilize within {_CHART_CAP} steps"
         )
 
-    def inverse(self, x: float) -> float:
+    def inverse(self, x):
         return self.inverse_with_deriv(x)[0]
 
 
@@ -205,25 +222,20 @@ def ordered_charts(map, p: int, q: int):
 
 def _check_marker(chart: IterationChart, x: float, lo: float, hi: float) -> float:
     """Enforce the ordering condition, pushing once by H if needed."""
-    hx = chart._h(x)
-    if chart.kind == "attracting":
-        ok = lo < hx < x
-    else:
-        ok = x < hx < hi
-    if ok:
-        return x
-    x2 = hx
-    hx2 = chart._h(x2)
-    ok2 = (lo < hx2 < x2) if chart.kind == "attracting" else (x2 < hx2 < hi)
-    if not ok2:
-        raise ConfigError(f"marker {x} cannot satisfy the ordering condition")
-    return x2
+    z = x
+    for _ in range(2):
+        hz = chart._h(z)
+        if (lo < hz < z) if chart.kind == "attracting" else (z < hz < hi):
+            return z
+        z = hz
+    raise ConfigError(f"marker {x} cannot satisfy the ordering condition")
 
 
 def sigma_from_charts(charts, markers) -> SigmaData:
     """sigma = sum_j (s_j - r_j) from chart objects and markers.
 
-    charts[j] needs .alpha, .rho, .log_rho, .modulus and .inverse(x);
+    charts[j] needs .alpha, .rho, .log_rho, .modulus and .inverse(x) on
+    an array x (its two markers);
     markers[j] must lie in (alpha_j, alpha_{j+1}).  This seam lets tests
     substitute exactly-linear charts.
     """
@@ -231,18 +243,17 @@ def sigma_from_charts(charts, markers) -> SigmaData:
     r_t, s_t = [], []
     for j in range(n):
         cj = charts[j]
-        u = cj.inverse(markers[j])
+        prev = markers[j - 1] - (1.0 if j == 0 else 0.0)
+        u, v = (float(t) for t in cj.inverse(np.array([markers[j], prev])))
         if u <= 0.0:
             raise ConfigError(
                 f"marker {markers[j]} is not right of alpha_{j} = {cj.alpha}"
             )
-        r_t.append(complex(math.log(u) / cj.log_rho, 0.0))
-        prev = markers[j - 1] - (1.0 if j == 0 else 0.0)
-        v = cj.inverse(prev)
         if v >= 0.0:
             raise ConfigError(
                 f"marker {prev} is not left of alpha_{j} = {cj.alpha}"
             )
+        r_t.append(complex(math.log(u) / cj.log_rho, 0.0))
         s_t.append(complex(math.log(-v) / cj.log_rho, math.pi / abs(cj.log_rho)))
     sigma = sum(s - r for s, r in zip(s_t, r_t))
     return SigmaData(
@@ -369,7 +380,8 @@ def xi_distortion(map, p: int, q: int, j: int) -> float:
     Parametrized by 65 equally spaced x in the fundamental interval
     between x_j and H(x_j):
     xi_j'(t) = s'(x) / t'(x) with t = log phi_j^{-1} / log rho_j and
-    s = log |phi_{j+1}^{-1}| / log rho_{j+1}.
+    s = log |phi_{j+1}^{-1}| / log rho_{j+1}.  Each of the two charts is
+    evaluated on the whole grid in one call.
     """
     charts = ordered_charts(map, p, q)
     n = len(charts)
@@ -381,15 +393,11 @@ def xi_distortion(map, p: int, q: int, j: int) -> float:
     x0 = 0.5 * (cj.alpha + alpha_next)
     x1 = cj._h(x0)
     lo, hi = (x1, x0) if x1 < x0 else (x0, x1)
-    logs = []
-    for i in range(_XI_GRID):
-        x = lo + (hi - lo) * i / (_XI_GRID - 1)
-        u, du = cj.inverse_with_deriv(x)
-        v, dv = cnext.inverse_with_deriv(x - shift)
-        tp = du / (u * cj.log_rho)
-        sp = dv / (v * cnext.log_rho)
-        xi_p = sp / tp
-        if xi_p <= 0.0:
-            raise NotConverged(f"xi'({x}) = {xi_p} is not positive")
-        logs.append(math.log(xi_p))
-    return max(logs) - min(logs)
+    xs = lo + (hi - lo) * np.arange(_XI_GRID) / (_XI_GRID - 1)
+    u, du = cj.inverse_with_deriv(xs)
+    v, dv = cnext.inverse_with_deriv(xs - shift)
+    xi_p = (dv / (v * cnext.log_rho)) / (du / (u * cj.log_rho))
+    if np.any(xi_p <= 0.0):
+        raise NotConverged(f"xi' = {xi_p.min()} is not positive on the seam")
+    logs = np.log(xi_p)
+    return float(logs.max() - logs.min())

@@ -320,8 +320,15 @@ class IteratedMap:
 
 def _fpp_kinks(map: CircleMap) -> list:
     """Zeros of F'' on [0, 1): grid points where it vanishes, else brentq
-    roots of the cells where it changes sign, in ascending order."""
-    xs = np.linspace(0.0, 1.0, _STRIP_GRID + 1)
+    roots of the cells where it changes sign, in ascending order.
+
+    A trigonometric polynomial of degree K has at most 2K zeros, so the
+    scan has max(4096, 8K) cells, at least four per zero on average, with
+    K the highest harmonic of f.  For F^q it takes q K, a heuristic: the
+    harmonics of F^q go on past q K, decaying."""
+    base, q = (map.base, map.q) if isinstance(map, IteratedMap) else (map, 1)
+    cells = max(_STRIP_GRID, 8 * q * max(len(base.cos_coeffs), len(base.sin_coeffs)))
+    xs = np.linspace(0.0, 1.0, cells + 1)
     fpp = map.deriv(xs, 2)
     lo, hi = fpp[:-1], fpp[1:]
     zero = lo == 0.0

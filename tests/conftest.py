@@ -11,6 +11,8 @@ from circletau.welding import welding_constant
 
 ARNOLD_B = 1.0 / (4.0 * math.pi)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# a sample omega of the two-hump bubble, 1.1e-3 right of its left edge
+HUMP_EDGE_SAMPLE = 0.0033358979962851837
 
 
 @pytest.fixture(scope="session")

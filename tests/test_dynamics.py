@@ -299,14 +299,23 @@ class TestFindCycles:
         assert by_point[0.5].kind == "attracting"
 
     @pytest.mark.parametrize(
-        "name, shift, p, q",
-        [("arnold", 0.0, 0, 1), ("arnold", 0.5, 1, 2), ("two_humped", 0.0, 0, 1)],
+        "name, shift, p, q, drop",
+        [("period2_family", 0.0, 1, 2, 1), ("period2_family", 0.0, 1, 2, 2), ("arnold", 0.5, 1, 2, 1)],
     )
-    def test_orbit_continuation_matches_0d_path(self, request, monkeypatch, name, shift, p, q):
+    def test_lost_root_raises(self, request, monkeypatch, name, shift, p, q, drop):
+        # one lost root leaves a count that q does not divide; losing the
+        # two lowest, which lie on different orbits, leaves two points that
+        # f does not map onto each other
         m = request.getfixturevalue(name).shifted(shift)
-        fast = find_cycles(m, p, q)
-        monkeypatch.setattr(CircleMap, "lift_float", lambda self, x: float(self.lift(x)))
-        assert fast == find_cycles(m, p, q)
+        grid_roots = dynamics._grid_roots
+
+        def losing(*args):
+            roots, suspects = grid_roots(*args)
+            return roots[drop:], suspects
+
+        monkeypatch.setattr(dynamics, "_grid_roots", losing)
+        with pytest.raises(RootFindingIncomplete):
+            find_cycles(m, p, q)
 
     def test_identity_degenerate(self):
         with pytest.raises(RootFindingIncomplete):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from circletau.dynamics import find_cycles
@@ -24,6 +25,7 @@ from circletau.linearize import (
 )
 from circletau.maps import CircleMap, total_distortion
 from circletau.uniformize import hyperbolic_distance_mod1
+from conftest import HUMP_EDGE_SAMPLE
 
 B = 1.0 / (4.0 * math.pi)
 IM_SIGMA = math.pi / math.log(1.5) + math.pi / math.log(2.0)
@@ -101,6 +103,41 @@ class TestLinearizingInverse:
         fake = Cycle((0.0,), 1, 0, 1.0, "parabolic")
         with pytest.raises(NotHyperbolic):
             linearizing_inverse(arnold, fake, 0.2)
+
+
+class TestChartArrays:
+    @pytest.mark.parametrize(
+        "name, shift, p, q",
+        [("arnold", 0.0, 0, 1), ("period2_family", 0.0, 1, 2), ("two_humped", HUMP_EDGE_SAMPLE, 0, 1)],
+    )
+    def test_array_matches_points(self, request, name, shift, p, q):
+        # each point stops on its own, so it gets the bits of a call on it alone
+        charts = ordered_charts(request.getfixturevalue(name).shifted(shift), p, q)
+        assert {c.kind for c in charts} == {"attracting", "repelling"}
+        alphas = [c.alpha for c in charts]
+        for j, chart in enumerate(charts):
+            left = alphas[j - 1] - (1.0 if j == 0 else 0.0)
+            right = alphas[j + 1] if j + 1 < len(charts) else alphas[0] + 1.0
+            ts = (0.9, 0.5, 0.1, 1e-4)
+            xs = np.array(
+                [chart.alpha - t * (chart.alpha - left) for t in ts]
+                + [chart.alpha]
+                + [chart.alpha + t * (right - chart.alpha) for t in ts]
+            )
+            u, du = chart.inverse_with_deriv(xs)
+            assert u.shape == du.shape == xs.shape
+            alone = [chart.inverse_with_deriv(float(x)) for x in xs]
+            assert u.tolist() == [a for a, _ in alone]
+            assert du.tolist() == [b for _, b in alone]
+            assert (u[len(ts)], du[len(ts)]) == (0.0, 1.0)
+
+    def test_one_point_outside_the_basin_raises(self, arnold):
+        att, rep = ordered_charts(arnold, 0, 1)  # alpha = 0.5 and 1.0
+        # 0.5 is the attracting fixed point next to alpha = 1: H^-1 keeps it there
+        with pytest.raises(OutsideBasin):
+            rep.inverse_with_deriv(np.array([0.85, 0.5, 1.2]))
+        with pytest.raises(OutsideBasin):
+            att.inverse_with_deriv(np.array([0.4, 1.3, 0.6]))
 
 
 class TestSigma:

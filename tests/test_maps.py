@@ -177,6 +177,18 @@ class TestTotalDistortion:
         oracle = sum(gauss_legendre_oracle(m, a, b) for a, b in zip(ends, ends[1:]))
         assert total_distortion(m) == pytest.approx(oracle, abs=1e-12)
 
+    def test_dense_kinks_all_found(self):
+        # F'' = -b w^2 sin(w x), w = 2 pi K, has 2K zeros, some two to a
+        # cell of a 4096-cell scan at K = 2100, and log F' swings between
+        # log(1 + b w) and log(1 - b w) from each to the next
+        K, b = 2100, 1e-5
+        m = CircleMap(0.3, (), (0.0,) * (K - 1) + (b,))
+        bw = b * 2.0 * math.pi * K
+        assert len(_fpp_kinks(m)) == 2 * K
+        assert total_distortion(m) == pytest.approx(
+            2 * K * math.log((1.0 + bw) / (1.0 - bw)), rel=1e-12
+        )
+
     def test_not_a_diffeomorphism(self):
         bad = CircleMap(0.0, (), (0.2,), validate=False)  # 1 + 0.4 pi cos < 0
         with pytest.raises(NotADiffeomorphism):

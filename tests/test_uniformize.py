@@ -34,11 +34,10 @@ from circletau.uniformize import (
     y_min,
 )
 from circletau.welding import welding_constant
+from conftest import HUMP_EDGE_SAMPLE
 
 B = 1.0 / (4.0 * math.pi)
 
-# a sample omega of the two-hump bubble, 1.1e-3 right of its left edge
-HUMP_EDGE_SAMPLE = 0.0033358979962851837
 KERNEL_CASES = [("arnold", 0.1 + 0.05j, 64), ("two_humped", HUMP_EDGE_SAMPLE + 8e-4j, 384)]
 # omega of the systems checked against their dense form, per map
 SYSTEM_OMEGA = {"arnold": 0.1 + 0.05j, "two_humped": HUMP_EDGE_SAMPLE + 8e-4j}
