@@ -7,13 +7,15 @@ with return error e gives rot >= p/n (e > 0) or rot <= p/n (e < 0).  The
 records are those of the computed float orbit, a pseudo-orbit of f with a
 rounding error at every step, so the bracket is exact for that orbit but
 is not a proof about f, and the average must lie inside it.  Rational
-values are certified through the sign of G(x) = F^q(x) - x - p, which is
-also what powers plateau-edge bisection.
+values are certified through the sign of G(x) = F^q(x) - x - p, which
+decides on one extremum of G (``_g_extremum``).
 
-All bisection is ``maps._bisect``, on a monotone predicate.  Plateau edges,
-Tsujii approximant edges and Liouville margins are rotation-number
-crossings, ``_rot_crossing``: the smallest omega with rot(f + omega)
->= p/q (want = 0) or > p/q (want = 1).
+Plateau edges, Tsujii approximant edges and Liouville margins are
+rotation-number crossings, ``_rot_crossing``: the smallest omega with
+rot(f + omega) >= p/q (want = 0) or > p/q (want = 1).  A crossing is the
+brentq root of the extremum the sign test decides on, which rises with
+omega, certified by two sign tests tol apart; bisection of the sign test
+(``maps._bisect``) is only its fallback.
 
 The orbit of ``rotation_estimate`` steps ``CircleMap.lift_float``, which
 returns the same bits as ``lift`` (see ``circletau.maps``), and every G,
@@ -100,17 +102,34 @@ def _grid_min(fn, x0, h):
     )
 
 
+def _g_grid(map, p: int, q: int, grid: int):
+    """(F^q, x, G) with G = F^q(x) - x - p on the uniform grid x of [0, 1)."""
+    x = np.linspace(0.0, 1.0, grid, endpoint=False)
+    fq = map.iterate(q)
+    return fq, x, fq.lift(x) - x - p
+
+
+def _g_extremum(fq, p: int, x, g, sign: float) -> float:
+    """min G (sign = +1) or max G (sign = -1) over the circle: the grid
+    extremum of g combined with the bounded Brent refinement (_grid_min)
+    of the two cells around it, which can only lower the minimum or raise
+    the maximum."""
+    i = int(np.argmin(sign * g))
+    refined = _grid_min(lambda t: sign * (fq.lift(t) - t - p), x[i], 1.0 / g.size).fun
+    return sign * min(sign * float(g[i]), refined)
+
+
 def compare_to_rational(map: CircleMap, p: int, q: int, grid: int = _G_GRID) -> int:
     """Sign of rot(f) - p/q: +1, -1, or 0 (p/q attained).
 
     rot > p/q iff G > 0 everywhere, rot < p/q iff G < 0 everywhere,
     and rot = p/q iff G vanishes somewhere.  G is sampled on a uniform
-    grid, and the sign is decided against a floor of 1e-13 q.  Brent
-    refinement of a grid extremum can only lower the minimum or raise
-    the maximum, so only the extremum that could still overturn the
-    grid's verdict is refined: the minimum when it lies above the floor,
-    the maximum when it lies below minus the floor.  Otherwise G changes
-    sign (or touches zero) on the grid and p/q is attained.
+    grid, and the sign is decided against a floor of 1e-13 q.  Only the
+    extremum that could still overturn the grid's verdict is refined
+    (_g_extremum): the minimum when the grid minimum lies above the
+    floor, the maximum when the grid maximum lies below minus the floor.
+    Otherwise G changes sign (or touches zero) on the grid and p/q is
+    attained.
     """
     floor = _SIGN_FLOOR * max(1, q)
     if map.is_rotation:
@@ -120,19 +139,11 @@ def compare_to_rational(map: CircleMap, p: int, q: int, grid: int = _G_GRID) -> 
         if val < -floor:
             return -1
         return 0
-    x = np.linspace(0.0, 1.0, grid, endpoint=False)
-    fq = map.iterate(q)
-    g = fq.lift(x) - x - p
-
-    def refined(idx, sign):
-        # sign * min of sign*G over the two cells around grid point idx
-        return sign * _grid_min(lambda t: sign * (fq.lift(t) - t - p), x[idx], 1.0 / grid).fun
-
-    gmin, gmax = float(g.min()), float(g.max())
-    if gmin > floor:
-        return 1 if min(gmin, refined(int(np.argmin(g)), +1.0)) > floor else 0
-    if gmax < -floor:
-        return -1 if max(gmax, refined(int(np.argmax(g)), -1.0)) < -floor else 0
+    fq, x, g = _g_grid(map, p, q, grid)
+    if float(g.min()) > floor:
+        return 1 if _g_extremum(fq, p, x, g, 1.0) > floor else 0
+    if float(g.max()) < -floor:
+        return -1 if _g_extremum(fq, p, x, g, -1.0) < -floor else 0
     return 0
 
 
@@ -342,9 +353,7 @@ def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
     if compare_to_rational(map, p, q) != 0:
         raise WrongRotationNumber(f"rot(f) != {p}/{q}")
 
-    x = np.linspace(0.0, 1.0, _ROOT_GRID, endpoint=False)
-    fq = map.iterate(q)
-    g = fq.lift(x) - x - p
+    fq, x, g = _g_grid(map, p, q, _ROOT_GRID)
     if float(np.max(np.abs(g))) < 1e-13:
         raise RootFindingIncomplete(
             "G vanishes identically at grid resolution: a continuum of "
@@ -418,6 +427,16 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
     grow ("lo", "hi" or None) names the end of [lo, hi] that may lie short
     of the crossing: it is tested and pushed out by the bracket's width,
     up to 8 times, before NumericalError is raised.
+
+    The sign test decides on one extremum of G_omega = F_omega^q - x - p
+    (_g_extremum), which rises with omega: rot >= p/q iff max G >= -1e-13 q
+    (want = 0), and rot > p/q iff min G > 1e-13 q (want = 1).  brentq
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4) finds the root w of that extremum shifted by the floor, and
+    the sign test certifies it: False at w - tol/2 and True at w + tol/2,
+    so the midpoint of the two lies within tol/2 of the switch.  If
+    brentq fails or the certificate does not hold, [lo, hi] is bisected
+    instead.
     """
 
     def right(w):
@@ -430,6 +449,22 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
         lo, hi = (lo, hi + width) if grow == "hi" else (lo - width, hi)
     else:
         raise NumericalError(f"could not bracket rot = {p}/{q} by growing {grow}")
+
+    floor = _SIGN_FLOOR * max(1, q)
+    sign, shift = (-1.0, floor) if want == 0 else (1.0, -floor)
+
+    def signed(w):
+        fq, x, g = _g_grid(map.shifted(w), p, q, grid)
+        return _g_extremum(fq, p, x, g, sign) + shift
+
+    try:
+        w = brentq(signed, lo, hi, xtol=0.25 * tol)
+    except (ValueError, RuntimeError):
+        w = None
+    if w is not None:
+        a, b = w - 0.5 * tol, w + 0.5 * tol
+        if not right(a) and right(b):
+            return 0.5 * (a + b)
     lo, hi = _bisect(right, lo, hi, tol)
     return 0.5 * (lo + hi)
 
@@ -444,8 +479,9 @@ def plateau_bracket(map: CircleMap, p: int, q: int):
 def plateau(map: CircleMap, p: int, q: int, bracket=None, tol: float = 1e-10) -> Plateau:
     """The interval of omega with rot(f + omega) = p/q, edges to tol.
 
-    Each edge is a rotation-number crossing (_rot_crossing).  A plateau
-    that degenerates to a point (rigid rotations) is returned with
+    Each edge is a rotation-number crossing (_rot_crossing), a Brent root
+    certified by the sign test to within tol/2.  A plateau that
+    degenerates to a point (rigid rotations) is returned with
     omega_lo == omega_hi.
     """
     if math.gcd(abs(p), q) != 1:

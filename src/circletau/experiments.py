@@ -7,7 +7,8 @@ are located as jumps of the periodic-point count, which in an analytic
 monotone family change exactly at parameters carrying a parabolic cycle;
 the jump is bisected by ``maps._bisect``.  The plateau edge facing
 omega = 0 (Tsujii) and the Liouville margins are rotation-number
-crossings, ``dynamics._rot_crossing``.
+crossings, ``dynamics._rot_crossing``: Brent roots of an extremum of G,
+certified by two sign tests, with bisection only as their fallback.
 
 ``trace_bubble`` and ``trace_atlas`` share three steps: ``_bubble_segment``
 plans a bubble (plateau, count-jump edge, Chebyshev nodes with their
@@ -594,9 +595,9 @@ def _rational_near(value: float, rel_tol: float) -> Fraction:
 def liouville_measure_estimate(map: CircleMap, beta: float, q_max: int) -> LiouvilleReport:
     """Measured size of {omega : 0 < |rot(f_omega) - p/q| < q^-(2+beta)}.
 
-    Plateau neighborhoods are measured by bisection (dense omega grids
-    would alias the q^-(2+beta) widths away); the per-q totals must stay
-    below 2 e^{D_f} / q^{1+beta}.
+    Plateau neighborhoods are measured by rotation-number crossings
+    (dense omega grids would alias the q^-(2+beta) widths away); the per-q
+    totals must stay below 2 e^{D_f} / q^{1+beta}.
     """
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")

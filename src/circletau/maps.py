@@ -10,14 +10,16 @@ injectivity around the real axis (``CircleMap.strip_halfwidth``), sampled
 on a grid rather than proven.
 
 The package's one bisection, ``_bisect``, lives here: it bisects the
-strip widths, and ``circletau.dynamics`` builds its rotation-number
-crossings on it.
+strip widths, ``circletau.experiments`` its count jumps, and
+``circletau.dynamics`` falls back on it when a rotation-number crossing's
+Brent root fails its certificate.
 
 Scalar orbits use ``CircleMap.lift_float``, which evaluates F on one
 Python float with ``math.cos``/``math.sin`` and no array overhead.  It
 follows the op order of ``displacement`` + ``lift``: d = a0, then
 d = d + c*fn(w*x) for each nonzero coefficient with w = 2 pi k (cos terms
-before sin terms, ascending k), then F = x + d.  Where ``math`` and numpy
+before sin terms, ascending k), then F = x + d.  ``displacement`` and
+``deriv`` loop over the same nonzero harmonics.  Where ``math`` and numpy
 round sin/cos alike, it returns the same bits as ``lift`` on a 0-d array
 (with numpy 2.4 on x86-64 Linux they differed at none of 200k random
 angles).
@@ -87,10 +89,14 @@ class CircleMap:
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
         object.__setattr__(self, "mean_shift", float(self.mean_shift))
-        # (fn, 2 pi k, coeff) in the order displacement() adds the terms
+        # the nonzero harmonics as (2 pi k, coeff), ascending k, and as
+        # (fn, 2 pi k, coeff) in the order displacement() adds them
+        cos_terms = tuple((TWO_PI * k, a) for k, a in enumerate(self.cos_coeffs, start=1) if a)
+        sin_terms = tuple((TWO_PI * k, b) for k, b in enumerate(self.sin_coeffs, start=1) if b)
+        object.__setattr__(self, "_cos_terms", cos_terms)
+        object.__setattr__(self, "_sin_terms", sin_terms)
         object.__setattr__(self, "_terms", tuple(
-            [(math.cos, TWO_PI * k, a) for k, a in enumerate(self.cos_coeffs, start=1) if a]
-            + [(math.sin, TWO_PI * k, b) for k, b in enumerate(self.sin_coeffs, start=1) if b]
+            [(math.cos, w, a) for w, a in cos_terms] + [(math.sin, w, b) for w, b in sin_terms]
         ))
         if self.validate:
             grid = np.linspace(0.0, 1.0, _VALIDATION_GRID, endpoint=False)
@@ -127,14 +133,12 @@ class CircleMap:
         z = np.asarray(z)
         if np.iscomplexobj(z) and _check:
             self._check_strip(z)
-        out = np.full(z.shape, self.mean_shift, dtype=z.dtype if np.iscomplexobj(z) else float)
-        for k, a in enumerate(self.cos_coeffs, start=1):
-            if a:
-                out = out + a * np.cos(TWO_PI * k * z)
-        for k, b in enumerate(self.sin_coeffs, start=1):
-            if b:
-                out = out + b * np.sin(TWO_PI * k * z)
-        return out if out.shape else out[()]
+        out = self.mean_shift
+        for w, a in self._cos_terms:
+            out = out + a * np.cos(w * z)
+        for w, b in self._sin_terms:
+            out = out + b * np.sin(w * z)
+        return self._shaped(out, z)
 
     def lift(self, z, _check=True):
         """F(z); satisfies F(z+1) = F(z) + 1 up to rounding."""
@@ -154,18 +158,18 @@ class CircleMap:
         z = np.asarray(z)
         if np.iscomplexobj(z) and _check:
             self._check_strip(z)
-        dtype = z.dtype if np.iscomplexobj(z) else float
-        out = np.full(z.shape, 1.0 if order == 1 else 0.0, dtype=dtype)
-        for k, a in enumerate(self.cos_coeffs, start=1):
-            if a:
-                w = TWO_PI * k
-                term = -a * w * np.sin(w * z) if order == 1 else -a * w * w * np.cos(w * z)
-                out = out + term
-        for k, b in enumerate(self.sin_coeffs, start=1):
-            if b:
-                w = TWO_PI * k
-                term = b * w * np.cos(w * z) if order == 1 else -b * w * w * np.sin(w * z)
-                out = out + term
+        out = 1.0 if order == 1 else 0.0
+        for w, a in self._cos_terms:
+            out = out + (-a * w * np.sin(w * z) if order == 1 else -a * w * w * np.cos(w * z))
+        for w, b in self._sin_terms:
+            out = out + (b * w * np.cos(w * z) if order == 1 else -b * w * w * np.sin(w * z))
+        return self._shaped(out, z)
+
+    def _shaped(self, out, z):
+        """out, a sum over the harmonics, shaped like z: an array, or a
+        scalar for 0-d z.  Without harmonics out is the bare constant."""
+        if not self._terms:
+            out = np.full(z.shape, out, dtype=z.dtype if np.iscomplexobj(z) else float)
         return out if out.shape else out[()]
 
     # -- derived maps ----------------------------------------------------

@@ -122,6 +122,32 @@ def compare_log(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def crossing_counts(monkeypatch):
+    """Counts of the G grid evaluations (``_g_grid``) and of the bisection
+    fallbacks (``_bisect``) made through the dynamics module."""
+    counts = {"grids": 0, "fallbacks": 0}
+    for name, key in (("_g_grid", "grids"), ("_bisect", "fallbacks")):
+        original = getattr(dynamics, name)
+
+        def counting(*args, _original=original, _key=key, **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counting)
+    return counts
+
+
+def assert_certified(map, p, q, omega, want, tol, grid=dynamics._G_GRID):
+    """The sign test switches within tol/2 of omega: compare_to_rational(f +
+    w, p, q) >= want is False at omega - tol/2 and True at omega + tol/2."""
+    def right(w):
+        return dynamics.compare_to_rational(map.shifted(w), p, q, grid) >= want
+
+    assert not right(omega - 0.5 * tol)
+    assert right(omega + 0.5 * tol)
+
+
 # -- acceptance summary --------------------------------------------------------
 
 _ACCEPTANCE_RESULTS = {}

@@ -27,6 +27,7 @@ from circletau.errors import (
     WrongRotationNumber,
 )
 from circletau.maps import CircleMap, _bisect, total_distortion
+from conftest import assert_certified
 
 B = 1.0 / (4.0 * math.pi)
 
@@ -371,13 +372,43 @@ def loop_plateau_edges(map, p, q, tol=1e-10):
 class TestPlateau:
     @pytest.mark.parametrize("name", ["arnold", "two_humped"])
     @pytest.mark.parametrize("p, q", [(0, 1), (1, 2)])
-    def test_edges_match_loop(self, request, compare_log, name, p, q):
+    def test_edges_match_loop(self, request, name, p, q):
+        # the edges are Brent roots certified by two sign tests; they match
+        # the bisection to its tol, not bit for bit
         m = request.getfixturevalue(name)
         pl = plateau(m, p, q)
-        calls = compare_log[2:]  # after the two bracket checks
-        compare_log.clear()
-        assert (pl.omega_lo, pl.omega_hi) == loop_plateau_edges(m, p, q)
-        assert calls and calls == compare_log
+        edges = (pl.omega_lo, pl.omega_hi)
+        for want, got, ref in zip((0, 1), edges, loop_plateau_edges(m, p, q)):
+            assert abs(got - ref) <= 1e-10
+            assert_certified(m, p, q, got, want, 1e-10)
+
+    @pytest.mark.parametrize("wrong", [lambda v: v + 1e-3, lambda v: 1.0],
+                             ids=["offset", "constant"])
+    def test_crossing_falls_back_to_bisection(self, arnold, monkeypatch, crossing_counts,
+                                              wrong):
+        # an extremum off by 1e-3 gives a Brent root the sign tests reject;
+        # one of constant sign makes brentq raise.  The sign tests go through
+        # compare_to_rational, which keeps the true extremum
+        ref = loop_plateau_edges(arnold, 0, 1)
+        original, inside = dynamics._g_extremum, []
+        compare = dynamics.compare_to_rational
+
+        def sign_test(*args):
+            inside.append(True)
+            try:
+                return compare(*args)
+            finally:
+                inside.pop()
+
+        def extremum(*args):
+            value = original(*args)
+            return value if inside else wrong(value)
+
+        monkeypatch.setattr(dynamics, "compare_to_rational", sign_test)
+        monkeypatch.setattr(dynamics, "_g_extremum", extremum)
+        pl = plateau(arnold, 0, 1)
+        assert (pl.omega_lo, pl.omega_hi) == ref
+        assert crossing_counts["fallbacks"] == 2
 
     def test_crossing_raises_when_bracket_cannot_grow(self, arnold, compare_log):
         # the 1/2 plateau lies near omega = 1/2: growing hi from 1e-3 by the

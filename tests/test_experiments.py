@@ -30,7 +30,7 @@ from circletau.experiments import (
 from circletau.linearize import bubble_disk_radius
 from circletau.maps import CircleMap, total_distortion
 from circletau.uniformize import BoundaryValue, UpperHalfPoint, wrap_half
-from conftest import golden_omega
+from conftest import assert_certified, golden_omega
 
 B = 1.0 / (4.0 * math.pi)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -364,11 +364,10 @@ def loop_margin_edge(map, target, bracket, want_geq, tol):
 class TestCrossingsMatchLoops:
     @pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 3), (3, 5)])
     @pytest.mark.parametrize("reach", [1.05, 0.01])
-    def test_edge_facing_zero(self, golden_tuned_arnold, arnold_distortion, compare_log,
-                              p, q, reach):
+    def test_edge_facing_zero(self, golden_tuned_arnold, arnold_distortion, p, q, reach):
         # the Tsujii approximants alternate sides of theta; |omega_0| is about
         # 0.1 e^{D_f} |theta - p/q|, so reach 0.01 makes the far bracket end
-        # grow four times before the bisection
+        # grow four times before the root search
         m = golden_tuned_arnold
         side = 1 if p / q > GOLDEN else -1
         limit = reach * math.exp(arnold_distortion) * abs(GOLDEN - p / q) + 1e-9
@@ -377,16 +376,14 @@ class TestCrossingsMatchLoops:
             got = _rot_crossing(m, p, q, 0.0, limit, 0, tol=1e-12, grow="hi")
         else:
             got = _rot_crossing(m, p, q, -limit, 0.0, 1, tol=1e-12, grow="lo")
-        calls = list(compare_log)
-        compare_log.clear()
-        assert got == loop_edge_facing_zero(m, p, q, side, limit)
-        assert calls and calls == compare_log
+        assert abs(got - loop_edge_facing_zero(m, p, q, side, limit)) <= 1e-12
+        assert_certified(m, p, q, got, 0 if side > 0 else 1, 1e-12)
 
     @pytest.mark.parametrize(
         "p, q", [(0, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (2, 5), (3, 5), (4, 5)]
     )
     @pytest.mark.parametrize("pad_scale", [1.0, 0.01])
-    def test_margin_edge(self, arnold, arnold_distortion, compare_log, p, q, pad_scale):
+    def test_margin_edge(self, arnold, arnold_distortion, p, q, pad_scale):
         # the margins of liouville_measure_estimate(arnold, beta=1, q_max=5);
         # the margins lie about 0.08 pad from the plateau, so pad_scale 0.01
         # makes the outer bracket end grow four times
@@ -398,15 +395,13 @@ class TestCrossingsMatchLoops:
             (_rational_near(p / q + eps, 1e-9), (plat.omega_hi, plat.omega_hi + pad), False),
         ]
         for target, bracket, want_geq in margins:
-            compare_log.clear()
             # the two calls liouville_measure_estimate makes
             want, grow = (0, "lo") if want_geq else (1, "hi")
             got = _rot_crossing(arnold, target.numerator, target.denominator, *bracket, want,
                                 grid=1024, tol=1e-9, grow=grow)
-            calls = list(compare_log)
-            compare_log.clear()
-            assert got == loop_margin_edge(arnold, target, bracket, want_geq, 1e-9)
-            assert calls and calls == compare_log
+            assert abs(got - loop_margin_edge(arnold, target, bracket, want_geq, 1e-9)) <= 1e-9
+            assert_certified(arnold, target.numerator, target.denominator, got, want, 1e-9,
+                             grid=1024)
 
 
 class TestTsujii:
@@ -471,6 +466,13 @@ class TestLiouville:
         assert rep.constant == pytest.approx(9.0, abs=1e-6)  # e^{2 ln 3}
         assert rep.passed
         assert rep.measured_total <= rep.bound_total
+
+    def test_crossings_take_few_g_evaluations(self, arnold, crossing_counts):
+        # 40 crossings at about 9 G grid evaluations each; a slide back to
+        # bisecting the sign test would take about 30 each
+        liouville_measure_estimate(arnold, 1.0, 5)
+        assert crossing_counts["grids"] <= 700
+        assert crossing_counts["fallbacks"] == 0
 
     def test_empty(self, arnold):
         rep = liouville_measure_estimate(arnold, 1.0, 0)

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 from circletau.errors import ConfigError, NotADiffeomorphism, StripExceeded
 from circletau.maps import (
+    TWO_PI,
     _STRIP_CAP,
     _STRIP_GRID,
     _STRIP_MARGIN,
@@ -63,6 +64,67 @@ class TestEvaluation:
             arnold.lift(0.3 + 1.5j * delta)
         # inside the strip is fine
         arnold.lift(0.3 + 0.5j * delta)
+
+
+def loop_displacement(m, z):
+    """CircleMap.displacement before it kept its nonzero harmonics, kept as
+    its reference."""
+    z = np.asarray(z)
+    out = np.full(z.shape, m.mean_shift, dtype=z.dtype if np.iscomplexobj(z) else float)
+    for k, a in enumerate(m.cos_coeffs, start=1):
+        if a:
+            out = out + a * np.cos(TWO_PI * k * z)
+    for k, b in enumerate(m.sin_coeffs, start=1):
+        if b:
+            out = out + b * np.sin(TWO_PI * k * z)
+    return out if out.shape else out[()]
+
+
+def loop_deriv(m, z, order):
+    """CircleMap.deriv before it kept its nonzero harmonics, kept as its
+    reference."""
+    z = np.asarray(z)
+    dtype = z.dtype if np.iscomplexobj(z) else float
+    out = np.full(z.shape, 1.0 if order == 1 else 0.0, dtype=dtype)
+    for k, a in enumerate(m.cos_coeffs, start=1):
+        if a:
+            w = TWO_PI * k
+            out = out + (-a * w * np.sin(w * z) if order == 1 else -a * w * w * np.cos(w * z))
+    for k, b in enumerate(m.sin_coeffs, start=1):
+        if b:
+            w = TWO_PI * k
+            out = out + (b * w * np.cos(w * z) if order == 1 else -b * w * w * np.sin(w * z))
+    return out if out.shape else out[()]
+
+
+class TestSparseHarmonics:
+    @pytest.mark.parametrize(
+        "name", ["arnold", "rotation", "two_humped", "period2_family", "mixed", "sparse_k2100"]
+    )
+    def test_matches_loop_bit_for_bit(self, request, name):
+        extra = {
+            "mixed": CircleMap(0.3, (0.02, 0.0, 0.01), (0.04, 0.015)),
+            "sparse_k2100": CircleMap(0.3, (), (0.0,) * 2099 + (1e-5,)),
+        }
+        m = extra[name] if name in extra else request.getfixturevalue(name)
+        # the strip check is not compared: the K = 2100 strip is 2e-4 wide
+        rng = np.random.default_rng(11)
+        points = [
+            rng.uniform(-2.0, 2.0, 513),
+            rng.uniform(0.0, 1.0, 64) + 1e-4j * rng.uniform(-1.0, 1.0, 64),
+            np.asarray(0.1),
+            0.37,
+            0.2 + 5e-5j,
+        ]
+        for z in points:
+            pairs = [(m.displacement(z, _check=False), loop_displacement(m, z))]
+            pairs += [(m.deriv(z, order, _check=False), loop_deriv(m, z, order))
+                      for order in (1, 2)]
+            for got, ref in pairs:
+                assert type(got) is type(ref)
+                got, ref = np.asarray(got), np.asarray(ref)
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
 
 
 class TestDerivative:
