@@ -7,8 +7,15 @@ with return error e gives rot >= p/n (e > 0) or rot <= p/n (e < 0).  The
 records are those of the computed float orbit, a pseudo-orbit of f with a
 rounding error at every step, so the bracket is exact for that orbit but
 is not a proof about f, and the average must lie inside it.  Rational
-values are certified through the sign of G(x) = F^q(x) - x - p, which
-decides on one extremum of G (``_g_extremum``).
+values are certified through the sign of G(x) = F^q(x) - x - p.  Since
+the lift F^q increases, G on a grid cell [x_i, x_i + h] lies between
+G(x_i) - h and G(x_i + h) + h, so a grid whose minimum exceeds the sign
+floor by h (or whose maximum lies below minus the floor by h) settles the
+sign: first on a coarse grid of an eighth of the points, then on the full
+grid, and only when neither settles it on one refined extremum of G
+(``_g_extremum``).  The bound is exact for the true F^q and holds for the
+computed orbit up to its rounding, which the floor absorbs; it is not a
+proof about f.
 
 Plateau edges, Tsujii approximant edges and Liouville margins are
 rotation-number crossings, ``_rot_crossing``: the smallest omega with
@@ -22,7 +29,7 @@ returns the same bits as ``lift`` (see ``circletau.maps``), and every G,
 on a grid or on one float (the Brent and brentq refinements), goes
 through ``IteratedMap.lift``.  Every bounded Brent refinement of a grid
 point is ``_grid_min``, and ``compare_to_rational`` refines only the grid
-extremum its sign rule still needs.
+extremum its sign rule still needs, when no grid's cell bound settles it.
 """
 
 from __future__ import annotations
@@ -123,14 +130,22 @@ def compare_to_rational(map: CircleMap, p: int, q: int, grid: int = _G_GRID) -> 
     """Sign of rot(f) - p/q: +1, -1, or 0 (p/q attained).
 
     rot > p/q iff G > 0 everywhere, rot < p/q iff G < 0 everywhere,
-    and rot = p/q iff G vanishes somewhere.  G is sampled on a uniform
-    grid, and the sign is decided against a floor of 1e-13 q.  Only the
-    extremum that could still overturn the grid's verdict is refined
-    (_g_extremum): the minimum when the grid minimum lies above the
-    floor, the maximum when the grid maximum lies below minus the floor.
-    Otherwise G changes sign (or touches zero) on the grid and p/q is
-    attained.
+    and rot = p/q iff G vanishes somewhere.  The sign is decided against
+    a floor of 1e-13 q.  Since F^q increases, G >= G(x_i) - h and
+    G <= G(x_i + h) + h on a cell [x_i, x_i + h] of a uniform grid, so a
+    grid minimum above the floor by h gives +1 and a grid maximum below
+    minus the floor by h gives -1.  That bound is tried on a grid of
+    grid // 8 points (when that is at least 64), then on the full grid.
+    The bound is exact for the true F^q and holds for the computed orbit
+    up to its rounding, which the floor absorbs.  When neither grid
+    settles the sign, only the extremum that could still overturn the
+    full grid's verdict is refined (_g_extremum): the minimum when the
+    grid minimum lies above the floor, the maximum when the grid maximum
+    lies below minus the floor.  Otherwise G changes sign (or touches
+    zero) on the grid and p/q is attained.
     """
+    if grid < 1:
+        raise ConfigError(f"grid must be >= 1, got {grid}")
     floor = _SIGN_FLOOR * max(1, q)
     if map.is_rotation:
         val = q * map.mean_shift - p  # G is the constant q*theta - p
@@ -139,10 +154,17 @@ def compare_to_rational(map: CircleMap, p: int, q: int, grid: int = _G_GRID) -> 
         if val < -floor:
             return -1
         return 0
-    fq, x, g = _g_grid(map, p, q, grid)
-    if float(g.min()) > floor:
+    coarse = grid // 8
+    for n in (coarse, grid) if coarse >= 64 else (grid,):
+        fq, x, g = _g_grid(map, p, q, n)
+        gmin, gmax = float(g.min()), float(g.max())
+        if gmin - 1.0 / n > floor:
+            return 1
+        if gmax + 1.0 / n < -floor:
+            return -1
+    if gmin > floor:
         return 1 if _g_extremum(fq, p, x, g, 1.0) > floor else 0
-    if float(g.max()) < -floor:
+    if gmax < -floor:
         return -1 if _g_extremum(fq, p, x, g, -1.0) < -floor else 0
     return 0
 

@@ -289,7 +289,7 @@ class IteratedMap:
             raise ConfigError(f"derivative order must be 1 or 2, got {order}")
         val = np.asarray(z)
         d1 = np.ones(val.shape)
-        d2 = np.zeros_like(d1)
+        d2 = np.zeros_like(d1) if order == 2 else None
         for _ in range(self.q):
             fp = self.base.deriv(val, 1)
             if order == 2:

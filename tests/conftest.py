@@ -124,10 +124,19 @@ def compare_log(monkeypatch):
 
 @pytest.fixture
 def crossing_counts(monkeypatch):
-    """Counts of the G grid evaluations (``_g_grid``) and of the bisection
-    fallbacks (``_bisect``) made through the dynamics module."""
-    counts = {"grids": 0, "fallbacks": 0}
-    for name, key in (("_g_grid", "grids"), ("_bisect", "fallbacks")):
+    """Counts made through the dynamics module: G grid evaluations
+    (``_g_grid``) and their G points (grid times q), bounded Brent
+    refinements (``_grid_min``) and bisection fallbacks (``_bisect``)."""
+    counts = {"grids": 0, "points": 0, "refinements": 0, "fallbacks": 0}
+    g_grid = dynamics._g_grid
+
+    def counting_grid(map, p, q, grid):
+        counts["grids"] += 1
+        counts["points"] += grid * q
+        return g_grid(map, p, q, grid)
+
+    monkeypatch.setattr(dynamics, "_g_grid", counting_grid)
+    for name, key in (("_grid_min", "refinements"), ("_bisect", "fallbacks")):
         original = getattr(dynamics, name)
 
         def counting(*args, _original=original, _key=key, **kwargs):

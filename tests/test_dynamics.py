@@ -236,6 +236,99 @@ class TestCompareToRational:
         assert {-1, 1} <= seen
 
 
+def loop_compare_to_rational(map, p, q, grid=4096):
+    """compare_to_rational before the cell bound, kept as its reference:
+    the full grid, then the Brent refinement of the one extremum the sign
+    rule still needs."""
+    floor = _SIGN_FLOOR * max(1, q)
+    if map.is_rotation:
+        val = q * map.mean_shift - p
+        return 1 if val > floor else -1 if val < -floor else 0
+    fq = map.iterate(q)
+    x = np.linspace(0.0, 1.0, grid, endpoint=False)
+    g = fq.lift(x) - x - p
+
+    def extremum(sign):
+        i = int(np.argmin(sign * g))
+        res = minimize_scalar(
+            lambda t: sign * (fq.lift(float(t)) - float(t) - p),
+            bounds=(x[i] - 1.0 / grid, x[i] + 1.0 / grid),
+            method="bounded",
+            options={"xatol": 1e-14, "maxiter": 300},
+        )
+        return sign * min(sign * float(g[i]), res.fun)
+
+    if float(g.min()) > floor:
+        return 1 if extremum(1.0) > floor else 0
+    if float(g.max()) < -floor:
+        return -1 if extremum(-1.0) < -floor else 0
+    return 0
+
+
+class TestCellBound:
+    EDGE_OFFSETS = (1e-12, 1e-9, 1e-6, 1e-3)
+
+    @pytest.mark.parametrize("p, q", [(0, 1), (1, 2), (1, 3), (233, 377), (377, 610)])
+    @pytest.mark.parametrize("name", ["arnold", "two_humped", "mixed"])
+    def test_verdicts_match_loop(self, request, name, p, q):
+        # the edges only place the shifts, so crossings on the 1024 grid
+        # (to 1e-13) suffice.  At q >= 377 the plateau is under 4e-13 wide,
+        # so the upper edge is sought within 1e-12 of the lower one; and one
+        # 4096-point sign test and its reference take about 0.1 s, so those
+        # run on the 1024 grid alone, which takes the same path: coarse
+        # grid, full grid, refinement
+        m = (CircleMap(0.0, (0.03,), (0.06,)) if name == "mixed"
+             else request.getfixturevalue(name))
+        wlo, whi = plateau_bracket(m, p, q)
+        lo = _rot_crossing(m, p, q, wlo, whi, 0, grid=1024, tol=1e-13)
+        if q >= 377:
+            wlo, whi = lo, lo + 1e-12
+        hi = _rot_crossing(m, p, q, wlo, whi, 1, grid=1024, tol=1e-13)
+        shifts = [e + s * d for e in (lo, hi) for s in (-1.0, 1.0) for d in self.EDGE_OFFSETS]
+        shifts += [lo + t * (hi - lo) for t in (0.25, 0.5, 0.75)]
+        shifts += [lo - 0.2, hi + 0.2]
+        seen = set()
+        for grid in (1024, 4096) if q < 377 else (1024,):
+            for w in shifts:
+                side = compare_to_rational(m.shifted(w), p, q, grid)
+                assert side == loop_compare_to_rational(m.shifted(w), p, q, grid), (grid, w)
+                seen.add(side)
+        assert seen == {-1, 0, 1}
+
+    def test_rotation_verdicts_match_loop(self):
+        for p, q in [(0, 1), (1, 2), (1, 3), (233, 377), (377, 610)]:
+            for d in (0.0, 1e-14, 1e-12, 1e-9, 0.1):
+                for s in (-1.0, 1.0):
+                    m = CircleMap(p / q + s * d)
+                    for grid in (1024, 4096):
+                        got = compare_to_rational(m, p, q, grid)
+                        assert got == loop_compare_to_rational(m, p, q, grid)
+
+    def test_bracket_ends_settle_on_coarse_grid(self, arnold, crossing_counts):
+        # plateau's side checks at the ends of its default bracket
+        for w, side in zip(plateau_bracket(arnold, 0, 1), (-1, 1)):
+            before = dict(crossing_counts)
+            assert compare_to_rational(arnold.shifted(w), 0, 1) == side
+            assert crossing_counts["grids"] - before["grids"] == 1
+            assert crossing_counts["points"] - before["points"] == 512
+            assert crossing_counts["refinements"] == before["refinements"]
+
+    @pytest.mark.parametrize("w, side", [(B + 1e-12, 1), (-B - 1e-12, -1)],
+                             ids=["upper", "lower"])
+    def test_near_edge_reaches_refinement(self, arnold, crossing_counts, w, side):
+        # 1e-12 outside an edge of the 0/1 plateau, [-b, b]
+        assert compare_to_rational(arnold.shifted(w), 0, 1) == side
+        assert loop_compare_to_rational(arnold.shifted(w), 0, 1) == side
+        assert crossing_counts["grids"] == 2
+        assert crossing_counts["points"] == 512 + 4096
+        assert crossing_counts["refinements"] == 1
+
+    def test_grid_validation(self, arnold):
+        for grid in (0, -8):
+            with pytest.raises(ConfigError):
+                compare_to_rational(arnold, 0, 1, grid)
+
+
 def loop_grid_roots(g, x, scalar_g):
     """The per-point scan that _grid_roots vectorises, kept as its reference."""
     n = g.size

@@ -302,6 +302,29 @@ class TestIterate:
             assert type(via_float) is float
             assert via_float == h.lift(np.asarray(t))
 
+    @pytest.mark.parametrize("name", ["arnold", "two_humped", "mixed"])
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_deriv_matches_loop_bit_for_bit(self, request, name, q):
+        m = (CircleMap(0.3, (0.02, 0.0, 0.01), (0.04, 0.015)) if name == "mixed"
+             else request.getfixturevalue(name))
+        h = m.iterate(q)
+        rng = np.random.default_rng(5)
+        delta = 0.2 * h.strip_halfwidth
+        points = [
+            rng.uniform(-2.0, 2.0, 257),
+            rng.uniform(0.0, 1.0, 32) + 1j * delta * rng.uniform(-1.0, 1.0, 32),
+            np.asarray(0.1),
+            0.37,
+            0.2 + 0.5j * delta,
+        ]
+        for z in points:
+            for order in (1, 2):
+                got, ref = h.deriv(z, order), loop_iterated_deriv(h, z, order)
+                assert type(got) is type(ref)
+                got, ref = np.asarray(got), np.asarray(ref)
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("name, q", [("arnold", 2), ("two_humped", 2), ("two_humped", 3)])
     def test_strip_inside_loop_bracket(self, request, name, q):
         # the earlier fixed 50 halvings of [0, delta0] take the same midpoints,
@@ -310,6 +333,21 @@ class TestIterate:
         lo, hi = loop_iterated_strip_bracket(h)
         assert lo <= h.strip_halfwidth < hi
         assert h.strip_halfwidth < h.base.strip_halfwidth
+
+
+def loop_iterated_deriv(h, z, order):
+    """IteratedMap.deriv as it was, with d2 allocated for either order."""
+    val = np.asarray(z)
+    d1 = np.ones(val.shape)
+    d2 = np.zeros_like(d1)
+    for _ in range(h.q):
+        fp = h.base.deriv(val, 1)
+        if order == 2:
+            d2 = h.base.deriv(val, 2) * d1 * d1 + fp * d2
+        d1 = fp * d1
+        val = h.base.lift(val)
+    out = d1 if order == 1 else d2
+    return out if out.shape else out[()]
 
 
 def loop_iterated_strip_bracket(h):
