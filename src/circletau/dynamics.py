@@ -30,6 +30,12 @@ on a grid or on one float (the Brent and brentq refinements), goes
 through ``IteratedMap.lift``.  Every bounded Brent refinement of a grid
 point is ``_grid_min``, and ``compare_to_rational`` refines only the grid
 extremum its sign rule still needs, when no grid's cell bound settles it.
+
+The two Brent routines are the package's own: ``maps.brentq`` for roots
+and ``minimize_scalar`` here for bounded minima (Brent 1973, ch. 4 and
+5).  They are ports of scipy.optimize.brentq and of scipy's
+``minimize_scalar(method="bounded")`` that return the same bits, so no
+process imports scipy.optimize.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     ConfigError,
@@ -52,7 +57,7 @@ from .errors import (
     RootFindingIncomplete,
     WrongRotationNumber,
 )
-from .maps import CircleMap, IteratedMap, _bisect
+from .maps import CircleMap, IteratedMap, _bisect, brentq
 
 TOL_PARABOLIC = 1e-8  # |rho - 1| below root-refinement accuracy is parabolic
 
@@ -98,15 +103,91 @@ class Plateau:
 # -- G(x) = F^q(x) - x - p machinery ----------------------------------------
 
 
+_BRENT_XATOL = 1e-14
+_BRENT_EVALS = 300
+
+
+def minimize_scalar(fn, a: float, b: float):
+    """(x, fn(x)) at a local minimum of fn on [a, b] by Brent's bounded
+    method (R. P. Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 5): golden-section steps, and parabolic ones where they fit.
+
+    A line-by-line port of scipy.optimize.minimize_scalar(method=
+    "bounded") (``_minimize_scalar_bounded``) at xatol = 1e-14 and
+    maxiter = 300, so x and fn(x) have the same bits, and are numpy
+    scalars as scipy's are.  fn is called on Python floats.  It
+    stops when x lies within 2 tol - (b - a) / 2 of the middle of the
+    shrinking bracket, tol = sqrt(2.2e-16) |x| + xatol / 3, or after 300
+    evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(a), float(b)
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = fn(xf)
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + _BRENT_XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through xf, nfc, fulc
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = fn(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + _BRENT_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_EVALS:
+            break
+    return np.float64(xf), np.asarray(fx)[()]
+
+
 def _grid_min(fn, x0, h):
-    """Bounded Brent minimum of fn on [x0 - h, x0 + h], the two cells of
-    spacing h around the grid point x0; fn is called on Python floats."""
-    return minimize_scalar(
-        lambda t: fn(float(t)),
-        bounds=(x0 - h, x0 + h),
-        method="bounded",
-        options={"xatol": 1e-14, "maxiter": 300},
-    )
+    """(x, fn(x)) at the bounded Brent minimum of fn on [x0 - h, x0 + h],
+    the two cells of spacing h around the grid point x0: the package's
+    minimize_scalar, a port of scipy.optimize.minimize_scalar(method=
+    "bounded", options={"xatol": 1e-14, "maxiter": 300}) with its bits."""
+    return minimize_scalar(fn, x0 - h, x0 + h)
 
 
 def _g_grid(map, p: int, q: int, grid: int):
@@ -122,7 +203,7 @@ def _g_extremum(fq, p: int, x, g, sign: float) -> float:
     of the two cells around it, which can only lower the minimum or raise
     the maximum."""
     i = int(np.argmin(sign * g))
-    refined = _grid_min(lambda t: sign * (fq.lift(t) - t - p), x[i], 1.0 / g.size).fun
+    refined = _grid_min(lambda t: sign * (fq.lift(t) - t - p), x[i], 1.0 / g.size)[1]
     return sign * min(sign * float(g[i]), refined)
 
 
@@ -342,10 +423,10 @@ def _grid_roots(g, x, scalar_g):
             roots.append(brentq(scalar_g, xl, xl + h, xtol=1e-15, rtol=8.9e-16))
         else:
             sgn = 1.0 if g[i] >= 0.0 else -1.0
-            res = _grid_min(lambda t: sgn * scalar_g(t), xl, h)
-            if abs(res.fun) < 1e-10:
-                roots.append(float(res.x) % 1.0)
-            elif abs(res.fun) < 1e-8:
+            xm, fm = _grid_min(lambda t: sgn * scalar_g(t), xl, h)
+            if abs(fm) < 1e-10:
+                roots.append(float(xm) % 1.0)
+            elif abs(fm) < 1e-8:
                 suspects.append((xl - h, xl + h))
     return roots, suspects
 
@@ -452,9 +533,10 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
 
     The sign test decides on one extremum of G_omega = F_omega^q - x - p
     (_g_extremum), which rises with omega: rot >= p/q iff max G >= -1e-13 q
-    (want = 0), and rot > p/q iff min G > 1e-13 q (want = 1).  brentq
-    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 4) finds the root w of that extremum shifted by the floor, and
+    (want = 0), and rot > p/q iff min G > 1e-13 q (want = 1).
+    ``maps.brentq`` (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4; a port of scipy.optimize.brentq with its
+    bits) finds the root w of that extremum shifted by the floor, and
     the sign test certifies it: False at w - tol/2 and True at w + tol/2,
     so the midpoint of the two lies within tol/2 of the switch.  If
     brentq fails or the certificate does not hold, [lo, hi] is bisected

@@ -283,6 +283,11 @@ def _boundary_batch(map, jobs) -> list:
     return out
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+
+
 def _boundary_values(map, jobs, workers: int) -> list:
     """_boundary_batch of all jobs, in job order.
 
@@ -337,8 +342,9 @@ def trace_bubble(map: CircleMap, p: int, q: int, samples: int = 24, classify: bo
     The traced interval is the maximal hyperbolic subinterval of the p/q
     plateau abutting its right (or left, per `segment`) edge; its
     endpoints are classified from the multiplier traces of the
-    continuing cycles.
+    continuing cycles.  workers < 1 raises ConfigError.
     """
+    _check_workers(workers)
     seg = _bubble_segment(map, p, q, samples, segment)
     return _bubble_trace(map, seg, _boundary_values(map, seg.jobs, workers), classify)
 
@@ -350,8 +356,12 @@ def trace_atlas(map: CircleMap, q_max: int, samples: int = 16,
 
     Returns (traces, skipped); a plateau whose planning or any sample
     raises NumericalError is left out of traces and listed in skipped as
-    (p, q, error).  Endpoints are not classified.
+    (p, q, error).  Endpoints are not classified.  q_max < 1 or
+    workers < 1 raises ConfigError.
     """
+    if q_max < 1:
+        raise ConfigError(f"q_max must be >= 1, got {q_max}")
+    _check_workers(workers)
     planned, skipped = [], []
     for q in range(1, q_max + 1):
         for p in range(q):
@@ -408,8 +418,8 @@ def displacement_maxima(map: CircleMap, grid: int = 8192):
     peaks = (g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
     out = []
     for i in np.flatnonzero(peaks):
-        res = _grid_min(lambda t: float(map.displacement(t)), x[i], 1.0 / grid)
-        out.append((float(res.x) % 1.0, -float(res.fun)))
+        xm, fm = _grid_min(lambda t: float(map.displacement(t)), x[i], 1.0 / grid)
+        out.append((float(xm) % 1.0, -float(fm)))
     out.sort(key=lambda t: t[1])
     return out
 

@@ -12,7 +12,9 @@ on a grid rather than proven.
 The package's one bisection, ``_bisect``, lives here: it bisects the
 strip widths, ``circletau.experiments`` its count jumps, and
 ``circletau.dynamics`` falls back on it when a rotation-number crossing's
-Brent root fails its certificate.
+Brent root fails its certificate.  So does its one root finder,
+``brentq``, a port of scipy.optimize.brentq that returns the same bits,
+so that no process pays for importing scipy.optimize.
 
 Scalar orbits use ``CircleMap.lift_float``, which evaluates F on one
 Python float with ``math.cos``/``math.sin`` and no array overhead.  It
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, NotADiffeomorphism, StripExceeded
 
@@ -45,6 +46,8 @@ _VALIDATION_GRID = 8192
 _STRIP_GRID = 4096
 _STRIP_CAP = 4.0
 _STRIP_MARGIN = 0.1
+_BRENTQ_RTOL = 4 * np.finfo(float).eps  # scipy's default, and its least rtol
+_BRENTQ_STEPS = 100
 
 
 def _bisect(right, lo: float, hi: float, tol: float):
@@ -60,6 +63,71 @@ def _bisect(right, lo: float, hi: float, tol: float):
         else:
             lo = mid
     return lo, hi
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENTQ_RTOL) -> float:
+    """Root of f in [a, b] by Brent's method (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).
+
+    A line-by-line port of scipy.optimize.brentq (its C routine
+    Zeros/brentq.c and the NaN guard of its Python wrapper), so the root
+    has the same bits: f is called on Python floats, inverse quadratic or
+    secant steps are taken while they shrink fast enough and bisection
+    otherwise, and the search stops once half the bracket is below
+    (xtol + rtol |x|) / 2 or f vanishes, after at most 100 steps.  Raises
+    ValueError when f(a) and f(b) have one sign or f returns NaN, and
+    RuntimeError when 100 steps do not converge.
+    """
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return float(fx)
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENTQ_STEPS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur becomes the best end
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(
+        f"Failed to converge after {_BRENTQ_STEPS} iterations, value is {xcur:f}"
+    )
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_triangular, svdvals
 from scipy.linalg.blas import zgemm, zgemv
@@ -378,7 +377,7 @@ def _moments(ef):
     S[0] = M
     for lo in range(0, N, FFT_BLOCK):
         hi = min(N, lo + FFT_BLOCK)
-        dft = scipy.fft.fft(ef[:, lo:hi], axis=0)
+        dft = np.fft.fft(ef[:, lo:hi], axis=0)
         S[1 + lo : 1 + hi] = dft[0]
         pp[lo:hi] = dft[1 : N + 1].T
         pm[lo:hi] = dft[M - 1 : M - N - 1 : -1].T
@@ -481,14 +480,14 @@ class _GluingSystem:
         v[1 : N + 1] = self.D * b
         up, dn = zgemm(1.0, self.ef, np.column_stack([self.D * a, b.conj()])).T
         out = up + dn.conj()
-        out -= scipy.fft.fft(v)
+        out -= np.fft.fft(v)
         out -= x[2 * N]
         return out
 
     def rmatvec(self, r):
         """A^H r = (conj(D) E_f^H r - F[k], E_f^T r - conj(D) F[M - k], -sum r)."""
         M, N = self.ef.shape
-        F = scipy.fft.fft(r)
+        F = np.fft.fft(r)
         dc = self.D.conj()
         out = np.empty(2 * N + 1, dtype=complex)
         out[:N] = dc * zgemv(1.0, self.ef, r, trans=2) - F[1 : N + 1]
@@ -550,7 +549,7 @@ def _phi_prime_on_circles(a, b, omega: complex, L: int):
     c[:, 0] = 1.0
     c[0, k], c[0, L - k] = da, db * D
     c[1, k], c[1, L - k] = da * D, db
-    return scipy.fft.ifft(c, axis=1, norm="forward")
+    return np.fft.ifft(c, axis=1, norm="forward")
 
 
 def complex_rotation_number(

@@ -110,6 +110,21 @@ class TestExitCodes:
     def test_unknown_command_is_2(self, tmp_path):
         assert run("frobnicate", "--map", ROT_MAP) == 2
 
+    def test_atlas_needs_a_period(self, tmp_path, capsys):
+        for qmax in ("0", "-1"):
+            assert run("atlas", "--map", ARNOLD_MAP, "--qmax", qmax, "--workers", "1",
+                       "--out", str(tmp_path)) == 2
+            assert f"q_max must be >= 1, got {qmax}" in capsys.readouterr().err
+        assert not (tmp_path / "atlas.csv").exists()
+
+    @pytest.mark.parametrize("command", [("trace", "--pq", "0/1"), ("atlas", "--qmax", "1")])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_must_be_positive(self, tmp_path, capsys, command, workers):
+        assert run(*command, "--map", ARNOLD_MAP, "--workers", workers, "--samples", "6",
+                   "--out", str(tmp_path)) == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):

@@ -142,6 +142,18 @@ class TestTraceAtlas:
             firsts.append(stores[0])
         assert len({id(s) for s in firsts}) == len(firsts)
 
+    @pytest.mark.parametrize("q_max", [0, -1])
+    def test_q_max_validation(self, arnold, q_max):
+        with pytest.raises(ConfigError, match="q_max must be >= 1"):
+            trace_atlas(arnold, q_max)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_validation(self, arnold, workers):
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            trace_atlas(arnold, 1, workers=workers)
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            trace_bubble(arnold, 0, 1, workers=workers)
+
     def test_failed_sample_raises_from_trace_bubble(self, arnold, monkeypatch):
         def stub(map, omega, edge_distance=None, **kwargs):
             raise IllConditioned("stub refuses every sample")

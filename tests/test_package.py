@@ -199,3 +199,18 @@ def test_cli_import_skips_scipy_integrate():
         env=env, check=True, capture_output=True, text=True, timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_skips_scipy_beyond_linalg():
+    """Importing the CLI loads none of scipy.optimize, scipy.fft,
+    scipy.special, scipy.sparse or scipy.integrate; the package's Brent
+    routines are its own and its FFTs are numpy.fft.  Every process pays
+    for what the import loads, the pool workers of trace and atlas too."""
+    skipped = ["scipy.optimize", "scipy.fft", "scipy.special", "scipy.sparse", "scipy.integrate"]
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, circletau.cli; print([m for m in {skipped!r} if m in sys.modules])"],
+        env=env, check=True, capture_output=True, text=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -284,6 +284,24 @@ class TestCollocationKernel:
             )
         assert sol.min_phi_prime == float(np.min(np.abs(grids)))
 
+    @pytest.mark.parametrize("N", [32, 48, 81, 185, 256, 384])
+    def test_numpy_fft_matches_scipy_fft(self, N):
+        """uniformize's FFTs are numpy.fft's; on the column blocks, vectors
+        and inverse grids of the solves they have scipy.fft's bits."""
+        fft = pytest.importorskip("scipy.fft")
+        rng = np.random.default_rng(N)
+        M = 4 * N + 8
+        ef = np.asfortranarray(rng.normal(size=(M, N)) + 1j * rng.normal(size=(M, N)))
+        v = rng.normal(size=M) + 1j * rng.normal(size=M)
+        c = rng.normal(size=(2, 4 * M)) + 1j * rng.normal(size=(2, 4 * M))
+        pairs = [(np.fft.fft(ef[:, lo : lo + uniformize.FFT_BLOCK], axis=0),
+                  fft.fft(ef[:, lo : lo + uniformize.FFT_BLOCK], axis=0))
+                 for lo in range(0, N, uniformize.FFT_BLOCK)]
+        pairs.append((np.fft.fft(v), fft.fft(v)))
+        pairs.append((np.fft.ifft(c, axis=1, norm="forward"), fft.ifft(c, axis=1, norm="forward")))
+        for ours, theirs in pairs:
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
     def test_cis_powers_match_mpmath(self, two_humped):
         mpmath = pytest.importorskip("mpmath")
         N, M = 384, 4 * 384 + 8
