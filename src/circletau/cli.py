@@ -21,14 +21,25 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .dynamics import cycles_to_csv_rows, find_cycles, rotation_estimate
+from .dynamics import find_cycles, rotation_estimate
 from .errors import ConfigError, NumericalError
 from .experiments import trace_atlas, trace_bubble, tsujii_gap
 from .linearize import sigma
 from .maps import CircleMap, total_distortion
 from .svgplot import render_bubble_svg
-from .uniformize import boundary_tau, complex_rotation_number, solution_csv_row
+from .uniformize import boundary_tau, complex_rotation_number
 from .welding import welding_constant
+
+# trace.csv and atlas.csv: one row per bubble sample
+_BUBBLE_HEADER = ("omega", "p", "q", "tau_re", "tau_im", "h", "angle", "err")
+
+
+def _bubble_rows(traces):
+    return [
+        (s.omega, s.p, s.q, s.tau_re, s.tau_im, s.horocycle_height, s.tangency_angle,
+         s.error_estimate)
+        for tr in traces for s in tr.samples
+    ]
 
 
 def _parse_map(spec: str) -> CircleMap:
@@ -144,7 +155,8 @@ def run(args) -> int:
         p, q = _parse_pq(args.pq)
         cycles = find_cycles(fmap, p, q)
         _emit_csv(outdir, "cycles.csv", ("p", "q", "point", "rho", "kind"),
-                  cycles_to_csv_rows(cycles))
+                  [(c.winding, c.period, t, c.multiplier, c.kind)
+                   for c in cycles for t in c.points])
 
     elif args.command == "tau":
         _require(args, "omega")
@@ -160,7 +172,8 @@ def run(args) -> int:
             _emit_csv(outdir, "tau.csv",
                       ("re_omega", "im_omega", "re_tau", "im_tau", "residual",
                        "min_phi_prime", "N", "M"),
-                      [solution_csv_row(sol)])
+                      [(sol.omega.real, sol.omega.imag, sol.tau.re, sol.tau.im,
+                        sol.residual, sol.min_phi_prime, sol.n_modes, sol.m_points)])
 
     elif args.command == "boundary":
         _require(args, "omega")
@@ -184,9 +197,7 @@ def run(args) -> int:
         tr = trace_bubble(fmap, p, q, samples=args.samples,
                           workers=args.workers)
         if "csv" in emit:
-            _emit_csv(outdir, "trace.csv",
-                      ("omega", "p", "q", "tau_re", "tau_im", "h", "angle", "err"),
-                      tr.csv_rows())
+            _emit_csv(outdir, "trace.csv", _BUBBLE_HEADER, _bubble_rows([tr]))
         if "json" in emit:
             _emit_json(outdir, "trace_endpoints.json", {
                 "left": tr.left.to_json_dict() if tr.left else None,
@@ -221,9 +232,7 @@ def run(args) -> int:
         for p, q, exc in skipped:
             print(f"skipped {p}/{q}: {type(exc).__name__}: {exc}", file=sys.stderr)
         if "csv" in emit:
-            _emit_csv(outdir, "atlas.csv",
-                      ("omega", "p", "q", "tau_re", "tau_im", "h", "angle", "err"),
-                      [row for tr in traces for row in tr.csv_rows()])
+            _emit_csv(outdir, "atlas.csv", _BUBBLE_HEADER, _bubble_rows(traces))
         if "svg" in emit:
             with open(os.path.join(outdir, "atlas.svg"), "w") as fh:
                 fh.write(render_bubble_svg(traces, distortion=total_distortion(fmap)))

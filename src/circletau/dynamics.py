@@ -44,7 +44,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -92,8 +91,6 @@ class Plateau:
     q: int
     omega_lo: float
     omega_hi: float
-    lo_kind: str = "unclassified"
-    hi_kind: str = "unclassified"
 
     @property
     def width(self) -> float:
@@ -509,15 +506,6 @@ def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
             kind = "repelling"
         cycles.append(Cycle(tuple(pts), q, p, rho, kind))
     return cycles
-
-
-def cycles_to_csv_rows(cycles: Sequence[Cycle]):
-    """Rows (p, q, point, rho, kind), one row per periodic point."""
-    rows = []
-    for c in cycles:
-        for t in c.points:
-            rows.append((c.winding, c.period, t, c.multiplier, c.kind))
-    return rows
 
 
 # -- plateaus ----------------------------------------------------------------

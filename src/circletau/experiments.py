@@ -76,19 +76,6 @@ class BubbleSample:
     tangency_angle: float  # arg(tau - p/q)
     error_estimate: float
 
-    @property
-    def csv_row(self):
-        return (
-            self.omega,
-            self.p,
-            self.q,
-            self.tau_re,
-            self.tau_im,
-            self.horocycle_height,
-            self.tangency_angle,
-            self.error_estimate,
-        )
-
 
 @dataclass(frozen=True)
 class EndpointReport:
@@ -116,9 +103,6 @@ class BubbleTrace:
     samples: tuple  # BubbleSample, ascending omega
     left: EndpointReport | None
     right: EndpointReport | None
-
-    def csv_rows(self):
-        return [s.csv_row for s in self.samples]
 
 
 def count_periodic_points(map, p: int, q: int) -> int:
@@ -327,11 +311,6 @@ def _bubble_trace(map, seg: _Segment, values, classify: bool) -> BubbleTrace:
         right = _classify_endpoint(
             map, p, q, bhi, "right", [s.omega for s in out[-k:]]
         )
-        plat = Plateau(
-            p, q, plat.omega_lo, plat.omega_hi,
-            lo_kind=left.kind if blo == plat.omega_lo else plat.lo_kind,
-            hi_kind=right.kind if bhi == plat.omega_hi else plat.hi_kind,
-        )
     return BubbleTrace(p, q, plat, blo, bhi, tuple(out), left, right)
 
 
@@ -397,18 +376,6 @@ class NoninjectivityReport:
     right_horocycle_ok: bool  # h < 1e-2 at the innermost samples
     left_germ: tuple  # (omega, re offset from p/q, im) polyline
     right_germ: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "y1": self.y1,
-            "y2": self.y2,
-            "left_kind": self.trace.left.kind,
-            "right_kind": self.trace.right.kind,
-            "left_tangency_ok": self.left_tangency_ok,
-            "right_horocycle_ok": self.right_horocycle_ok,
-            "left_germ": [list(t) for t in self.left_germ],
-            "right_germ": [list(t) for t in self.right_germ],
-        }
 
 
 def displacement_maxima(map: CircleMap, grid: int = 8192):

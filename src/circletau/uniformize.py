@@ -29,7 +29,7 @@ x += R^-1 R^-H A^H (b - A x) runs with the residual and x in complex128
 until an update falls below 1e-15 max |x|, or until an update that fails
 to halve the one before it is at most STALL_TOL = 4e-15 max |x| (the
 updates have stalled at rounding level).  The `cond` of such a solve is
-||R||_F ||R^-1||_F of the single-precision factor (ctrtri).  The
+||R||_F ||R^-1||_F of the single-precision factor (_kappa_f).  The
 complex128 Householder QR of [A | b] (numpy's qr, only R read) solves
 instead whenever the Gram factor fails, its cond exceeds FAST_COND_LIMIT
 = 1e4, an update above STALL_TOL max |x| fails to halve the one before
@@ -44,6 +44,8 @@ direction).  Both paths are BLAS work whose bits depend on the OpenBLAS
 thread count: over 11 solves of the Arnold and two-hump maps at
 N = 64..384, tau moved by at most 1.4 ulp between 1 and 2 threads (5 ulp
 on the QR path), and min |Phi'| by at most 4e-12 relative on either path.
+The products are numpy's; from scipy the solve takes only the four LAPACK
+routines numpy has no equivalent for: cpotrf, ctrtri, ztrtri and ztrtrs.
 
 A^H A is not formed from A either.  Every entry of A^H A is a D-weighted
 combination of the omega-free moments S(m) = sum_j e^{2 pi i m F(x_j)}
@@ -88,8 +90,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_triangular, svdvals
-from scipy.linalg.blas import zgemm, zgemv
 from scipy.linalg.lapack import cpotrf, ctrtri, ztrtri, ztrtrs
 
 from .errors import (
@@ -102,7 +102,7 @@ from .errors import (
 TWO_PI = 2.0 * math.pi
 COND_LIMIT = 1e12
 HARD_Y_FLOOR = 2e-5  # absolute floor for edge-adapted rungs
-POWER_BLOCK = 16  # fine-table width B of _cis_blocks
+POWER_BLOCK = 16  # fine-table width B of _cis_powers
 FAST_COND_LIMIT = 1e4  # largest single-precision cond the refinement is tried at
 REFINE_STEPS = 12  # most refinement steps before the QR path takes over
 STALL_TOL = 4e-15  # relative size of an update below which a stall is convergence
@@ -205,73 +205,64 @@ def _cis(out, theta) -> None:
     np.sin(theta, out=out.imag)
 
 
-def _cis_blocks(t, N: int, out=None):
-    """e^{2 pi i k t_j} for k = 1..N, from factored powers, one column block at a time.
+def _cis_powers(t, N: int, out=None):
+    """e^{2 pi i k t_j} for k = 1..N as an M x N array, from factored powers.
 
     Writing k = B a + b with 1 <= b <= B, each entry is one complex
     multiply of a fine table e^{2 pi i b t_j} and a coarse table
     e^{2 pi i B a t_j}, so cos and sin are taken on M (B + N/B) angles
-    instead of M N.  Yields (lo, block), block holding k = lo + 1 ..
-    lo + w as an M x w array: a column slice of out when out is given,
-    else a fresh array.  The first block is the fine table the later
-    ones are made from, so it must not be written to in between.
+    instead of M N.  The fine table is the first B columns of the
+    result, which is written into out when given.
     """
     t = np.asarray(t, dtype=float)
+    if out is None:
+        out = np.empty((t.size, N), dtype=complex)
     B = min(N, POWER_BLOCK)
-    fine = np.empty((t.size, B), dtype=complex) if out is None else out[:, :B]
+    fine = out[:, :B]
     _cis(fine, TWO_PI * np.outer(t, np.arange(1, B + 1)))
     a = np.arange(1, -(-N // B))
     coarse = np.empty((t.size, a.size), dtype=complex)
     _cis(coarse, TWO_PI * np.outer(t, B * a))
-    yield 0, fine
     for i, lo in enumerate(B * a):
         w = min(B, N - lo)
-        dest = None if out is None else out[:, lo : lo + w]
-        yield lo, np.multiply(fine[:, :w], coarse[:, i : i + 1], out=dest)
-
-
-def _cis_powers(t, N: int, out=None):
-    """e^{2 pi i k t_j} for k = 1..N as an M x N array (see _cis_blocks).
-
-    The result is written into out when given.
-    """
-    if out is None:
-        out = np.empty((np.size(t), N), dtype=complex)
-    for _ in _cis_blocks(t, N, out):
-        pass
+        np.multiply(fine[:, :w], coarse[:, i : i + 1], out=out[:, lo : lo + w])
     return out
 
 
-def _condition_bound(R) -> float:
-    """Upper bound on the 2-norm condition number of the triangular factor R.
+def _kappa_f(R) -> float:
+    """kappa_F = ||R||_F ||R^-1||_F >= kappa_2 of the upper triangular R.
 
-    kappa_F = ||R||_F ||R^-1||_F >= kappa_2 costs one triangular inverse;
-    only when it exceeds COND_LIMIT are the singular values computed, so
-    the value is exact whenever it came near the limit.
+    One triangular inverse, ctrtri for a complex64 R and ztrtri for a
+    complex128 one; inf when R is singular.
     """
-    r_inv, info = ztrtri(R)
-    if info == 0:
-        kappa = float(np.linalg.norm(R) * np.linalg.norm(r_inv))
-        if kappa <= COND_LIMIT:
-            return kappa
-    sv = svdvals(R, check_finite=False)
-    return float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
+    r_inv, info = (ctrtri if R.dtype == np.complex64 else ztrtri)(R)
+    if info != 0:
+        return math.inf
+    return float(np.linalg.norm(R)) * float(np.linalg.norm(r_inv))
 
 
 def _qr_solve(Ab, hint: str = ""):
     """Least squares A x = b by Householder QR of [A | b], all in complex128.
 
-    QR gives R = [[R11, z], [0, rho]], and x solves R11 x = z.  Raises
-    IllConditioned when the 2-norm condition number of A exceeds
-    COND_LIMIT.  Returns (x, cond) with cond from _condition_bound.
+    QR gives R = [[R11, z], [0, rho]], and x solves R11 x = z.  The cond
+    is _kappa_f(R11); only when that exceeds COND_LIMIT are the singular
+    values of R11 computed, so cond is exact whenever it came near the
+    limit.  Raises IllConditioned when it exceeds COND_LIMIT.  Returns
+    (x, cond).
     """
     n = Ab.shape[1] - 1
     R = np.linalg.qr(Ab, mode="r")
     R11 = R[:n, :n]
-    cond = _condition_bound(R11)
+    cond = _kappa_f(R11)
+    if not cond <= COND_LIMIT:
+        sv = np.linalg.svd(R11, compute_uv=False)
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     if not cond <= COND_LIMIT:
         raise IllConditioned(f"condition estimate {cond:.3g} exceeds {COND_LIMIT:g}{hint}")
-    return solve_triangular(R11, R[:n, n], check_finite=False), cond
+    # R11 is row-major: solve with its transpose as a lower triangle, the
+    # call scipy's solve_triangular makes, so x keeps that routine's bits
+    x, _ = ztrtrs(R11.T, R[:n, n], lower=1, trans=1)
+    return x, cond
 
 
 def _gram_refine(system):
@@ -291,11 +282,7 @@ def _gram_refine(system):
     R32, info = cpotrf(system.gram, overwrite_a=1)
     if info != 0:
         return None
-    r_inv, info = ctrtri(R32)
-    if info != 0:
-        return None
-    cond = float(np.linalg.norm(R32)) * float(np.linalg.norm(r_inv))
-    del r_inv
+    cond = _kappa_f(R32)
     if not cond <= FAST_COND_LIMIT:
         return None
     R = R32.astype(complex)
@@ -463,9 +450,9 @@ class _GluingSystem:
     at x_j = j / M is applied by one length-M FFT: E_x a = fft(v) with
     v[M - k] = a_k, conj(E_x) c = fft(v) with v[k] = c_k, and for
     F = fft(r), E_x^H r = F[k] and E_x^T r = F[M - k].  So A x costs one
-    product of E_f with two vectors (zgemm) and one FFT, A^H r two
-    matrix-vector products with E_f (zgemv, never a copy of E_f^H) and
-    one FFT, and A itself is formed only by dense().
+    numpy product of two stacked vectors with E_f^T and one FFT, A^H r
+    two vector-matrix products with E_f (conj(r) E_f and r E_f, never a
+    copy of E_f^H) and one FFT, and A itself is formed only by dense().
     """
 
     def __init__(self, ef, D, rhs, gram):
@@ -478,7 +465,7 @@ class _GluingSystem:
         v = np.zeros(M, dtype=complex)
         v[M - N :] = a[::-1]
         v[1 : N + 1] = self.D * b
-        up, dn = zgemm(1.0, self.ef, np.column_stack([self.D * a, b.conj()])).T
+        up, dn = np.stack([self.D * a, b.conj()]) @ self.ef.T
         out = up + dn.conj()
         out -= np.fft.fft(v)
         out -= x[2 * N]
@@ -490,26 +477,25 @@ class _GluingSystem:
         F = np.fft.fft(r)
         dc = self.D.conj()
         out = np.empty(2 * N + 1, dtype=complex)
-        out[:N] = dc * zgemv(1.0, self.ef, r, trans=2) - F[1 : N + 1]
-        out[N : 2 * N] = zgemv(1.0, self.ef, r, trans=1) - dc * F[M - 1 : M - N - 1 : -1]
+        out[:N] = dc * (r.conj() @ self.ef).conj() - F[1 : N + 1]
+        out[N : 2 * N] = r @ self.ef - dc * F[M - 1 : M - N - 1 : -1]
         out[2 * N] = -r.sum()
         return out
 
     def dense(self):
         """[A | b] as an M x (2N + 2) complex128 array in Fortran order.
 
-        Only the QR fallback and the test oracles form it; E_x is applied
-        one column block at a time, so no M x N temporary is made.
+        Only the QR fallback and the test oracles form it, with one M x N
+        table of E_x (_cis_powers).
         """
         M, N = self.ef.shape
+        ex = _cis_powers(np.arange(M) / M, N)
         Ab = np.empty((M, 2 * N + 2), dtype=complex, order="F")
         up, dn = Ab[:, :N], Ab[:, N : 2 * N]
         np.multiply(self.ef, self.D, out=up)
+        up -= ex
         np.conjugate(self.ef, out=dn)
-        for lo, ex in _cis_blocks(np.arange(M) / M, N):
-            cols = slice(lo, lo + ex.shape[1])
-            up[:, cols] -= ex
-            dn[:, cols] -= np.conjugate(ex) * self.D[cols]
+        dn -= np.conjugate(ex) * self.D
         Ab[:, 2 * N] = -1.0
         Ab[:, 2 * N + 1] = self.rhs
         return Ab
@@ -793,18 +779,4 @@ def boundary_tau(
         rungs=tuple(rungs),
         method=method,
         omega=omega,
-    )
-
-
-def solution_csv_row(sol: ConjugacySolution):
-    """(re_omega, im_omega, re_tau, im_tau, residual, min_phi_prime, N, M)."""
-    return (
-        sol.omega.real,
-        sol.omega.imag,
-        sol.tau.re,
-        sol.tau.im,
-        sol.residual,
-        sol.min_phi_prime,
-        sol.n_modes,
-        sol.m_points,
     )

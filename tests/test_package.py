@@ -214,3 +214,19 @@ def test_cli_import_skips_scipy_beyond_linalg():
         env=env, check=True, capture_output=True, text=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_only_scipy_import_is_four_lapack_routines():
+    """The package imports from scipy only the four LAPACK routines numpy
+    has no equivalent for; its products, SVD and FFTs are numpy's."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(path.name, a.name, None) for a in node.names
+                          if a.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                found.append((path.name, node.module, sorted(a.name for a in node.names)))
+    assert found == [
+        ("uniformize.py", "scipy.linalg.lapack", ["cpotrf", "ctrtri", "ztrtri", "ztrtrs"])
+    ]

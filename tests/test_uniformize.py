@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
-from scipy.linalg.blas import cherk, zgemv
+from scipy.linalg.blas import cherk, zgemm, zgemv
 
 from circletau import uniformize, welding
 from circletau.errors import (
@@ -485,6 +485,35 @@ class TestGluingSystem:
             ef, ex = np.exp(2j * math.pi * np.outer(fx, k)), np.exp(2j * math.pi * np.outer(x, k))
             outer = np.hstack([ef * D - ex, ef.conj() - ex.conj() * D, -np.ones((M, 1))])
             assert float(np.max(np.abs(A - outer))) < 1e-12 * float(np.max(np.abs(outer)))
+
+    @pytest.mark.parametrize("map_name", ["arnold", "two_humped"])
+    @pytest.mark.parametrize("N", [32, 51, 81, 129, 206, 329, 384])
+    def test_products_match_blas_oracles(self, request, map_name, N):
+        """A^H r has the bits of two zgemv calls with E_f, and A x is within
+        1e-15 relative of one zgemm with two columns (the same bits with
+        BLAS at one thread; at two, OpenBLAS may split the product
+        differently)."""
+        omega = SYSTEM_OMEGA[map_name]
+        system = collocation_system(request.getfixturevalue(map_name), omega, N)
+        ef, D = system.ef, system.D
+        M = ef.shape[0]
+        rng = np.random.default_rng(N)
+        x = rng.standard_normal(2 * N + 1) + 1j * rng.standard_normal(2 * N + 1)
+        r = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        F = np.fft.fft(r)
+        want = np.empty(2 * N + 1, dtype=complex)
+        want[:N] = D.conj() * zgemv(1.0, ef, r, trans=2) - F[1 : N + 1]
+        want[N : 2 * N] = zgemv(1.0, ef, r, trans=1) - D.conj() * F[M - 1 : M - N - 1 : -1]
+        want[2 * N] = -r.sum()
+        assert system.rmatvec(r).tobytes() == want.tobytes()
+        a, b = x[:N], x[N : 2 * N]
+        v = np.zeros(M, dtype=complex)
+        v[M - N :] = a[::-1]
+        v[1 : N + 1] = D * b
+        up, dn = zgemm(1.0, ef, np.column_stack([D * a, b.conj()])).T
+        want = up + dn.conj() - np.fft.fft(v) - x[2 * N]
+        got = system.matvec(x)
+        assert float(np.max(np.abs(got - want))) <= 1e-15 * float(np.max(np.abs(want)))
 
 
 class TestSharedMoments:
