@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: rot, cycles, tau, boundary, trace, weld, sigma, tsujii,
-atlas.  Outputs are deterministic files under --out; exit code 0 on
-success, 2 on a validation error, 3 on a numerical failure (the error
-class name is printed).
+atlas.  Outputs are deterministic files under --out, and this module is
+the only one that knows their layout: the library returns dataclasses,
+and each JSON and CSV layout is built here next to its file name.  Exit
+code 0 on success, 2 on a validation error (non-finite inputs included),
+3 on a numerical failure (the error class name is printed).
 
 rot writes rot.json: rot (mod 1, converged to --tol), exact_rational
 ([p, q] when certified, else null), bracket_width (the width of the
@@ -18,6 +20,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -132,7 +135,7 @@ def run(args) -> int:
     emit = {e.strip() for e in args.emit.split(",") if e.strip()}
     if not emit <= {"csv", "json", "svg"}:
         raise ConfigError(f"--emit entries must be csv,json,svg, got {args.emit}")
-    if args.tol <= 0:
+    if not args.tol > 0:
         raise ConfigError("--tol must be positive")
     if args.n is not None and args.n < 8:
         raise ConfigError(f"--n must be >= 8, got {args.n}")
@@ -144,7 +147,7 @@ def run(args) -> int:
         est = rotation_estimate(fmap, tol=args.tol)
         _emit_json(outdir, "rot.json", {
             "rot": est.value % 1.0,
-            "bracket_width": est.bracket_width,
+            "bracket_width": float(est.hi - est.lo),
             "exact_rational": None if est.exact is None else
                 [est.exact.numerator, est.exact.denominator],
             "iterations": est.iterations,
@@ -200,8 +203,8 @@ def run(args) -> int:
             _emit_csv(outdir, "trace.csv", _BUBBLE_HEADER, _bubble_rows([tr]))
         if "json" in emit:
             _emit_json(outdir, "trace_endpoints.json", {
-                "left": tr.left.to_json_dict() if tr.left else None,
-                "right": tr.right.to_json_dict() if tr.right else None,
+                "left": asdict(tr.left) if tr.left else None,
+                "right": asdict(tr.right) if tr.right else None,
                 "bubble": [tr.bubble_lo, tr.bubble_hi],
                 "plateau": [tr.plateau.omega_lo, tr.plateau.omega_hi],
             })
@@ -211,18 +214,27 @@ def run(args) -> int:
 
     elif args.command == "weld":
         w = welding_constant(fmap, n_modes, args.m)
-        _emit_json(outdir, "weld.json", w.to_json_dict())
+        _emit_json(outdir, "weld.json", {
+            "c_f_re": w.c_f.real, "c_f_im": w.c_f.imag, "residual": w.residual,
+            "N": w.n_modes, "M": w.m_points,
+        })
 
     elif args.command == "sigma":
         _require(args, "pq")
         p, q = _parse_pq(args.pq)
         sd = sigma(fmap, p, q)
-        _emit_json(outdir, "sigma.json", sd.to_json_dict())
+        _emit_json(outdir, "sigma.json", {
+            "sigma_re": sd.sigma.real, "sigma_im": sd.sigma.imag,
+            "r_tilde": [[z.real, z.imag] for z in sd.r_tilde],
+            "s_tilde": [[z.real, z.imag] for z in sd.s_tilde],
+            "moduli": sd.moduli, "markers": sd.marker_points,
+            "alphas": sd.alphas, "multipliers": sd.multipliers,
+        })
 
     elif args.command == "tsujii":
         rows = tsujii_gap(fmap, args.depth)
         _emit_json(outdir, "tsujii.json", {
-            "rows": [r.to_json_dict() for r in rows],
+            "rows": [asdict(r) | {"passed": r.passed} for r in rows],
             "all_passed": all(r.passed for r in rows),
         })
 

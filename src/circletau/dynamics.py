@@ -280,10 +280,6 @@ class RotationEstimate:
     exact: Fraction | None  # set when rot was certified rational
     iterations: int
 
-    @property
-    def bracket_width(self) -> float:
-        return float(self.hi - self.lo)
-
 
 def _closest_return_bracket(ys, carries) -> tuple:
     """(lo, hi) from the closest-return records of a reduced orbit.
@@ -329,7 +325,7 @@ def rotation_estimate(map, tol: float = 1e-10, max_iter: int = 10_000_000) -> Ro
     rot of that float orbit, not of f; an average outside them raises
     NumericalError.
     """
-    if tol < 1e-12:
+    if not tol >= 1e-12:
         raise ConfigError(f"tol must be >= 1e-12, got {tol}")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")

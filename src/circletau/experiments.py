@@ -30,6 +30,7 @@ import numpy as np
 
 from .dynamics import (
     Plateau,
+    _g_grid,
     _grid_min,
     _rot_crossing,
     find_cycles,
@@ -84,14 +85,6 @@ class EndpointReport:
     kind: str  # real | complex | none
     evidence: tuple  # (omega, min |rho - 1|) multiplier traces
 
-    def to_json_dict(self) -> dict:
-        return {
-            "omega0": self.omega0,
-            "side": self.side,
-            "kind": self.kind,
-            "evidence": [[w, m] for w, m in self.evidence],
-        }
-
 
 @dataclass(frozen=True)
 class BubbleTrace:
@@ -109,8 +102,7 @@ def count_periodic_points(map, p: int, q: int) -> int:
     """Sign changes of G = F^q - x - p between neighbours on a periodic grid:
     the transversal solutions of F^q(x) = x + p inside grid cells.
     Tangencies, and roots that land exactly on a grid point, count zero."""
-    x = np.linspace(0.0, 1.0, _COUNT_GRID, endpoint=False)
-    g = map.iterate(q).lift(x) - x - p
+    g = _g_grid(map, p, q, _COUNT_GRID)[2]
     return int(np.sum(g * np.roll(g, -1) < 0.0))
 
 
@@ -451,17 +443,6 @@ class TsujiiRow:
     @property
     def passed(self) -> bool:
         return self.slack >= -1e-12
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "theta_gap": self.theta_gap,
-            "omega0": self.omega0,
-            "bound": self.bound,
-            "slack": self.slack,
-            "passed": self.passed,
-        }
 
 
 def _convergents(theta: float, depth: int):

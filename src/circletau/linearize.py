@@ -45,7 +45,7 @@ from .errors import (
     ParabolicPresent,
 )
 from .maps import IteratedMap, total_distortion
-from .uniformize import UpperHalfPoint, hyperbolic_distance_mod1, wrap_half
+from .uniformize import hyperbolic_distance_mod1, wrap_half
 
 _CHART_STOP = 1e-14  # |log| of a Schroeder step ratio at which a chart has converged
 _CHART_CAP = 100_000
@@ -183,18 +183,6 @@ class SigmaData:
     alphas: tuple
     multipliers: tuple
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sigma_re": self.sigma.real,
-            "sigma_im": self.sigma.imag,
-            "r_tilde": [[z.real, z.imag] for z in self.r_tilde],
-            "s_tilde": [[z.real, z.imag] for z in self.s_tilde],
-            "moduli": list(self.moduli),
-            "markers": list(self.marker_points),
-            "alphas": list(self.alphas),
-            "multipliers": list(self.multipliers),
-        }
-
 
 def ordered_charts(map, p: int, q: int):
     """Charts at all periodic points of type p/q (``find_cycles``),
@@ -329,7 +317,7 @@ def annuli_inequality_check(tau, moduli: Sequence[float], homology) -> AnnuliChe
     a, b = int(homology[0]), int(homology[1])
     if math.gcd(abs(a), abs(b)) != 1:
         raise NonCoprimeHomology(f"gcd({a}, {b}) != 1")
-    z = tau.as_complex if isinstance(tau, UpperHalfPoint) else complex(tau)
+    z = complex(tau)
     if z.imag <= 0.0:
         raise NotInUpperHalfPlane(f"tau must have Im > 0, got {z}")
     if b == 0:
@@ -365,7 +353,7 @@ def qc_estimate_check(map, p: int, q: int, tau_bar) -> QcTwistCheck:
     """d_H(q tau_bar, -1/sigma), compared against 5 D_f and 5 D_{F^q}."""
     sd = sigma(map, p, q)
     target = -1.0 / sd.sigma
-    z = tau_bar.as_complex if isinstance(tau_bar, UpperHalfPoint) else complex(tau_bar)
+    z = complex(tau_bar)
     if z.imag <= 0.0:
         raise NotInUpperHalfPlane("tau_bar must be interior (hyperbolic case)")
     dist = hyperbolic_distance_mod1(q * z, target)

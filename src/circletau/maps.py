@@ -140,6 +140,8 @@ class CircleMap:
         Constant term a0 of the displacement.
     cos_coeffs, sin_coeffs:
         Coefficients a_k, b_k for k = 1..K (may have different lengths).
+        A coefficient or mean_shift that is not finite raises
+        ConfigError, before validate runs.
     validate:
         Prove min F' > 0 at construction: the minimum of F' on the
         validation grid must exceed (h/2) sum (2 pi k)^2 (|a_k| + |b_k|),
@@ -157,6 +159,8 @@ class CircleMap:
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
         object.__setattr__(self, "mean_shift", float(self.mean_shift))
+        if not all(math.isfinite(c) for c in (self.mean_shift, *self.cos_coeffs, *self.sin_coeffs)):
+            raise ConfigError(f"map coefficients must be finite, got {self!r}")
         # the nonzero harmonics as (2 pi k, coeff), ascending k, and as
         # (fn, 2 pi k, coeff) in the order displacement() adds them
         cos_terms = tuple((TWO_PI * k, a) for k, a in enumerate(self.cos_coeffs, start=1) if a)

@@ -132,8 +132,7 @@ class UpperHalfPoint:
             raise ConfigError(f"im must be >= 0, got {self.im}")
         object.__setattr__(self, "re", self.re - math.floor(self.re))
 
-    @property
-    def as_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(self.re, self.im)
 
     @staticmethod
@@ -146,8 +145,8 @@ def hyperbolic_distance(z, w) -> float:
 
     arccosh(1 + |z-w|^2 / (2 Im z Im w)).
     """
-    z = z.as_complex if isinstance(z, UpperHalfPoint) else complex(z)
-    w = w.as_complex if isinstance(w, UpperHalfPoint) else complex(w)
+    z = complex(z)
+    w = complex(w)
     if z.imag <= 0.0 or w.imag <= 0.0:
         raise NotInUpperHalfPlane(f"points must have Im > 0, got {z}, {w}")
     return math.acosh(1.0 + abs(z - w) ** 2 / (2.0 * z.imag * w.imag))
@@ -155,8 +154,8 @@ def hyperbolic_distance(z, w) -> float:
 
 def hyperbolic_distance_mod1(z, w) -> float:
     """d_H between classes in H/Z: lift z to the translate nearest w."""
-    z = z.as_complex if isinstance(z, UpperHalfPoint) else complex(z)
-    w = w.as_complex if isinstance(w, UpperHalfPoint) else complex(w)
+    z = complex(z)
+    w = complex(w)
     zl = complex(w.real + wrap_half(z.real - w.real), z.imag)
     best = hyperbolic_distance(zl, w)
     for k in (-1, 1):  # neighbors can win when Im is large
@@ -548,10 +547,14 @@ def complex_rotation_number(
     """Solve Phi(f(x) + omega) = Phi(x) + tau in least squares.
 
     y_floor guards against annuli thinner than the default basis can
-    resolve; pass y_floor=0.0 to disable (the edge-adapted boundary
-    ladder does, after checking the condition estimate instead).
+    resolve; it defaults to y_min(map).  boundary_tau passes its own
+    floor: y_min(map), or min(y_min(map), HARD_Y_FLOOR) on a ladder
+    within 0.02 of an edge.  y_floor=0.0 disables the guard.  A
+    non-finite omega raises ConfigError.
     """
     omega = complex(omega)
+    if not cmath.isfinite(omega):
+        raise ConfigError(f"omega must be finite, got {omega}")
     if omega.imag <= 0.0:
         raise NotInUpperHalfPlane(f"Im omega must be > 0, got {omega}")
     floor = y_min(map) if y_floor is None else y_floor
@@ -716,7 +719,10 @@ def boundary_tau(
     rung.  Every solve has the floor y_min(map), and the default ladder
     keeps only rungs at or above it; near an edge (|s| < 0.02) the floor
     drops to HARD_Y_FLOOR.  At least two rungs, fold rungs included,
-    must enter the extrapolation, or ConfigError is raised.
+    must enter the extrapolation, or ConfigError is raised.  So it is
+    when a height is not finite and positive, when edge_distance is
+    given but not finite and nonzero, and (at the first solve, in
+    complex_rotation_number) when omega is not finite.
 
     Rungs are solved in order of decreasing height, each starting its
     mode escalation at the N of the previous rung's best solve (see
@@ -727,18 +733,20 @@ def boundary_tau(
     """
     omega = float(omega)
     rungs_y = list(DEFAULT_LADDER if ladder is None else [float(y) for y in ladder])
-    if not rungs_y or any(y <= 0 for y in rungs_y) or any(
+    if not rungs_y or not all(0.0 < y < math.inf for y in rungs_y) or any(
         later >= earlier for later, earlier in zip(rungs_y[1:], rungs_y[:-1])
     ):
-        raise ConfigError("ladder must be a decreasing sequence of positive heights")
+        raise ConfigError("ladder must be a decreasing sequence of positive finite heights")
     floor = y_min(map)
     if ladder is None:
         rungs_y = [y for y in rungs_y if y >= floor]
 
     method = "richardson"
-    if edge_distance is not None and edge_distance != 0.0:
+    if edge_distance is not None:
         method = "fold"
         s = float(edge_distance)
+        if not (math.isfinite(s) and s != 0.0):
+            raise ConfigError(f"edge_distance must be finite and nonzero, got {s}")
         if abs(s) < 0.02:
             extra = [abs(s) * c for c in (2.0, 1.2, 0.7)]
             rungs_y += [

@@ -47,15 +47,6 @@ class WeldingSolution:
     m_points: int
     refine_steps: int  # double-precision refinement steps; 0 when the QR path solved
 
-    def to_json_dict(self) -> dict:
-        return {
-            "c_f_re": self.c_f.real,
-            "c_f_im": self.c_f.imag,
-            "residual": self.residual,
-            "N": self.n_modes,
-            "M": self.m_points,
-        }
-
 
 def welding_constant(
     map,

@@ -134,6 +134,12 @@ def nan_above(c):
     (lambda t: t**3 - 2.0 * t - 5.0, 2.0, 3.0, 1e-15),
     (lambda t: math.tan(t), 1.0, 2.0, 1e-15),  # a pole, not a root
     (lambda t: math.exp(t) - 1e5, -50.0, 50.0, 1e-13),
+    # exact ties, dyadic: half the first bracket equals the stopping
+    # half-width xtol / 2 at xcur = 0, so the search goes on
+    (lambda t: t + 2.0**-22, -(2.0**-20), 0.0, 2.0**-20),
+    # xtol set so that twice the fifth step's inverse quadratic try equals
+    # its bound 3 |sbis| - delta exactly, which rejects the try
+    (lambda t: t**3 - 0.1, -1.0, 1.0, 0.12379411248734529),
 ])
 def test_synthetic_roots(f, a, b, xtol):
     assert_root_matches(f, a, b, xtol)
@@ -158,6 +164,13 @@ def test_synthetic_error_types():
     (lambda t: math.cos(40.0 * t), 0.0, 1.0),  # many minima
     (lambda t: (t - 0.1) ** 2, 0.1 - 1.0 / 4096, 0.1 + 1.0 / 4096),  # one cell pair
     (lambda t: t * t, 2.0, 2.0),  # a point
+    # exact ties: integer steps of a skewed V, where a new point's value
+    # ties the third point's
+    (lambda t: math.floor(64.0 * (0.25 - t if t < 0.25 else 2.5 * (t - 0.25))), 0.0, 1.0),
+    # a parabola whose vertex a parabolic step reaches exactly 2 tol from
+    # the lower bound, and its mirror at the upper bound
+    (lambda t: (t - 6.666666984263217e-15) ** 2, 0.0, 1.0),
+    (lambda t: (t + 6.666666984263217e-15) ** 2, -1.0, 0.0),
 ])
 def test_synthetic_minima(fn, a, b):
     assert_min_matches(fn, a, b)

@@ -107,6 +107,25 @@ class TestExitCodes:
         assert rc == 3
         assert "EmptyPlateau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ['{"mean_shift": Infinity, "sin": [0.05]}',
+                                      '{"mean_shift": NaN}', '{"sin": [NaN]}'])
+    @pytest.mark.parametrize("command", [("rot",), ("tau", "--omega", "0.1,0.2", "--n", "8")])
+    def test_non_finite_map_is_2(self, tmp_path, capsys, spec, command):
+        assert run(*command, "--map", spec, "--out", str(tmp_path)) == 2
+        assert "map coefficients must be finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("args, message", [
+        (("rot", "--tol", "nan"), "--tol must be positive"),
+        (("tau", "--omega", "0.1,nan", "--n", "8"), "omega must be finite"),
+        (("boundary", "--omega", "nan", "--ladder", "0.4,0.2,0.1"), "omega must be finite"),
+        (("boundary", "--omega", "0", "--ladder", "0.2,nan"), "positive finite heights"),
+    ])
+    def test_non_finite_scalar_is_2(self, tmp_path, capsys, args, message):
+        assert run(*args, "--map", ROT_MAP, "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_command_is_2(self, tmp_path):
         assert run("frobnicate", "--map", ROT_MAP) == 2
 

@@ -92,6 +92,11 @@ class TestRotationNumber:
         with pytest.raises(ConfigError):
             rotation_number(arnold, tol=1e-13)
 
+    def test_nan_tol_is_rejected(self):
+        # before the rigid-rotation shortcut, which would return for any tol
+        with pytest.raises(ConfigError, match="tol must be"):
+            rotation_estimate(CircleMap(0.3), tol=math.nan)
+
     def test_max_iter_validation(self, arnold):
         with pytest.raises(ConfigError):
             rotation_estimate(arnold.shifted(0.3), max_iter=0)

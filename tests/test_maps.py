@@ -421,6 +421,23 @@ class TestValidationAndStrip:
         with pytest.raises(NotADiffeomorphism):
             CircleMap(0.0, (), (0.3,))
 
+    @pytest.mark.parametrize("mean_shift, cos_c, sin_c", [
+        (math.inf, (), (0.05,)),
+        (math.nan, (), ()),
+        (0.0, (), (math.nan,)),
+        (0.0, (0.01, -math.inf), ()),
+    ])
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_non_finite_coefficients_are_rejected(self, mean_shift, cos_c, sin_c, validate):
+        # a ConfigError before validate: an infinite shift passes the F' check
+        # and NaN would reach LAPACK, or fail it as NotADiffeomorphism
+        with pytest.raises(ConfigError, match="must be finite"):
+            CircleMap(mean_shift, cos_c, sin_c, validate=validate)
+
+    def test_non_finite_shift_is_rejected(self, arnold):
+        with pytest.raises(ConfigError, match="must be finite"):
+            arnold.shifted(math.inf)
+
     # theta = half a validation-grid step: F' = 1 - A cos(2 pi x - theta)
     # bottoms out at -1e-8 between two grid points
     HALF_STEP = math.pi / 8192

@@ -179,6 +179,28 @@ def test_every_defaulted_parameter_is_set_by_a_call():
     assert unset == []
 
 
+def test_only_the_cli_knows_file_layouts():
+    """cli.py is the one module that imports json or csv, and no function
+    or method outside it has json or csv in its name: the library returns
+    dataclasses and the CLI lays out every file it writes."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names
+                      if "json" in n.lower() or "csv" in n.lower()]
+    assert found == []
+
+
 def test_tracer_targets_resolve():
     """Every entry point perfbench/tracer.py patches by name still exists,
     so a deletion in the package cannot break a traced benchmark run."""

@@ -166,7 +166,7 @@ class TestUpperHalfPoint:
     def test_normalization(self):
         p = UpperHalfPoint(1.75, 0.5)
         assert p.re == pytest.approx(0.75)
-        assert p.as_complex == pytest.approx(0.75 + 0.5j)
+        assert complex(p) == pytest.approx(0.75 + 0.5j)
 
     def test_negative_im_rejected(self):
         with pytest.raises(ConfigError):
@@ -213,6 +213,12 @@ class TestSolver:
         assert y_min(rot) == pytest.approx(0.08)
         with pytest.raises(IllConditioned):
             complex_rotation_number(rot, 0.05j)
+
+    @pytest.mark.parametrize("omega", [complex(0.1, math.nan), complex(math.nan, 0.2),
+                                       complex(math.inf, 0.2), complex(0.1, math.inf)])
+    def test_non_finite_omega_is_rejected(self, omega):
+        with pytest.raises(ConfigError, match="omega must be finite"):
+            complex_rotation_number(CircleMap(0.3), omega, n_modes=8)
 
     def test_collocation_count_validation(self, arnold):
         with pytest.raises(ConfigError):
@@ -665,6 +671,20 @@ class TestBoundaryTau:
         # the count includes the fold rungs that an edge distance appends
         bv = boundary_tau(CircleMap(0.3), 0.0, ladder=[0.1], edge_distance=0.01)
         assert bv.method == "fold" and len(bv.rungs) == 4
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"omega": math.nan}, "omega must be finite"),
+        ({"omega": math.inf}, "omega must be finite"),
+        ({"ladder": [0.2, math.nan]}, "positive finite heights"),
+        ({"ladder": [math.inf, 0.1]}, "positive finite heights"),
+        ({"edge_distance": math.nan}, "edge_distance must be finite and nonzero"),
+        ({"edge_distance": math.inf}, "edge_distance must be finite and nonzero"),
+        ({"edge_distance": 0.0}, "edge_distance must be finite and nonzero"),
+    ])
+    def test_non_finite_or_zero_inputs_are_rejected(self, kwargs, match):
+        args = {"omega": 0.0, "ladder": [0.4, 0.2, 0.1]} | kwargs
+        with pytest.raises(ConfigError, match=match):
+            boundary_tau(CircleMap(0.3), **args)
 
     def test_edge_fold_matches_disk_radius(self, arnold):
         # at the plateau edge the boundary value rides the shrinking disk:
