@@ -171,6 +171,13 @@ def test_synthetic_error_types():
     # the lower bound, and its mirror at the upper bound
     (lambda t: (t - 6.666666984263217e-15) ** 2, 0.0, 1.0),
     (lambda t: (t + 6.666666984263217e-15) ** 2, -1.0, 0.0),
+    # the first point is exactly 0 and stays the best, so tol = xatol / 3
+    # throughout; a near-bound step of exactly tol comes back as |e| = tol
+    # two iterations later, and the golden step taken there finds a
+    # narrow well
+    (lambda t: -1.0 if 1e-14 < t < 5e-14 else
+     t * t * (0.01 if t > 0.05 else 0.02 if t < -0.05 else 1.0),
+     -0.3819660112501051, 0.6180339887498949),
 ])
 def test_synthetic_minima(fn, a, b):
     assert_min_matches(fn, a, b)
