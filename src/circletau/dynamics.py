@@ -115,11 +115,16 @@ def minimize_scalar(fn, a: float, b: float):
     scalars as scipy's are.  fn is called on Python floats.  It
     stops when x lies within 2 tol - (b - a) / 2 of the middle of the
     shrinking bracket, tol = sqrt(2.2e-16) |x| + xatol / 3, or after 300
-    evaluations.
+    evaluations.  Raises ValueError, as scipy does, when a bound is not
+    finite or a > b.
     """
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if a > b:
+        raise ValueError("The lower bound exceeds the upper bound.")
     fulc = nfc = xf = a + golden_mean * (b - a)
     rat = e = 0.0
     fx = ffulc = fnfc = fn(xf)

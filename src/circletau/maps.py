@@ -75,8 +75,10 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENTQ_RTOL) -> fl
     secant steps are taken while they shrink fast enough and bisection
     otherwise, and the search stops once half the bracket is below
     (xtol + rtol |x|) / 2 or f vanishes, after at most 100 steps.  Raises
-    ValueError when f(a) and f(b) have one sign or f returns NaN, and
-    RuntimeError when 100 steps do not converge.
+    ValueError when xtol <= 0 or rtol < 4 eps (the wrapper's checks, so
+    a NaN tolerance passes them as it does in scipy), when f(a) and f(b)
+    have one sign or when f returns NaN, and RuntimeError when 100 steps
+    do not converge.
     """
 
     def call(x):
@@ -86,6 +88,10 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENTQ_RTOL) -> fl
         return float(fx)
 
     xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENTQ_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENTQ_RTOL:g})")
     fpre, fcur = call(xpre), call(xcur)
     if fpre == 0.0:
         return xpre

@@ -44,8 +44,9 @@ direction).  Both paths are BLAS work whose bits depend on the OpenBLAS
 thread count: over 11 solves of the Arnold and two-hump maps at
 N = 64..384, tau moved by at most 1.4 ulp between 1 and 2 threads (5 ulp
 on the QR path), and min |Phi'| by at most 4e-12 relative on either path.
-The products are numpy's; from scipy the solve takes only the four LAPACK
-routines numpy has no equivalent for: cpotrf, ctrtri, ztrtri and ztrtrs.
+The products are numpy's, and the four LAPACK routines numpy has no
+function for (cpotrf, ctrtri, ztrtri and ztrtrs) are bound from the
+OpenBLAS in numpy's own wheel (circletau._lapack), so nothing imports scipy.
 
 A^H A is not formed from A either.  Every entry of A^H A is a D-weighted
 combination of the omega-free moments S(m) = sum_j e^{2 pi i m F(x_j)}
@@ -90,8 +91,8 @@ from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import cpotrf, ctrtri, ztrtri, ztrtrs
 
+from ._lapack import cpotrf, trtri, ztrtrs
 from .errors import (
     ConfigError,
     ExtrapolationDiverged,
@@ -234,7 +235,7 @@ def _kappa_f(R) -> float:
     One triangular inverse, ctrtri for a complex64 R and ztrtri for a
     complex128 one; inf when R is singular.
     """
-    r_inv, info = (ctrtri if R.dtype == np.complex64 else ztrtri)(R)
+    r_inv, info = trtri(R)
     if info != 0:
         return math.inf
     return float(np.linalg.norm(R)) * float(np.linalg.norm(r_inv))
@@ -258,8 +259,8 @@ def _qr_solve(Ab, hint: str = ""):
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     if not cond <= COND_LIMIT:
         raise IllConditioned(f"condition estimate {cond:.3g} exceeds {COND_LIMIT:g}{hint}")
-    # R11 is row-major: solve with its transpose as a lower triangle, the
-    # call scipy's solve_triangular makes, so x keeps that routine's bits
+    # R11 is a row-major block: solve with its transpose as a lower
+    # triangle (trans=1), which ztrtrs copies to Fortran order
     x, _ = ztrtrs(R11.T, R[:n, n], lower=1, trans=1)
     return x, cond
 
@@ -278,7 +279,7 @@ def _gram_refine(system):
     cond being ||R||_F ||R^-1||_F of the single-precision factor, or None
     on any of the fallback rules of _solve_collocation.
     """
-    R32, info = cpotrf(system.gram, overwrite_a=1)
+    R32, info = cpotrf(system.gram)
     if info != 0:
         return None
     cond = _kappa_f(R32)

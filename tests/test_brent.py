@@ -192,3 +192,49 @@ def test_random_polynomials():
         r = float(rng.uniform(-1.0, 1.0))
         assert_root_matches(lambda t, c=c, r=r: (t - r) * (1.0 + c[0] ** 2 + math.sin(c[1] * t))
                             + c[2] * (t - r) ** 3, -1.5, 1.5, float(10 ** rng.uniform(-15, -3)))
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("xtol, rtol, message", [
+    (0.0, None, "xtol too small"),
+    (-1.0, None, "xtol too small"),
+    (-0.0, None, "xtol too small"),
+    (1e-12, 0.0, "rtol too small"),
+    (1e-12, 4 * EPS * (1 - EPS), "rtol too small"),  # just below scipy's least rtol
+    (1e-12, 4 * EPS, None),  # the least rtol itself
+    (5e-324, None, None),  # the least positive xtol
+    # a NaN tolerance passes both checks, as in scipy, and the first step
+    # then lands on x = NaN
+    (math.nan, None, "is NaN"),
+    (1e-12, math.nan, "is NaN"),
+    (math.inf, None, None),
+])
+def test_root_argument_checks(xtol, rtol, message):
+    f = lambda t: t - 0.3  # noqa: E731
+    kw = {} if rtol is None else {"rtol": rtol}
+    for solver in (brentq, scipy.optimize.brentq):
+        if message is None:
+            solver(f, 0.0, 1.0, xtol=xtol, **kw)
+        else:
+            with pytest.raises(ValueError, match=message):
+                solver(f, 0.0, 1.0, xtol=xtol, **kw)
+    assert_root_matches(f, 0.0, 1.0, xtol, rtol)
+
+
+@pytest.mark.parametrize("a, b", [
+    (1.0, 0.0),  # bounds reversed
+    (0.0, -(2.0**-1074)),
+    (0.0, math.inf),
+    (-math.inf, 0.0),
+    (-math.inf, math.inf),
+    (math.nan, 1.0),
+    (0.0, math.nan),
+])
+def test_minimize_argument_checks(a, b):
+    fn = lambda t: (t - 0.3) ** 2  # noqa: E731
+    ours = outcome(lambda: minimize_scalar(fn, a, b))
+    theirs = outcome(lambda: scipy.optimize.minimize_scalar(
+        fn, bounds=(a, b), method="bounded", options={"xatol": 1e-14, "maxiter": 300}))
+    assert ours is theirs is ValueError

@@ -1,11 +1,15 @@
 import ast
 import importlib.util
 import inspect
+import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import types
+
+import pytest
 
 import circletau
 
@@ -224,31 +228,47 @@ def test_cli_import_skips_scipy_integrate():
 
 
 def test_cli_import_skips_scipy_beyond_linalg():
-    """Importing the CLI loads none of scipy.optimize, scipy.fft,
-    scipy.special, scipy.sparse or scipy.integrate; the package's Brent
-    routines are its own and its FFTs are numpy.fft.  Every process pays
-    for what the import loads, the pool workers of trace and atlas too."""
-    skipped = ["scipy.optimize", "scipy.fft", "scipy.special", "scipy.sparse", "scipy.integrate"]
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, circletau.cli; print([m for m in {skipped!r} if m in sys.modules])"],
-        env=env, check=True, capture_output=True, text=True, timeout=60,
+    """Importing the CLI loads no scipy module at all, scipy.linalg
+    included, and on Linux maps exactly one OpenBLAS, numpy's: the solve's
+    four LAPACK routines come from numpy's own library (circletau._lapack).
+    Every process pays for what the import loads, the pool workers of
+    trace and atlas too."""
+    code = (
+        "import json, pathlib, sys, circletau.cli\n"
+        "maps = pathlib.Path('/proc/self/maps')\n"
+        "libs = {line.split()[-1] for line in maps.read_text().splitlines()"
+        " if 'openblas' in line.rsplit('/', 1)[-1].lower()} if maps.exists() else None\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+        " None if libs is None else sorted(libs)]))"
     )
-    assert out.stdout.strip() == "[]"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, check=True, capture_output=True, text=True, timeout=60)
+    scipy_modules, openblas = json.loads(out.stdout)
+    assert scipy_modules == []
+    if sys.platform.startswith("linux"):
+        assert openblas is not None and len(openblas) == 1, openblas
 
 
-def test_only_scipy_import_is_four_lapack_routines():
-    """The package imports from scipy only the four LAPACK routines numpy
-    has no equivalent for; its products, SVD and FFTs are numpy's."""
+def test_no_module_imports_scipy():
+    """No module of the package imports scipy: numpy is its only runtime
+    dependency, and scipy is left to the tests as their oracle."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                found += [(path.name, a.name, None) for a in node.names
-                          if a.name.split(".")[0] == "scipy"]
+                found += [(path.name, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
-                found.append((path.name, node.module, sorted(a.name for a in node.names)))
-    assert found == [
-        ("uniformize.py", "scipy.linalg.lapack", ["cpotrf", "ctrtri", "ztrtri", "ztrtrs"])
-    ]
+                found.append((path.name, node.module))
+    assert found == []
+
+
+def test_runtime_dependency_is_numpy_only():
+    """pyproject.toml lists numpy as the only runtime dependency; scipy
+    is a test dependency."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.split(r"[<>=!~ \[;]", d, maxsplit=1)[0] for d in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])

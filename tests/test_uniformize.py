@@ -1,14 +1,16 @@
 import cmath
 import contextlib
+import ctypes
+import ctypes.util
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import svdvals
+from scipy.linalg import lapack, svdvals
 from scipy.linalg.blas import cherk, zgemm, zgemv
 
-from circletau import uniformize, welding
+from circletau import _lapack, uniformize, welding
 from circletau.errors import (
     ConfigError,
     ExtrapolationDiverged,
@@ -21,6 +23,7 @@ from circletau.uniformize import (
     UpperHalfPoint,
     _cis_powers,
     _gluing_system,
+    _kappa_f,
     _neville,
     _phi_prime_on_circles,
     _qr_solve,
@@ -462,6 +465,108 @@ class TestGramRefinement:
         Ab = synthetic_system(np.r_[np.ones(39), 1e-13], seed=seed, b_rank=39)
         with pytest.raises(IllConditioned):
             cherk_solve(Ab)
+
+
+def same_array(ours, theirs):
+    """Equal bits, dtype, shape and memory layout."""
+    return (ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            and ours.flags.f_contiguous == theirs.flags.f_contiguous
+            and ours.flags.c_contiguous == theirs.flags.c_contiguous
+            and ours.tobytes(order="A") == theirs.tobytes(order="A"))
+
+
+def assert_gram_factor_matches_scipy(gram):
+    """cpotrf and ctrtri of the binding on a complex64 Gram matrix give
+    scipy.linalg.lapack's arrays and info; cpotrf factors in place."""
+    ours_in, theirs_in = np.array(gram, order="F"), np.array(gram, order="F")
+    R, info = _lapack.cpotrf(ours_in)
+    R_ref, info_ref = lapack.cpotrf(theirs_in, overwrite_a=1)
+    assert R is ours_in and R_ref is theirs_in
+    assert info == info_ref and same_array(R, R_ref)
+    inv, inv_info = _lapack.trtri(R)
+    inv_ref, inv_info_ref = lapack.ctrtri(R_ref)
+    assert inv_info == inv_info_ref and same_array(inv, inv_ref)
+    assert same_array(R, R_ref)  # ctrtri leaves its argument alone
+    return R, info
+
+
+class TestLapackBinding:
+    """circletau._lapack against scipy.linalg.lapack, kept as the oracle:
+    the same output bits, layout and info at the calls the solve makes."""
+
+    @pytest.mark.parametrize("map_name", ["arnold", "two_humped"])
+    @pytest.mark.parametrize("N", [32, 51, 81, 129, 206, 329, 384])
+    def test_gram_factors_match_scipy(self, request, map_name, N):
+        system = collocation_system(request.getfixturevalue(map_name), SYSTEM_OMEGA[map_name], N)
+        R32, info = assert_gram_factor_matches_scipy(system.gram)
+        assert info == 0
+        R = R32.astype(complex)
+        rhs = system.rmatvec(system.rhs)
+        for trans in (0, 2):
+            x, info = _lapack.ztrtrs(R, rhs, trans=trans)
+            x_ref, info_ref = lapack.ztrtrs(R, rhs, trans=trans)
+            assert info == info_ref == 0 and same_array(x, x_ref)
+        inv_ref = lapack.ctrtri(R32)[0]
+        assert _kappa_f(R32) == float(np.linalg.norm(R32)) * float(np.linalg.norm(inv_ref))
+
+    @pytest.mark.parametrize("map_name, omega, N", ORACLE_CASES)
+    def test_qr_path_routines_match_scipy(self, request, map_name, omega, N):
+        system = collocation_system(request.getfixturevalue(map_name), omega, N)
+        R = np.linalg.qr(system.dense(), mode="r")
+        n = R.shape[1] - 1
+        R11 = R[:n, :n]
+        inv, info = _lapack.trtri(R11)
+        inv_ref, info_ref = lapack.ztrtri(R11)
+        assert info == info_ref == 0 and same_array(inv, inv_ref)
+        x, info = _lapack.ztrtrs(R11.T, R[:n, n], lower=1, trans=1)
+        x_ref, info_ref = lapack.ztrtrs(R11.T, R[:n, n], lower=1, trans=1)
+        assert info == info_ref == 0 and same_array(x, x_ref)
+
+    @pytest.mark.parametrize("gram", [
+        DenseSystem(synthetic_system(np.logspace(0.0, -5.0, 40))).gram,
+        np.asfortranarray(np.diag([1.0, 2.0, -1.0, 3.0]).astype(np.complex64)),
+    ], ids=["cpotrf-fails", "negative-pivot"])
+    def test_indefinite_gram_matches_scipy(self, gram):
+        _, info = assert_gram_factor_matches_scipy(gram)
+        assert info > 0
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_singular_factor_has_infinite_cond(self, dtype):
+        R = np.triu(np.arange(1, 26).reshape(5, 5) * (1 + 1j)).astype(dtype)
+        R[2, 2] = 0.0
+        routine = "ctrtri" if dtype == np.complex64 else "ztrtri"
+        inv, info = _lapack.trtri(R)
+        inv_ref, info_ref = getattr(lapack, routine)(R)
+        assert info == info_ref == 3 and same_array(inv, inv_ref)
+        assert _kappa_f(R) == math.inf
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kappa_1e13_systems_match_scipy_and_reach_the_gate(self, seed):
+        for Ab in (synthetic_system(np.logspace(0.0, -13.0, 40), seed=seed),
+                   synthetic_system(np.r_[np.ones(39), 1e-13], seed=seed, b_rank=39)):
+            system = DenseSystem(Ab)
+            assert_gram_factor_matches_scipy(system.gram)
+            with pytest.raises(IllConditioned):
+                _solve_collocation(system)
+
+    def test_malformed_arguments_are_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            _lapack.cpotrf(np.ones((3, 4), dtype=np.complex64, order="F"))
+        for a in (np.eye(3, dtype=complex), np.eye(3, dtype=np.complex64, order="C") + 1j):
+            with pytest.raises(ValueError, match="Fortran-ordered complex64"):
+                _lapack.cpotrf(a)
+        with pytest.raises(ValueError, match="square"):
+            _lapack.trtri(np.ones(3, dtype=complex))
+        with pytest.raises(ValueError, match="complex64 or complex128"):
+            _lapack.trtri(np.eye(3))
+        with pytest.raises(ValueError, match="shape"):
+            _lapack.ztrtrs(np.eye(3, dtype=complex), np.ones(4, dtype=complex))
+
+    def test_library_without_the_routines_fails_loudly(self):
+        libc = ctypes.CDLL(ctypes.util.find_library("c") or "libc.so.6")
+        with pytest.raises(ImportError, match="cpotrf") as err:
+            _lapack._bind(libc)
+        assert _lapack._lapack_build() in str(err.value)
 
 
 class TestGluingSystem:
