@@ -5,7 +5,9 @@ atlas.  Outputs are deterministic files under --out, and this module is
 the only one that knows their layout: the library returns dataclasses,
 and each JSON and CSV layout is built here next to its file name.  Exit
 code 0 on success, 2 on a validation error (non-finite inputs included),
-3 on a numerical failure (the error class name is printed).
+3 on a numerical failure (the error class name is printed).  Each
+command writes only the files whose formats --emit lists (_FORMATS), and
+exits 2 when --emit lists none of them.
 
 rot writes rot.json: rot (mod 1, converged to --tol), exact_rational
 ([p, q] when certified, else null), bracket_width (the width of the
@@ -32,6 +34,13 @@ from .maps import CircleMap, total_distortion
 from .svgplot import render_bubble_svg
 from .uniformize import boundary_tau, complex_rotation_number
 from .welding import welding_constant
+
+# the formats each command can write; --emit picks among them
+_FORMATS = {
+    "rot": {"json"}, "cycles": {"csv"}, "tau": {"json", "csv"}, "boundary": {"json"},
+    "trace": {"csv", "json", "svg"}, "weld": {"json"}, "sigma": {"json"},
+    "tsujii": {"json"}, "atlas": {"csv", "svg"},
+}
 
 # trace.csv and atlas.csv: one row per bubble sample
 _BUBBLE_HEADER = ("omega", "p", "q", "tau_re", "tau_im", "h", "angle", "err")
@@ -103,10 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="complex rotation numbers of analytic circle diffeomorphisms",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    ap.add_argument("command", choices=[
-        "rot", "cycles", "tau", "boundary", "trace", "weld", "sigma",
-        "tsujii", "atlas",
-    ])
+    ap.add_argument("command", choices=list(_FORMATS))
     ap.add_argument("--map", required=True, help="JSON descriptor file or inline JSON")
     ap.add_argument("--omega", help="RE or RE,IM")
     ap.add_argument("--pq", help="rational P/Q")
@@ -135,6 +141,9 @@ def run(args) -> int:
     emit = {e.strip() for e in args.emit.split(",") if e.strip()}
     if not emit <= {"csv", "json", "svg"}:
         raise ConfigError(f"--emit entries must be csv,json,svg, got {args.emit}")
+    if not emit & _FORMATS[args.command]:
+        raise ConfigError(f"{args.command} writes only {','.join(sorted(_FORMATS[args.command]))}, "
+                          f"which --emit {args.emit!r} leaves out")
     if not args.tol > 0:
         raise ConfigError("--tol must be positive")
     if args.n is not None and args.n < 8:
@@ -165,12 +174,13 @@ def run(args) -> int:
         _require(args, "omega")
         omega = _parse_omega(args.omega)
         sol = complex_rotation_number(fmap, omega, n_modes, args.m)
-        _emit_json(outdir, "tau.json", {
-            "re_omega": omega.real, "im_omega": omega.imag,
-            "tau_re": sol.tau.re, "tau_im": sol.tau.im,
-            "residual": sol.residual, "min_phi_prime": sol.min_phi_prime,
-            "N": sol.n_modes, "M": sol.m_points,
-        })
+        if "json" in emit:
+            _emit_json(outdir, "tau.json", {
+                "re_omega": omega.real, "im_omega": omega.imag,
+                "tau_re": sol.tau.re, "tau_im": sol.tau.im,
+                "residual": sol.residual, "min_phi_prime": sol.min_phi_prime,
+                "N": sol.n_modes, "M": sol.m_points,
+            })
         if "csv" in emit:
             _emit_csv(outdir, "tau.csv",
                       ("re_omega", "im_omega", "re_tau", "im_tau", "residual",

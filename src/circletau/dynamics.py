@@ -19,10 +19,15 @@ proof about f.
 
 Plateau edges, Tsujii approximant edges and Liouville margins are
 rotation-number crossings, ``_rot_crossing``: the smallest omega with
-rot(f + omega) >= p/q (want = 0) or > p/q (want = 1).  A crossing is the
-brentq root of the extremum the sign test decides on, which rises with
-omega, certified by two sign tests tol apart; bisection of the sign test
-(``maps._bisect``) is only its fallback.
+rot(f + omega) >= p/q (want = 0) or > p/q (want = 1).  A crossing takes
+every verdict from one function of omega, the extremum of G that the
+sign test decides on (max G for want = 0, min G for want = 1), which
+rises with omega, shifted by the sign floor and evaluated once per
+omega: the side of each bracket end (a wrong end is pushed out), the
+brentq root, and the sign tol/2 either side of the root that certifies it;
+bisection of that sign (``maps._bisect``) is only its fallback.  It
+agrees with ``compare_to_rational``, which refines the same extremum,
+except where a margin is below G's rounding.
 
 The orbit of ``rotation_estimate`` steps ``CircleMap.lift_float``, which
 returns the same bits as ``lift`` (see ``circletau.maps``), and every G,
@@ -40,6 +45,7 @@ process imports scipy.optimize.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -227,6 +233,8 @@ def compare_to_rational(map: CircleMap, p: int, q: int, grid: int = _G_GRID) -> 
     lies below minus the floor.  Otherwise G changes sign (or touches
     zero) on the grid and p/q is attained.
     """
+    if q < 1:
+        raise ConfigError(f"q must be >= 1, got {q}")
     if grid < 1:
         raise ConfigError(f"grid must be >= 1, got {grid}")
     floor = _SIGN_FLOOR * max(1, q)
@@ -429,6 +437,13 @@ def _grid_roots(g, x, scalar_g):
     return roots, suspects
 
 
+def _check_lowest_terms(p: int, q: int) -> None:
+    if q < 1:
+        raise ConfigError(f"q must be >= 1, got {q}")
+    if math.gcd(abs(p), q) != 1:
+        raise ConfigError(f"p/q = {p}/{q} must be in lowest terms")
+
+
 def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
     """All periodic orbits of type p/q, grouped and classified.
 
@@ -447,10 +462,7 @@ def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
     then lost or is spurious.  The multiplier of an orbit is the product
     of f' over its points in ascending order.
     """
-    if q < 1:
-        raise ConfigError(f"period must be positive, got {q}")
-    if math.gcd(abs(p), q) != 1:
-        raise ConfigError(f"p/q = {p}/{q} must be in lowest terms")
+    _check_lowest_terms(p, q)
     if compare_to_rational(map, p, q) != 0:
         raise WrongRotationNumber(f"rot(f) != {p}/{q}")
 
@@ -513,42 +525,53 @@ def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
 
 
 def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
-                  grid: int = _G_GRID, tol: float = 1e-10, grow=None) -> float:
-    """Smallest omega with compare_to_rational(f + omega, p, q) >= want, to tol.
+                  grid: int = _G_GRID, tol: float = 1e-10) -> float:
+    """Smallest omega with rot(f + omega) >= p/q (want = 0) or > p/q
+    (want = 1), to tol.
 
-    grow ("lo", "hi" or None) names the end of [lo, hi] that may lie short
-    of the crossing: it is tested and pushed out by the bracket's width,
-    up to 8 times, before NumericalError is raised.
+    Every verdict comes from one function of omega, the extremum of
+    G_omega = F_omega^q - x - p that rises with omega, shifted by the sign
+    floor: signed = max G + 1e-13 q (want = 0) or min G - 1e-13 q
+    (want = 1), each a full-grid extremum refined by _g_extremum.  omega
+    lies right of the crossing when signed >= 0 (want = 0) or signed > 0
+    (want = 1).  signed is cached for the call, so each omega is
+    evaluated once.
 
-    The sign test decides on one extremum of G_omega = F_omega^q - x - p
-    (_g_extremum), which rises with omega: rot >= p/q iff max G >= -1e-13 q
-    (want = 0), and rot > p/q iff min G > 1e-13 q (want = 1).
-    ``maps.brentq`` (R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4; a port of scipy.optimize.brentq with its
-    bits) finds the root w of that extremum shifted by the floor, and
-    the sign test certifies it: False at w - tol/2 and True at w + tol/2,
-    so the midpoint of the two lies within tol/2 of the switch.  If
-    brentq fails or the certificate does not hold, [lo, hi] is bisected
-    instead.
+    That verdict is compare_to_rational(f + omega, p, q, grid) >= want:
+    compare_to_rational refines the same full-grid extremum with the same
+    _g_extremum call, and its cell-bound exits fire only when that
+    extremum lies past the floor by at least a cell width.  So the two
+    differ only where a margin is smaller than G's rounding, which is
+    what the floor is there to absorb.
+
+    An end of [lo, hi] that its own verdict puts on the wrong side is
+    pushed out by the bracket's width, keeping the other end, up to 8
+    times before NumericalError is raised.  ``maps.brentq`` (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4; a port
+    of scipy.optimize.brentq with its bits) then finds the root w of
+    signed, and the verdict certifies it: wrong at w - tol/2 and right at
+    w + tol/2, so the midpoint of the two lies within tol/2 of the switch.
+    If brentq fails or the certificate does not hold, the verdict is
+    bisected on [lo, hi] instead (``maps._bisect``).
     """
-
-    def right(w):
-        return compare_to_rational(map.shifted(w), p, q, grid) >= want
-
-    for _ in range(8):
-        if grow is None or (right(hi) if grow == "hi" else not right(lo)):
-            break
-        width = hi - lo
-        lo, hi = (lo, hi + width) if grow == "hi" else (lo - width, hi)
-    else:
-        raise NumericalError(f"could not bracket rot = {p}/{q} by growing {grow}")
-
     floor = _SIGN_FLOOR * max(1, q)
     sign, shift = (-1.0, floor) if want == 0 else (1.0, -floor)
 
+    @functools.cache
     def signed(w):
         fq, x, g = _g_grid(map.shifted(w), p, q, grid)
         return _g_extremum(fq, p, x, g, sign) + shift
+
+    def right(w):
+        return signed(w) >= 0.0 if want == 0 else signed(w) > 0.0
+
+    for _ in range(8):
+        if not right(lo) and right(hi):
+            break
+        width = hi - lo
+        lo, hi = (lo - width, hi) if right(lo) else (lo, hi + width)
+    else:
+        raise NumericalError(f"could not bracket the crossing of rot = {p}/{q} in 8 steps")
 
     try:
         w = brentq(signed, lo, hi, xtol=0.25 * tol)
@@ -564,6 +587,7 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
 
 def plateau_bracket(map: CircleMap, p: int, q: int):
     """Omega interval with rot < p/q at the left end and > p/q at the right."""
+    _check_lowest_terms(p, q)
     osc = sum(abs(a) for a in map.cos_coeffs) + sum(abs(b) for b in map.sin_coeffs)
     center = p / q - map.mean_shift
     return (center - osc - 0.05, center + osc + 0.05)
@@ -572,25 +596,30 @@ def plateau_bracket(map: CircleMap, p: int, q: int):
 def plateau(map: CircleMap, p: int, q: int, bracket=None, tol: float = 1e-10) -> Plateau:
     """The interval of omega with rot(f + omega) = p/q, edges to tol.
 
-    Each edge is a rotation-number crossing (_rot_crossing), a Brent root
-    certified by the sign test to within tol/2.  A plateau that
-    degenerates to a point (rigid rotations) is returned with
-    omega_lo == omega_hi.
+    Each edge is a rotation-number crossing (_rot_crossing) started on
+    the bracket (plateau_bracket by default): a Brent root of one signed
+    extremum of G, certified by the sign of that extremum to within
+    tol/2.  ConfigError is raised when an edge falls outside the bracket,
+    that is when the bracket does not have rot < p/q at its left end and
+    rot > p/q at its right, and when tol is not finite and positive.  A
+    plateau that degenerates to a point (rigid rotations) is returned
+    with omega_lo == omega_hi.
     """
-    if math.gcd(abs(p), q) != 1:
-        raise ConfigError(f"p/q = {p}/{q} must be in lowest terms")
+    _check_lowest_terms(p, q)
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
     if bracket is None:
         bracket = plateau_bracket(map, p, q)
     wlo, whi = float(bracket[0]), float(bracket[1])
-    side_lo = compare_to_rational(map.shifted(wlo), p, q)
-    side_hi = compare_to_rational(map.shifted(whi), p, q)
-    if side_lo >= 0 or side_hi <= 0:
-        raise ConfigError(
-            f"bracket ({wlo}, {whi}) must satisfy rot < {p}/{q} on the left "
-            f"and rot > {p}/{q} on the right (got sides {side_lo}, {side_hi})"
-        )
+    if not -math.inf < wlo < whi < math.inf:
+        raise ConfigError(f"bracket ({wlo}, {whi}) must be finite with lo < hi")
     omega_lo = _rot_crossing(map, p, q, wlo, whi, 0, tol=tol)
     omega_hi = _rot_crossing(map, p, q, wlo, whi, 1, tol=tol)
+    if not (wlo <= omega_lo <= whi and wlo <= omega_hi <= whi):
+        raise ConfigError(
+            f"bracket ({wlo}, {whi}) must satisfy rot < {p}/{q} on the left and "
+            f"rot > {p}/{q} on the right (the edges are {omega_lo}, {omega_hi})"
+        )
     if omega_hi < omega_lo - 4.0 * tol:
         raise EmptyPlateau(
             f"plateau of {p}/{q} degenerated below resolution",

@@ -7,8 +7,9 @@ are located as jumps of the periodic-point count, which in an analytic
 monotone family change exactly at parameters carrying a parabolic cycle;
 the jump is bisected by ``maps._bisect``.  The plateau edge facing
 omega = 0 (Tsujii) and the Liouville margins are rotation-number
-crossings, ``dynamics._rot_crossing``: Brent roots of an extremum of G,
-certified by two sign tests, with bisection only as their fallback.
+crossings, ``dynamics._rot_crossing``: Brent roots of a signed extremum
+of G, with the bracket grown and the root certified by the sign of that
+same extremum, and bisection of that sign only as their fallback.
 
 ``trace_bubble`` and ``trace_atlas`` share three steps: ``_bubble_segment``
 plans a bubble (plateau, count-jump edge, Chebyshev nodes with their
@@ -497,11 +498,12 @@ def tsujii_gap(map: CircleMap, depth: int) -> list[TsujiiRow]:
         limit = 1.05 * grow * gap + 1e-9
         # the plateau edge nearest omega = 0: a plateau right of 0 gives its
         # left edge (smallest omega with rot >= p/q), one left of 0 its right
-        # edge; growing the far end by the bracket's width doubles it
+        # edge.  omega = 0 lies off the plateau, and the crossing doubles the
+        # bracket while the far end falls short of the edge
         if pk / qk > theta:
-            omega0 = _rot_crossing(map, pk, qk, 0.0, limit, 0, tol=_TSUJII_TOL, grow="hi")
+            omega0 = _rot_crossing(map, pk, qk, 0.0, limit, 0, tol=_TSUJII_TOL)
         else:
-            omega0 = _rot_crossing(map, pk, qk, -limit, 0.0, 1, tol=_TSUJII_TOL, grow="lo")
+            omega0 = _rot_crossing(map, pk, qk, -limit, 0.0, 1, tol=_TSUJII_TOL)
         bound = grow * gap
         rows.append(TsujiiRow(pk, qk, gap, omega0, bound, bound - abs(omega0)))
     return rows
@@ -557,8 +559,8 @@ def liouville_measure_estimate(map: CircleMap, beta: float, q_max: int) -> Liouv
     (dense omega grids would alias the q^-(2+beta) widths away); the per-q
     totals must stay below 2 e^{D_f} / q^{1+beta}.
     """
-    if beta <= 0:
-        raise ConfigError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise ConfigError(f"beta must be finite and positive, got {beta}")
     if q_max < 0:
         raise ConfigError(f"q_max must be >= 0, got {q_max}")
     C = math.exp(total_distortion(map))
@@ -576,10 +578,10 @@ def liouville_measure_estimate(map: CircleMap, beta: float, q_max: int) -> Liouv
             # smallest omega with rot >= t_lo, largest with rot <= t_hi
             left = _rot_crossing(map, t_lo.numerator, t_lo.denominator,
                                  plat.omega_lo - pad, plat.omega_lo, 0,
-                                 grid=1024, tol=_LIOUVILLE_TOL, grow="lo")
+                                 grid=1024, tol=_LIOUVILLE_TOL)
             right = _rot_crossing(map, t_hi.numerator, t_hi.denominator,
                                   plat.omega_hi, plat.omega_hi + pad, 1,
-                                  grid=1024, tol=_LIOUVILLE_TOL, grow="hi")
+                                  grid=1024, tol=_LIOUVILLE_TOL)
             total += (right - left) - plat.width
         rows.append(LiouvilleRow(q, total, 2.0 * C / q ** (1.0 + beta)))
     return LiouvilleReport(beta, q_max, C, tuple(rows))

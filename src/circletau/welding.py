@@ -19,6 +19,7 @@ code, Gram matrix and QR fallback included.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,10 +58,12 @@ def welding_constant(
     """Solve the welding equation in least squares; C_f = C+ - C-.
 
     The gauge C+ is free ("unique up to addition of a constant"); C_f is
-    invariant under it.
+    invariant under it.  A gauge that is not finite raises ConfigError.
     """
-    N, M, fx = _collocation_points(map, n_modes, m_points)
     gauge = complex(gauge_c_plus)
+    if not cmath.isfinite(gauge):
+        raise ConfigError(f"gauge_c_plus must be finite, got {gauge_c_plus}")
+    N, M, fx = _collocation_points(map, n_modes, m_points)
     sol, cond, residual, steps = _solve_collocation(
         _gluing_system(fx, np.zeros(N, dtype=complex), -gauge), " in the welding system"
     )

@@ -108,18 +108,18 @@ def golden_tuned_arnold(golden_parameter):
 
 
 @pytest.fixture
-def compare_log(monkeypatch):
-    """(mean shift, p, q, grid) of every compare_to_rational call made
-    through the dynamics module, in order."""
-    calls = []
-    original = dynamics.compare_to_rational
+def grid_shifts(monkeypatch):
+    """The mean shift of the map of every G grid evaluation (``_g_grid``)
+    made through the dynamics module, in order."""
+    shifts = []
+    original = dynamics._g_grid
 
-    def recording(map, p, q, grid=dynamics._G_GRID):
-        calls.append((map.mean_shift, p, q, grid))
+    def recording(map, p, q, grid):
+        shifts.append(map.mean_shift)
         return original(map, p, q, grid)
 
-    monkeypatch.setattr(dynamics, "compare_to_rational", recording)
-    return calls
+    monkeypatch.setattr(dynamics, "_g_grid", recording)
+    return shifts
 
 
 @pytest.fixture

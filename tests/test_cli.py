@@ -126,6 +126,27 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("command, emit, files", [
+        (("rot", "--map", ROT_MAP), "json", ["rot.json"]),
+        (("rot", "--map", ROT_MAP), "csv,svg", []),
+        (("cycles", "--map", ARNOLD_MAP, "--pq", "0/1"), "csv", ["cycles.csv"]),
+        (("cycles", "--map", ARNOLD_MAP, "--pq", "0/1"), "svg", []),
+        (("tau", "--map", ROT_MAP, "--omega", "0.1,0.2", "--n", "8"), "csv", ["tau.csv"]),
+        (("tau", "--map", ROT_MAP, "--omega", "0.1,0.2", "--n", "8"), "json", ["tau.json"]),
+        (("tau", "--map", ROT_MAP, "--omega", "0.1,0.2", "--n", "8"), "svg", []),
+        (("weld", "--map", ROT_MAP, "--n", "8"), "csv", []),
+    ])
+    def test_emit_selects_the_files(self, tmp_path, capsys, command, emit, files):
+        # every command writes only the listed formats, and exits 2 when it
+        # writes none of them (tau, rot and cycles used to ignore --emit)
+        rc = run(*command, "--emit", emit, "--out", str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == files
+        if files:
+            assert rc == 0
+        else:
+            assert rc == 2
+            assert f"which --emit '{emit}' leaves out" in capsys.readouterr().err
+
     def test_unknown_command_is_2(self, tmp_path):
         assert run("frobnicate", "--map", ROT_MAP) == 2
 

@@ -310,7 +310,7 @@ class TestCellBound:
                         assert got == loop_compare_to_rational(m, p, q, grid)
 
     def test_bracket_ends_settle_on_coarse_grid(self, arnold, crossing_counts):
-        # plateau's side checks at the ends of its default bracket
+        # the ends of plateau's default bracket
         for w, side in zip(plateau_bracket(arnold, 0, 1), (-1, 1)):
             before = dict(crossing_counts)
             assert compare_to_rational(arnold.shifted(w), 0, 1) == side
@@ -471,8 +471,8 @@ class TestPlateau:
     @pytest.mark.parametrize("name", ["arnold", "two_humped"])
     @pytest.mark.parametrize("p, q", [(0, 1), (1, 2)])
     def test_edges_match_loop(self, request, name, p, q):
-        # the edges are Brent roots certified by two sign tests; they match
-        # the bisection to its tol, not bit for bit
+        # the edges are Brent roots certified by the sign of their extremum
+        # tol apart; they match the bisection to its tol, not bit for bit
         m = request.getfixturevalue(name)
         pl = plateau(m, p, q)
         edges = (pl.omega_lo, pl.omega_hi)
@@ -480,40 +480,66 @@ class TestPlateau:
             assert abs(got - ref) <= 1e-10
             assert_certified(m, p, q, got, want, 1e-10)
 
-    @pytest.mark.parametrize("wrong", [lambda v: v + 1e-3, lambda v: 1.0],
-                             ids=["offset", "constant"])
+    @pytest.mark.parametrize("fault", ["offset", "raises"])
     def test_crossing_falls_back_to_bisection(self, arnold, monkeypatch, crossing_counts,
-                                              wrong):
-        # an extremum off by 1e-3 gives a Brent root the sign tests reject;
-        # one of constant sign makes brentq raise.  The sign tests go through
-        # compare_to_rational, which keeps the true extremum
+                                              fault):
+        # a Brent root off by 1e-3 fails its certificate; a brentq that
+        # raises leaves no root.  Either way the sign of the extremum is
+        # bisected on the bracket
         ref = loop_plateau_edges(arnold, 0, 1)
-        original, inside = dynamics._g_extremum, []
-        compare = dynamics.compare_to_rational
+        original = dynamics.brentq
 
-        def sign_test(*args):
-            inside.append(True)
-            try:
-                return compare(*args)
-            finally:
-                inside.pop()
+        def faulty(*args, **kwargs):
+            if fault == "raises":
+                raise RuntimeError("injected")
+            return original(*args, **kwargs) + 1e-3
 
-        def extremum(*args):
-            value = original(*args)
-            return value if inside else wrong(value)
-
-        monkeypatch.setattr(dynamics, "compare_to_rational", sign_test)
-        monkeypatch.setattr(dynamics, "_g_extremum", extremum)
+        monkeypatch.setattr(dynamics, "brentq", faulty)
         pl = plateau(arnold, 0, 1)
         assert (pl.omega_lo, pl.omega_hi) == ref
         assert crossing_counts["fallbacks"] == 2
 
-    def test_crossing_raises_when_bracket_cannot_grow(self, arnold, compare_log):
+    def test_crossing_raises_when_bracket_cannot_grow(self, arnold, grid_shifts):
         # the 1/2 plateau lies near omega = 1/2: growing hi from 1e-3 by the
         # bracket's width 8 times reaches only 0.128
         with pytest.raises(NumericalError):
-            _rot_crossing(arnold, 1, 2, 0.0, 1e-3, 0, grow="hi")
-        assert [c[0] for c in compare_log] == [1e-3 * 2**k for k in range(8)]
+            _rot_crossing(arnold, 1, 2, 0.0, 1e-3, 0)
+        assert grid_shifts == [0.0] + [1e-3 * 2**k for k in range(8)]
+
+    @pytest.mark.parametrize("want, bracket, edge", [(0, (0.0, 0.05), -B), (1, (-0.05, 0.0), B)])
+    def test_crossing_grows_a_fixed_end_on_the_wrong_side(self, arnold, want, bracket, edge):
+        # both ends lie inside the 0/1 plateau [-b, b], so the crossing
+        # lies outside the bracket, beyond the end that has to move
+        got = _rot_crossing(arnold, 0, 1, *bracket, want)
+        assert got == pytest.approx(edge, abs=1e-9)
+        assert_certified(arnold, 0, 1, got, want, 1e-10)
+
+    def test_crossings_evaluate_each_omega_once(self, arnold, monkeypatch, grid_shifts):
+        # every verdict of a crossing comes from its own signed extremum;
+        # no sign test of compare_to_rational is made
+        def forbidden(*args):
+            raise AssertionError("compare_to_rational called")
+
+        monkeypatch.setattr(dynamics, "compare_to_rational", forbidden)
+        crossings = []
+        original = dynamics._rot_crossing
+
+        def recording(*args, **kwargs):
+            start = len(grid_shifts)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                crossings.append(grid_shifts[start:])
+
+        monkeypatch.setattr(dynamics, "_rot_crossing", recording)
+        plateau(arnold, 0, 1)
+        with pytest.raises(ConfigError):  # both crossings grow an end
+            plateau(arnold, 0, 1, bracket=(-0.01, 0.01))
+        with pytest.raises(NumericalError):
+            dynamics._rot_crossing(arnold, 1, 2, 0.0, 1e-3, 0)
+        assert len(crossings) == 5
+        for shifts in crossings:
+            assert len(set(shifts)) == len(shifts) > 0
 
     def test_bisect_to_adjacent_floats(self):
         lo, hi = _bisect(lambda w: w >= 1.0 / 3.0, 0.0, 1.0, 0.0)
@@ -539,6 +565,27 @@ class TestPlateau:
     def test_bad_bracket(self, arnold):
         with pytest.raises(ConfigError):
             plateau(arnold, 0, 1, bracket=(0.2, 0.4))
+
+    @pytest.mark.parametrize("bracket", [(0.1, -0.1), (math.nan, 0.1), (-math.inf, 0.1)])
+    def test_reversed_or_non_finite_bracket(self, arnold, bracket):
+        with pytest.raises(ConfigError, match="must be finite with lo < hi"):
+            plateau(arnold, 0, 1, bracket=bracket)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_tol_validation(self, arnold, tol):
+        # a NaN tol stopped both crossings at once: Plateau(0, 1, 0.0, 0.0)
+        with pytest.raises(ConfigError, match="tol must be finite and positive"):
+            plateau(arnold, 0, 1, tol=tol)
+
+    def test_zero_denominator_is_rejected(self, arnold):
+        # gcd(1, 0) = 1 passed the lowest-terms check, then p / q divided by 0
+        for call in (plateau, plateau_bracket, find_cycles):
+            with pytest.raises(ConfigError, match="q must be >= 1"):
+                call(arnold, 1, 0)
+        # before the rigid-rotation shortcut, which returned -1
+        for m in (arnold, CircleMap(0.3)):
+            with pytest.raises(ConfigError, match="q must be >= 1"):
+                compare_to_rational(m, 1, 0)
 
     def test_edges_are_tangencies(self, arnold):
         # just inside each edge the two fixed points nearly merge

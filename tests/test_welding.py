@@ -76,6 +76,12 @@ class TestWeldingConstant:
         with pytest.raises(ConfigError):
             welding_constant(arnold, 16, m_points=60)
 
+    @pytest.mark.parametrize("gauge", [math.nan, complex(0.0, math.inf)])
+    def test_non_finite_gauge_is_rejected(self, arnold, gauge):
+        # a NaN gauge gave c_f = nan+nanj and a NaN residual
+        with pytest.raises(ConfigError, match="gauge_c_plus must be finite"):
+            welding_constant(arnold, 16, gauge_c_plus=gauge)
+
 
 class TestAsymptote:
     def test_rotation_gaps_are_zero(self):
