@@ -19,28 +19,36 @@ proof about f.
 
 Plateau edges, Tsujii approximant edges and Liouville margins are
 rotation-number crossings, ``_rot_crossing``: the smallest omega with
-rot(f + omega) >= p/q (want = 0) or > p/q (want = 1).  A crossing takes
-every verdict from one function of omega, the extremum of G that the
-sign test decides on (max G for want = 0, min G for want = 1), which
-rises with omega, shifted by the sign floor and evaluated once per
-omega: the side of each bracket end (a wrong end is pushed out), the
-brentq root, and the sign tol/2 either side of the root that certifies it;
-bisection of that sign (``maps._bisect``) is only its fallback.  It
-agrees with ``compare_to_rational``, which refines the same extremum,
-except where a margin is below G's rounding.
+rot(f + omega) >= p/q (want = 0) or > p/q (want = 1).  Such an omega is
+a parabolic parameter, a saddle-node where G has a double root, so a
+crossing first solves G = G_x = 0 by Newton in (x, omega)
+(``_saddle_node``) on the jet of one orbit of length q (``_g_jet``),
+started from the extremum of G at the bracket end on the wrong side and
+then from the bracket midpoint.  Every verdict comes from one function
+of omega, the extremum of G that the sign test decides on (max G for
+want = 0, min G for want = 1), which rises with omega, shifted by the
+sign floor and evaluated once per omega: the sign tol/2 either side of
+a root certifies it, Newton's or brentq's.  Only when Newton has no
+certified root inside the bracket is a wrong bracket end pushed out and
+the root of that function found by brentq; bisection of its sign
+(``maps._bisect``) is the last fallback.  The verdict agrees with
+``compare_to_rational``, which refines the same extremum, except where
+a margin is below G's rounding.
 
 The orbit of ``rotation_estimate`` steps ``CircleMap.lift_float``, which
 returns the same bits as ``lift`` (see ``circletau.maps``), and every G,
 on a grid or on one float (the Brent and brentq refinements), goes
-through ``IteratedMap.lift``.  Every bounded Brent refinement of a grid
-point is ``_grid_min``, and ``compare_to_rational`` refines only the grid
+through ``IteratedMap.lift``; the jet steps the same op order, so its G
+has the same bits.  Every bounded Brent refinement of a grid point is
+``_grid_min``, and ``compare_to_rational`` refines only the grid
 extremum its sign rule still needs, when no grid's cell bound settles it.
 
 The two Brent routines are the package's own: ``maps.brentq`` for roots
-and ``minimize_scalar`` here for bounded minima (Brent 1973, ch. 4 and
-5).  They are ports of scipy.optimize.brentq and of scipy's
-``minimize_scalar(method="bounded")`` that return the same bits, so no
-process imports scipy.optimize.
+(of G in ``find_cycles``, and of a crossing's signed extremum when
+Newton fails) and ``minimize_scalar`` here for bounded minima (Brent
+1973, ch. 4 and 5).  They are ports of scipy.optimize.brentq and of
+scipy's ``minimize_scalar(method="bounded")`` that return the same bits,
+so no process imports scipy.optimize.
 """
 
 from __future__ import annotations
@@ -213,6 +221,28 @@ def _g_extremum(fq, p: int, x, g, sign: float) -> float:
     i = int(np.argmin(sign * g))
     refined = _grid_min(lambda t: sign * (fq.lift(t) - t - p), x[i], 1.0 / g.size)[1]
     return sign * min(sign * float(g[i]), refined)
+
+
+def _g_jet(map, p: int, q: int, x: float, omega: float) -> tuple:
+    """(G, G_x, G_omega, G_xx, G_xomega) of G = F^q(x) - x - p for f + omega
+    at one float x.  It steps one orbit of q scalar steps in
+    ``lift_float``'s op order, so G has the bits of ``IteratedMap.lift``
+    on a float, and carries the chain rule along it: X_xx <- F''X_x^2 +
+    F'X_xx, X_xw <- F''X_w X_x + F'X_xw, X_w <- F'X_w + 1, X_x <- F'X_x."""
+    a0 = map.mean_shift + omega
+    X, Xx, Xw, Xxx, Xxw = x, 1.0, 0.0, 0.0, 0.0
+    for _ in range(q):
+        d, f1, f2 = a0, 1.0, 0.0
+        for w, c in map._cos_terms:
+            cs, sn = math.cos(w * X), math.sin(w * X)
+            d, f1, f2 = d + c * cs, f1 - c * w * sn, f2 - c * w * w * cs
+        for w, c in map._sin_terms:
+            cs, sn = math.cos(w * X), math.sin(w * X)
+            d, f1, f2 = d + c * sn, f1 + c * w * cs, f2 - c * w * w * sn
+        Xxx, Xxw = f2 * Xx * Xx + f1 * Xxx, f2 * Xw * Xx + f1 * Xxw
+        Xw, Xx = f1 * Xw + 1.0, f1 * Xx
+        X = X + d
+    return X - x - p, Xx - 1.0, Xw, Xxx, Xxw
 
 
 def compare_to_rational(map: CircleMap, p: int, q: int, grid: int = _G_GRID) -> int:
@@ -524,6 +554,28 @@ def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
 # -- plateaus ----------------------------------------------------------------
 
 
+def _saddle_node(map, p: int, q: int, x: float, w: float):
+    """omega of a double root of G = F^q - x - p for f + omega: Newton in
+    (x, omega) on (G, G_x) from (x, w), with Jacobian [[G_x, G_omega],
+    [G_xx, G_xomega]] from ``_g_jet``.  It stops when the omega step is at
+    most 1e-13, never on the x step: near a high-q saddle-node G is flat
+    in x, G_xx is about 1e-13 and the x step is noise.  None when 12
+    steps do not get there or a step is not finite.  At the solution the
+    Jacobian is nonsingular whenever G_xx != 0, since G_omega > 0."""
+    for _ in range(12):
+        g, gx, gw, gxx, gxw = _g_jet(map, p, q, x, w)
+        det = gx * gxw - gw * gxx
+        if det == 0.0:
+            return None
+        x, step = x - (g * gxw - gw * gx) / det, (gx * gx - gxx * g) / det
+        w -= step
+        if not math.isfinite(x + w):  # a NaN or infinite step
+            return None
+        if abs(step) <= 1e-13:
+            return w
+    return None
+
+
 def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
                   grid: int = _G_GRID, tol: float = 1e-10) -> float:
     """Smallest omega with rot(f + omega) >= p/q (want = 0) or > p/q
@@ -544,26 +596,50 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
     differ only where a margin is smaller than G's rounding, which is
     what the floor is there to absorb.
 
-    An end of [lo, hi] that its own verdict puts on the wrong side is
-    pushed out by the bracket's width, keeping the other end, up to 8
-    times before NumericalError is raised.  ``maps.brentq`` (R. P. Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 4; a port
-    of scipy.optimize.brentq with its bits) then finds the root w of
-    signed, and the verdict certifies it: wrong at w - tol/2 and right at
-    w + tol/2, so the midpoint of the two lies within tol/2 of the switch.
-    If brentq fails or the certificate does not hold, the verdict is
-    bisected on [lo, hi] instead (``maps._bisect``).
+    The crossing is a saddle-node, where G has a double root, so unless
+    f is a rigid rotation (G_x = 0 everywhere) Newton on G = G_x = 0
+    (``_saddle_node``) runs first: from the grid extremum of G at the end
+    that should lie on the wrong side (lo for want = 0, hi for want = 1),
+    and once more from the midpoint of [lo, hi] if that fails.  Its
+    iterates may leave the bracket; its omega w is returned when it lies
+    in [lo, hi] and the verdict certifies it: wrong at w - tol/2 and right
+    at w + tol/2, so w lies within tol/2 of the switch.  A wrong-end start
+    matters: from the midpoint of a wide bracket Newton can land on the
+    far edge of the same plateau, which the certificate rejects.
+
+    Otherwise an end of [lo, hi] that its own verdict puts on the wrong
+    side is pushed out by the bracket's width, keeping the other end, up
+    to 8 times before NumericalError is raised.  ``maps.brentq``
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4; a port of scipy.optimize.brentq with its bits) then finds the
+    root w of signed, certified as above, and the midpoint of w -+ tol/2
+    is returned.  If brentq fails or the certificate does not hold, the
+    verdict is bisected on [lo, hi] instead (``maps._bisect``).  A
+    Newton start's G grid is kept until signed needs it, so no omega's
+    grid is computed twice, and refined only if a verdict needs it.
     """
     floor = _SIGN_FLOOR * max(1, q)
     sign, shift = (-1.0, floor) if want == 0 else (1.0, -floor)
 
+    start_grids = {}  # the G grids of Newton's starts, handed on to signed
+
     @functools.cache
     def signed(w):
-        fq, x, g = _g_grid(map.shifted(w), p, q, grid)
+        fq, x, g = start_grids.pop(w, None) or _g_grid(map.shifted(w), p, q, grid)
         return _g_extremum(fq, p, x, g, sign) + shift
 
     def right(w):
         return signed(w) >= 0.0 if want == 0 else signed(w) > 0.0
+
+    def certified(w):
+        return not right(w - 0.5 * tol) and right(w + 0.5 * tol)
+
+    starts = () if map.is_rotation else ((lo, hi)[want], 0.5 * (lo + hi))
+    for start in starts:
+        fq, x, g = start_grids[start] = _g_grid(map.shifted(start), p, q, grid)
+        w = _saddle_node(map, p, q, float(x[np.argmin(sign * g)]), start)
+        if w is not None and lo <= w <= hi and certified(w):
+            return w
 
     for _ in range(8):
         if not right(lo) and right(hi):
@@ -577,10 +653,8 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
         w = brentq(signed, lo, hi, xtol=0.25 * tol)
     except (ValueError, RuntimeError):
         w = None
-    if w is not None:
-        a, b = w - 0.5 * tol, w + 0.5 * tol
-        if not right(a) and right(b):
-            return 0.5 * (a + b)
+    if w is not None and certified(w):
+        return 0.5 * ((w - 0.5 * tol) + (w + 0.5 * tol))
     lo, hi = _bisect(right, lo, hi, tol)
     return 0.5 * (lo + hi)
 
@@ -597,13 +671,15 @@ def plateau(map: CircleMap, p: int, q: int, bracket=None, tol: float = 1e-10) ->
     """The interval of omega with rot(f + omega) = p/q, edges to tol.
 
     Each edge is a rotation-number crossing (_rot_crossing) started on
-    the bracket (plateau_bracket by default): a Brent root of one signed
-    extremum of G, certified by the sign of that extremum to within
+    the bracket (plateau_bracket by default): a saddle-node found by
+    Newton on G = G_x = 0 (a Brent root of one signed extremum of G when
+    Newton fails), certified by the sign of that extremum to within
     tol/2.  ConfigError is raised when an edge falls outside the bracket,
     that is when the bracket does not have rot < p/q at its left end and
-    rot > p/q at its right, and when tol is not finite and positive.  A
-    plateau that degenerates to a point (rigid rotations) is returned
-    with omega_lo == omega_hi.
+    rot > p/q at its right (checked edge by edge, so a left edge outside
+    the bracket raises before the right edge is sought), and when tol is
+    not finite and positive.  A plateau that degenerates to a point
+    (rigid rotations) is returned with omega_lo == omega_hi.
     """
     _check_lowest_terms(p, q)
     if not 0.0 < tol < math.inf:
@@ -613,13 +689,15 @@ def plateau(map: CircleMap, p: int, q: int, bracket=None, tol: float = 1e-10) ->
     wlo, whi = float(bracket[0]), float(bracket[1])
     if not -math.inf < wlo < whi < math.inf:
         raise ConfigError(f"bracket ({wlo}, {whi}) must be finite with lo < hi")
-    omega_lo = _rot_crossing(map, p, q, wlo, whi, 0, tol=tol)
-    omega_hi = _rot_crossing(map, p, q, wlo, whi, 1, tol=tol)
-    if not (wlo <= omega_lo <= whi and wlo <= omega_hi <= whi):
-        raise ConfigError(
-            f"bracket ({wlo}, {whi}) must satisfy rot < {p}/{q} on the left and "
-            f"rot > {p}/{q} on the right (the edges are {omega_lo}, {omega_hi})"
-        )
+    edges = []
+    for want in (0, 1):  # a wrong-side bracket fails on its first edge
+        edges.append(_rot_crossing(map, p, q, wlo, whi, want, tol=tol))
+        if not wlo <= edges[-1] <= whi:
+            raise ConfigError(
+                f"bracket ({wlo}, {whi}) must satisfy rot < {p}/{q} on the left and "
+                f"rot > {p}/{q} on the right (an edge is at {edges[-1]})"
+            )
+    omega_lo, omega_hi = edges
     if omega_hi < omega_lo - 4.0 * tol:
         raise EmptyPlateau(
             f"plateau of {p}/{q} degenerated below resolution",

@@ -7,9 +7,10 @@ are located as jumps of the periodic-point count, which in an analytic
 monotone family change exactly at parameters carrying a parabolic cycle;
 the jump is bisected by ``maps._bisect``.  The plateau edge facing
 omega = 0 (Tsujii) and the Liouville margins are rotation-number
-crossings, ``dynamics._rot_crossing``: Brent roots of a signed extremum
-of G, with the bracket grown and the root certified by the sign of that
-same extremum, and bisection of that sign only as their fallback.
+crossings, ``dynamics._rot_crossing``: saddle-nodes found by Newton on
+G = G_x = 0, each certified by the sign of a signed extremum of G
+tol/2 either side, with bracket growth and a Brent root of that
+extremum, then bisection of its sign, only as the fallbacks.
 
 ``trace_bubble`` and ``trace_atlas`` share three steps: ``_bubble_segment``
 plans a bubble (plateau, count-jump edge, Chebyshev nodes with their
@@ -498,7 +499,8 @@ def tsujii_gap(map: CircleMap, depth: int) -> list[TsujiiRow]:
         limit = 1.05 * grow * gap + 1e-9
         # the plateau edge nearest omega = 0: a plateau right of 0 gives its
         # left edge (smallest omega with rot >= p/q), one left of 0 its right
-        # edge.  omega = 0 lies off the plateau, and the crossing doubles the
+        # edge.  omega = 0 lies off the plateau, on the wrong side, so Newton
+        # starts there; only when it fails does the crossing double the
         # bracket while the far end falls short of the edge
         if pk / qk > theta:
             omega0 = _rot_crossing(map, pk, qk, 0.0, limit, 0, tol=_TSUJII_TOL)
@@ -557,7 +559,12 @@ def liouville_measure_estimate(map: CircleMap, beta: float, q_max: int) -> Liouv
 
     Plateau neighborhoods are measured by rotation-number crossings
     (dense omega grids would alias the q^-(2+beta) widths away); the per-q
-    totals must stay below 2 e^{D_f} / q^{1+beta}.
+    totals must stay below 2 e^{D_f} / q^{1+beta}.  The margins are
+    crossings at p/q -+ q^-(2+beta), taken as rationals of denominator at
+    most 20000 within a relative 1e-9 (``_rational_near``).  For a
+    non-integer beta, q^-(2+beta) is irrational from q = 2 on and usually
+    has no such rational, so ConfigError is raised: beta = 0.5 fails at
+    q = 2 and beta = 1.5 at q = 3.
     """
     if not 0.0 < beta < math.inf:
         raise ConfigError(f"beta must be finite and positive, got {beta}")

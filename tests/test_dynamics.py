@@ -483,28 +483,35 @@ class TestPlateau:
     @pytest.mark.parametrize("fault", ["offset", "raises"])
     def test_crossing_falls_back_to_bisection(self, arnold, monkeypatch, crossing_counts,
                                               fault):
-        # a Brent root off by 1e-3 fails its certificate; a brentq that
-        # raises leaves no root.  Either way the sign of the extremum is
-        # bisected on the bracket
+        # a jet whose G is off by 1e-3 leads Newton to a saddle-node that
+        # fails its certificate, and so does a Brent root off by 1e-3; a jet
+        # of NaNs and a brentq that raises leave no root.  Either way the
+        # sign of the extremum is bisected on the bracket
         ref = loop_plateau_edges(arnold, 0, 1)
-        original = dynamics.brentq
+        brentq, jet = dynamics.brentq, dynamics._g_jet
 
-        def faulty(*args, **kwargs):
+        def faulty_brentq(*args, **kwargs):
             if fault == "raises":
                 raise RuntimeError("injected")
-            return original(*args, **kwargs) + 1e-3
+            return brentq(*args, **kwargs) + 1e-3
 
-        monkeypatch.setattr(dynamics, "brentq", faulty)
+        def faulty_jet(*args):
+            g, *rest = jet(*args)
+            return (math.nan,) * 5 if fault == "raises" else (g + 1e-3, *rest)
+
+        monkeypatch.setattr(dynamics, "brentq", faulty_brentq)
+        monkeypatch.setattr(dynamics, "_g_jet", faulty_jet)
         pl = plateau(arnold, 0, 1)
         assert (pl.omega_lo, pl.omega_hi) == ref
         assert crossing_counts["fallbacks"] == 2
 
     def test_crossing_raises_when_bracket_cannot_grow(self, arnold, grid_shifts):
-        # the 1/2 plateau lies near omega = 1/2: growing hi from 1e-3 by the
-        # bracket's width 8 times reaches only 0.128
+        # the 1/2 plateau lies near omega = 1/2: Newton from lo and from the
+        # midpoint lands outside the bracket, and growing hi from 1e-3 by
+        # the bracket's width 8 times reaches only 0.128
         with pytest.raises(NumericalError):
             _rot_crossing(arnold, 1, 2, 0.0, 1e-3, 0)
-        assert grid_shifts == [0.0] + [1e-3 * 2**k for k in range(8)]
+        assert grid_shifts == [0.0, 5e-4] + [1e-3 * 2**k for k in range(8)]
 
     @pytest.mark.parametrize("want, bracket, edge", [(0, (0.0, 0.05), -B), (1, (-0.05, 0.0), B)])
     def test_crossing_grows_a_fixed_end_on_the_wrong_side(self, arnold, want, bracket, edge):
@@ -533,11 +540,11 @@ class TestPlateau:
 
         monkeypatch.setattr(dynamics, "_rot_crossing", recording)
         plateau(arnold, 0, 1)
-        with pytest.raises(ConfigError):  # both crossings grow an end
+        with pytest.raises(ConfigError):  # the first crossing grows an end
             plateau(arnold, 0, 1, bracket=(-0.01, 0.01))
         with pytest.raises(NumericalError):
             dynamics._rot_crossing(arnold, 1, 2, 0.0, 1e-3, 0)
-        assert len(crossings) == 5
+        assert len(crossings) == 4
         for shifts in crossings:
             assert len(set(shifts)) == len(shifts) > 0
 
@@ -562,9 +569,20 @@ class TestPlateau:
         assert pl.omega_lo < 0.5 < pl.omega_hi
         assert pl.width > 1e-3
 
-    def test_bad_bracket(self, arnold):
-        with pytest.raises(ConfigError):
+    def test_bad_bracket(self, arnold, monkeypatch):
+        # rot > 0 at both ends of (0.2, 0.4): the left edge, -b, lies outside
+        # it, so the right edge is never sought
+        wants = []
+        original = dynamics._rot_crossing
+
+        def recording(*args, **kwargs):
+            wants.append(args[5])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_rot_crossing", recording)
+        with pytest.raises(ConfigError, match=r"an edge is at -0\.0795"):
             plateau(arnold, 0, 1, bracket=(0.2, 0.4))
+        assert wants == [0]
 
     @pytest.mark.parametrize("bracket", [(0.1, -0.1), (math.nan, 0.1), (-math.inf, 0.1)])
     def test_reversed_or_non_finite_bracket(self, arnold, bracket):
@@ -594,6 +612,50 @@ class TestPlateau:
         cycles = find_cycles(arnold.shifted(inner), 0, 1)
         gap = min(abs(c.multiplier - 1.0) for c in cycles)
         assert gap < 2.6e-3  # ~ 2.5 sqrt(1e-7)
+
+
+def mp_g_jet(map, p, q, x, omega):
+    """(G, G_x, G_omega, G_xx, G_xomega) at 50 digits: G = F^q(x) - x - p
+    for f + omega with exact harmonics 2 pi k, and its partial derivatives
+    by mpmath.diff, independent of the chain rule."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        tau = 2 * mpmath.pi
+
+        def g(x, omega):
+            X = x
+            for _ in range(q):
+                d = map.mean_shift + omega
+                for k, c in enumerate(map.cos_coeffs, start=1):
+                    d += c * mpmath.cos(tau * k * X)
+                for k, c in enumerate(map.sin_coeffs, start=1):
+                    d += c * mpmath.sin(tau * k * X)
+                X += d
+            return X - x - p
+
+        at = (mpmath.mpf(x), mpmath.mpf(omega))
+        return [float(mpmath.diff(g, at, n)) for n in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1))]
+
+
+class TestSaddleNode:
+    @pytest.mark.parametrize("q", [1, 5, 125])
+    @pytest.mark.parametrize("name", ["arnold", "two_humped", "mixed"])
+    def test_jet_matches_mpmath(self, request, name, q):
+        # the mixed map runs both the cos and the sin branch; the shifts lie
+        # off the wide plateaus, where F^q' is of order one and not crushed
+        # toward an attracting cycle
+        m = (CircleMap(0.0, (0.03,), (0.06,)) if name == "mixed"
+             else request.getfixturevalue(name))
+        for omega, x in [(0.618, 0.1), (0.382, 0.62), (0.7071, 0.87)]:
+            p = round(q * omega)
+            got = dynamics._g_jet(m, p, q, x, omega)
+            for a, b in zip(got, mp_g_jet(m, p, q, x, omega)):
+                assert abs(a - b) <= 1e-9 * abs(b), (omega, x)
+            # G has the bits of the float orbit that every sign test refines;
+            # a changed summation order shows at a few of 64 points
+            fq = m.shifted(omega).iterate(q)
+            for t in (np.arange(64) / 64).tolist():
+                assert dynamics._g_jet(m, p, q, t, omega)[0] == fq.lift(t) - t - p
 
 
 class TestDenjoyDistortion:

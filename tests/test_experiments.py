@@ -480,11 +480,41 @@ class TestLiouville:
         assert rep.measured_total <= rep.bound_total
 
     def test_crossings_take_few_g_evaluations(self, arnold, crossing_counts):
-        # 40 crossings at about 11 G grid evaluations each (436 in all); a
-        # slide back to bisecting the sign test would take about 30 each
+        # 40 crossings at about 3.4 G grid evaluations each (137 in all): the
+        # start of Newton and the two sign tests of its certificate.  A slide
+        # back to Brent would take about 11 each, and bisection about 30
         liouville_measure_estimate(arnold, 1.0, 5)
-        assert crossing_counts["grids"] <= 450
+        assert crossing_counts["grids"] <= 150
         assert crossing_counts["fallbacks"] == 0
+
+    def test_newton_answers_the_crossings(self, arnold, golden_tuned_arnold, monkeypatch):
+        # a crossing answered by Newton on the saddle-node system never
+        # reaches brentq; each answer is still certified by the sign test
+        records, brentq_calls = [], []
+        original, brentq = dynamics._rot_crossing, dynamics.brentq
+
+        def counting_brentq(*args, **kwargs):
+            brentq_calls.append(args)
+            return brentq(*args, **kwargs)
+
+        def recording(map, p, q, lo, hi, want, grid=dynamics._G_GRID, tol=1e-10):
+            before = len(brentq_calls)
+            w = original(map, p, q, lo, hi, want, grid=grid, tol=tol)
+            records.append((len(brentq_calls) == before, (map, p, q, w, want, tol, grid)))
+            return w
+
+        monkeypatch.setattr(dynamics, "brentq", counting_brentq)
+        for module in (dynamics, experiments):
+            monkeypatch.setattr(module, "_rot_crossing", recording)
+        liouville_measure_estimate(arnold, 1.0, 5)
+        assert len(records) == 40
+        assert sum(newton for newton, _ in records) >= 38
+        tsujii_gap(golden_tuned_arnold, 4)
+        assert len(records) == 44
+        assert all(newton for newton, _ in records[40:])
+        for newton, args in records:
+            if newton:
+                assert_certified(*args)
 
     def test_empty(self, arnold):
         rep = liouville_measure_estimate(arnold, 1.0, 0)
