@@ -23,32 +23,28 @@ rot(f + omega) >= p/q (want = 0) or > p/q (want = 1).  Such an omega is
 a parabolic parameter, a saddle-node where G has a double root, so a
 crossing first solves G = G_x = 0 by Newton in (x, omega)
 (``_saddle_node``) on the jet of one orbit of length q (``_g_jet``),
+with G shifted by the sign floor as the verdict below shifts it,
 started from the extremum of G at the bracket end on the wrong side and
 then from the bracket midpoint.  Every verdict comes from one function
 of omega, the extremum of G that the sign test decides on (max G for
 want = 0, min G for want = 1), which rises with omega, shifted by the
 sign floor and evaluated once per omega: the sign tol/2 either side of
-a root certifies it, Newton's or brentq's.  Only when Newton has no
-certified root inside the bracket is a wrong bracket end pushed out and
-the root of that function found by brentq; bisection of its sign
-(``maps._bisect``) is the last fallback.  The verdict agrees with
-``compare_to_rational``, which refines the same extremum, except where
-a margin is below G's rounding.
+Newton's root certifies it.  Only when Newton has no certified root
+inside the bracket is a wrong bracket end pushed out and the sign of that
+function bisected (``maps._bisect``).  The verdict agrees with
+``compare_to_rational``, which refines the same extremum, except where a
+margin is below G's rounding.
 
 The orbit of ``rotation_estimate`` steps ``CircleMap.lift_float``, which
 returns the same bits as ``lift`` (see ``circletau.maps``), and every G,
-on a grid or on one float (the Brent and brentq refinements), goes
-through ``IteratedMap.lift``; the jet steps the same op order, so its G
-has the same bits.  Every bounded Brent refinement of a grid point is
-``_grid_min``, and ``compare_to_rational`` refines only the grid
-extremum its sign rule still needs, when no grid's cell bound settles it.
-
-The two Brent routines are the package's own: ``maps.brentq`` for roots
-(of G in ``find_cycles``, and of a crossing's signed extremum when
-Newton fails) and ``minimize_scalar`` here for bounded minima (Brent
-1973, ch. 4 and 5).  They are ports of scipy.optimize.brentq and of
-scipy's ``minimize_scalar(method="bounded")`` that return the same bits,
-so no process imports scipy.optimize.
+on a grid or on one float (a root's bisection), goes through
+``IteratedMap.lift``; the jet steps the same op order, so its G has the
+same bits.  A refinement of a grid point has one solver per job: an
+extremum of G in the two cells around a grid point is Newton on G_x = 0
+on the jet (``minimize_scalar``), kept only where it lowers the grid
+value; a root of G in a sign-change cell is bisected to 1e-15.
+``compare_to_rational`` refines only the grid extremum its sign rule
+still needs, when no grid's cell bound settles it.
 """
 
 from __future__ import annotations
@@ -70,7 +66,7 @@ from .errors import (
     RootFindingIncomplete,
     WrongRotationNumber,
 )
-from .maps import CircleMap, IteratedMap, _bisect, brentq
+from .maps import CircleMap, IteratedMap, _bisect
 
 TOL_PARABOLIC = 1e-8  # |rho - 1| below root-refinement accuracy is parabolic
 
@@ -80,6 +76,7 @@ _SIGN_FLOOR = 1e-13
 _ORBIT_START = 1024  # first orbit length of rotation_estimate; lengths double
 _ROOT_MERGE = 1e-12  # find_cycles merges roots closer than this
 _DENJOY_GRID = 256
+_NEWTON_STEPS = 12  # jets per Newton solve, in x (extrema) or in (x, omega)
 
 
 @dataclass(frozen=True)
@@ -114,96 +111,27 @@ class Plateau:
 # -- G(x) = F^q(x) - x - p machinery ----------------------------------------
 
 
-_BRENT_XATOL = 1e-14
-_BRENT_EVALS = 300
-
-
-def minimize_scalar(fn, a: float, b: float):
-    """(x, fn(x)) at a local minimum of fn on [a, b] by Brent's bounded
-    method (R. P. Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 5): golden-section steps, and parabolic ones where they fit.
-
-    A line-by-line port of scipy.optimize.minimize_scalar(method=
-    "bounded") (``_minimize_scalar_bounded``) at xatol = 1e-14 and
-    maxiter = 300, so x and fn(x) have the same bits, and are numpy
-    scalars as scipy's are.  fn is called on Python floats.  It
-    stops when x lies within 2 tol - (b - a) / 2 of the middle of the
-    shrinking bracket, tol = sqrt(2.2e-16) |x| + xatol / 3, or after 300
-    evaluations.  Raises ValueError, as scipy does, when a bound is not
-    finite or a > b.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if a > b:
-        raise ValueError("The lower bound exceeds the upper bound.")
-    fulc = nfc = xf = a + golden_mean * (b - a)
-    rat = e = 0.0
-    fx = ffulc = fnfc = fn(xf)
-    num = 1
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + _BRENT_XATOL / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through xf, nfc, fulc
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0.0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = fn(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + _BRENT_XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _BRENT_EVALS:
+def minimize_scalar(map, p: int, q: int, x0: float, h: float, sign: float):
+    """(x, sign G(x)) at the least sign G, G = F^q - x - p, over the grid
+    point x0 and the Newton iterates of G_x = 0 from it on the jet of one
+    orbit (``_g_jet``).  Each step G_x/G_xx is clamped to [x0 - h,
+    x0 + h], the two grid cells around x0.  It stops where sign G_xx <= 0
+    (a flat cell, or no minimum of sign G ahead), on a step of at most
+    1e-15, on a step no shorter than the one before (where the rounding
+    noise of G_x takes over, far above 1e-15 at high q), or after 12 jets.
+    So the refinement can only lower sign G below its value at x0."""
+    x, best, last = x0, (x0, math.inf), math.inf
+    for _ in range(_NEWTON_STEPS):
+        g, gx, _, gxx, _ = _g_jet(map, p, q, x, 0.0)
+        if sign * g < best[1]:
+            best = (x, sign * g)
+        if not sign * gxx > 0.0:
             break
-    return np.float64(xf), np.asarray(fx)[()]
-
-
-def _grid_min(fn, x0, h):
-    """(x, fn(x)) at the bounded Brent minimum of fn on [x0 - h, x0 + h],
-    the two cells of spacing h around the grid point x0: the package's
-    minimize_scalar, a port of scipy.optimize.minimize_scalar(method=
-    "bounded", options={"xatol": 1e-14, "maxiter": 300}) with its bits."""
-    return minimize_scalar(fn, x0 - h, x0 + h)
+        step = gx / gxx
+        if not 1e-15 < abs(step) < last:
+            break
+        x, last = min(max(x - step, x0 - h), x0 + h), abs(step)
+    return best
 
 
 def _g_grid(map, p: int, q: int, grid: int):
@@ -215,11 +143,11 @@ def _g_grid(map, p: int, q: int, grid: int):
 
 def _g_extremum(fq, p: int, x, g, sign: float) -> float:
     """min G (sign = +1) or max G (sign = -1) over the circle: the grid
-    extremum of g combined with the bounded Brent refinement (_grid_min)
-    of the two cells around it, which can only lower the minimum or raise
+    extremum of g combined with its Newton refinement (minimize_scalar)
+    in the two cells around it, which can only lower the minimum or raise
     the maximum."""
     i = int(np.argmin(sign * g))
-    refined = _grid_min(lambda t: sign * (fq.lift(t) - t - p), x[i], 1.0 / g.size)[1]
+    refined = minimize_scalar(fq.base, p, fq.q, float(x[i]), 1.0 / g.size, sign)[1]
     return sign * min(sign * float(g[i]), refined)
 
 
@@ -430,13 +358,15 @@ def rotation_number(map, tol: float = 1e-10) -> float:
 # -- periodic orbits ---------------------------------------------------------
 
 
-def _grid_roots(g, x, scalar_g):
-    """Roots of G from its values g on the uniform grid x of R/Z.
+def _grid_roots(g, x, fq, p: int):
+    """Roots of G = F^q - x - p from its values g on the uniform grid x of
+    R/Z, with fq = F^q.
 
     A grid point is a root when g vanishes there; a cell with a sign
-    change is refined by brentq; a local minimum of |G| below 1e-6 with
-    no adjacent sign change is a candidate tangency, refined as a smooth
-    signed extremum and kept when |G| < 1e-10 there (reported as a
+    change is bisected (``maps._bisect``) to 1e-15, and the midpoint kept;
+    a local minimum of |G| below 1e-6 with no adjacent sign change is a
+    candidate tangency, refined as a smooth signed extremum
+    (minimize_scalar) and kept when |G| < 1e-10 there (reported as a
     suspect interval when it stays in [1e-10, 1e-8)).  The cells are
     classified by masks, and refined in ascending order.  Returns
     (roots, suspects).
@@ -452,16 +382,18 @@ def _grid_roots(g, x, scalar_g):
     roots: list[float] = []
     suspects: list[tuple] = []
     for i in np.flatnonzero(zero | crossing | touching):
-        xl = x[i]
+        xl = float(x[i])
         if zero[i]:
             roots.append(xl)
         elif crossing[i]:
-            roots.append(brentq(scalar_g, xl, xl + h, xtol=1e-15, rtol=8.9e-16))
+            up = g[i] < 0.0  # G rises through the cell
+            lo, hi = _bisect(lambda t: (fq.lift(t) - t - p >= 0.0) == up, xl, xl + h, 1e-15)
+            roots.append(0.5 * (lo + hi))
         else:
             sgn = 1.0 if g[i] >= 0.0 else -1.0
-            xm, fm = _grid_min(lambda t: sgn * scalar_g(t), xl, h)
+            xm, fm = minimize_scalar(fq.base, p, fq.q, xl, h, sgn)
             if abs(fm) < 1e-10:
-                roots.append(float(xm) % 1.0)
+                roots.append(xm % 1.0)
             elif abs(fm) < 1e-8:
                 suspects.append((xl - h, xl + h))
     return roots, suspects
@@ -478,7 +410,7 @@ def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
     """All periodic orbits of type p/q, grouped and classified.
 
     Roots of G(x) = F^q(x) - x - p are located on a grid of 2^14 points:
-    brentq refines each cell where G changes sign, and bounded Brent
+    bisection refines each cell where G changes sign, and Newton
     minimisation of |G| near a sign-touching grid minimum keeps it as a
     parabolic root when |G| < 1e-10 there (tangencies are invisible to
     sign changes); see _grid_roots.
@@ -504,7 +436,7 @@ def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
             suspect_intervals=[(0.0, 1.0)],
         )
 
-    roots, suspects = _grid_roots(g, x, lambda t: fq.lift(t) - t - p)
+    roots, suspects = _grid_roots(g, x, fq, p)
 
     if suspects:
         raise RootFindingIncomplete(
@@ -562,7 +494,7 @@ def _saddle_node(map, p: int, q: int, x: float, w: float):
     in x, G_xx is about 1e-13 and the x step is noise.  None when 12
     steps do not get there or a step is not finite.  At the solution the
     Jacobian is nonsingular whenever G_xx != 0, since G_omega > 0."""
-    for _ in range(12):
+    for _ in range(_NEWTON_STEPS):
         g, gx, gw, gxx, gxw = _g_jet(map, p, q, x, w)
         det = gx * gxw - gw * gxx
         if det == 0.0:
@@ -596,27 +528,26 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
     differ only where a margin is smaller than G's rounding, which is
     what the floor is there to absorb.
 
-    The crossing is a saddle-node, where G has a double root, so unless
-    f is a rigid rotation (G_x = 0 everywhere) Newton on G = G_x = 0
-    (``_saddle_node``) runs first: from the grid extremum of G at the end
-    that should lie on the wrong side (lo for want = 0, hi for want = 1),
-    and once more from the midpoint of [lo, hi] if that fails.  Its
-    iterates may leave the bracket; its omega w is returned when it lies
-    in [lo, hi] and the verdict certifies it: wrong at w - tol/2 and right
-    at w + tol/2, so w lies within tol/2 of the switch.  A wrong-end start
-    matters: from the midpoint of a wide bracket Newton can land on the
-    far edge of the same plateau, which the certificate rejects.
+    The crossing is a saddle-node, where G shifted by the floor has a
+    double root (signed = 0 there), so unless f is a rigid rotation
+    (G_x = 0 everywhere) Newton on G + shift = G_x = 0 (``_saddle_node``
+    with p moved by the shift) runs first: from the grid extremum of G at
+    the end that should lie on the wrong side (lo for want = 0, hi for
+    want = 1), and once more from the midpoint of [lo, hi] if that fails.
+    Its iterates may leave the bracket; its omega w is returned when it
+    lies in [lo, hi] and the verdict certifies it: wrong at w - tol/2 and
+    right at w + tol/2, so w lies within tol/2 of the switch.  The shift
+    puts w on the switch itself, so a tol below floor / G_omega still
+    certifies.  A wrong-end start matters: from the midpoint of a wide
+    bracket Newton can land on the far edge of the same plateau, which
+    the certificate rejects.
 
     Otherwise an end of [lo, hi] that its own verdict puts on the wrong
     side is pushed out by the bracket's width, keeping the other end, up
-    to 8 times before NumericalError is raised.  ``maps.brentq``
-    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 4; a port of scipy.optimize.brentq with its bits) then finds the
-    root w of signed, certified as above, and the midpoint of w -+ tol/2
-    is returned.  If brentq fails or the certificate does not hold, the
-    verdict is bisected on [lo, hi] instead (``maps._bisect``).  A
-    Newton start's G grid is kept until signed needs it, so no omega's
-    grid is computed twice, and refined only if a verdict needs it.
+    to 8 times before NumericalError is raised, and the verdict is
+    bisected on [lo, hi] to tol (``maps._bisect``).  A Newton start's G
+    grid is kept until signed needs it, so no omega's grid is computed
+    twice, and refined only if a verdict needs it.
     """
     floor = _SIGN_FLOOR * max(1, q)
     sign, shift = (-1.0, floor) if want == 0 else (1.0, -floor)
@@ -637,7 +568,7 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
     starts = () if map.is_rotation else ((lo, hi)[want], 0.5 * (lo + hi))
     for start in starts:
         fq, x, g = start_grids[start] = _g_grid(map.shifted(start), p, q, grid)
-        w = _saddle_node(map, p, q, float(x[np.argmin(sign * g)]), start)
+        w = _saddle_node(map, p - shift, q, float(x[np.argmin(sign * g)]), start)
         if w is not None and lo <= w <= hi and certified(w):
             return w
 
@@ -649,12 +580,6 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
     else:
         raise NumericalError(f"could not bracket the crossing of rot = {p}/{q} in 8 steps")
 
-    try:
-        w = brentq(signed, lo, hi, xtol=0.25 * tol)
-    except (ValueError, RuntimeError):
-        w = None
-    if w is not None and certified(w):
-        return 0.5 * ((w - 0.5 * tol) + (w + 0.5 * tol))
     lo, hi = _bisect(right, lo, hi, tol)
     return 0.5 * (lo + hi)
 
@@ -672,14 +597,14 @@ def plateau(map: CircleMap, p: int, q: int, bracket=None, tol: float = 1e-10) ->
 
     Each edge is a rotation-number crossing (_rot_crossing) started on
     the bracket (plateau_bracket by default): a saddle-node found by
-    Newton on G = G_x = 0 (a Brent root of one signed extremum of G when
-    Newton fails), certified by the sign of that extremum to within
-    tol/2.  ConfigError is raised when an edge falls outside the bracket,
-    that is when the bracket does not have rot < p/q at its left end and
-    rot > p/q at its right (checked edge by edge, so a left edge outside
-    the bracket raises before the right edge is sought), and when tol is
-    not finite and positive.  A plateau that degenerates to a point
-    (rigid rotations) is returned with omega_lo == omega_hi.
+    Newton on G = G_x = 0 and certified by the sign of one signed
+    extremum of G to within tol/2, or, when Newton fails, that sign
+    bisected to tol.  ConfigError is raised when an edge falls outside
+    the bracket, that is when the bracket does not have rot < p/q at its
+    left end and rot > p/q at its right (checked edge by edge, so a left
+    edge outside the bracket raises before the right edge is sought), and
+    when tol is not finite and positive.  A plateau that degenerates to a
+    point (rigid rotations) is returned with omega_lo == omega_hi.
     """
     _check_lowest_terms(p, q)
     if not 0.0 < tol < math.inf:

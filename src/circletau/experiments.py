@@ -9,8 +9,8 @@ the jump is bisected by ``maps._bisect``.  The plateau edge facing
 omega = 0 (Tsujii) and the Liouville margins are rotation-number
 crossings, ``dynamics._rot_crossing``: saddle-nodes found by Newton on
 G = G_x = 0, each certified by the sign of a signed extremum of G
-tol/2 either side, with bracket growth and a Brent root of that
-extremum, then bisection of its sign, only as the fallbacks.
+tol/2 either side, with bracket growth and bisection of that sign only
+as the fallback.
 
 ``trace_bubble`` and ``trace_atlas`` share three steps: ``_bubble_segment``
 plans a bubble (plateau, count-jump edge, Chebyshev nodes with their
@@ -33,9 +33,9 @@ import numpy as np
 from .dynamics import (
     Plateau,
     _g_grid,
-    _grid_min,
     _rot_crossing,
     find_cycles,
+    minimize_scalar,
     plateau,
     rotation_estimate,
 )
@@ -373,14 +373,18 @@ class NoninjectivityReport:
 
 
 def displacement_maxima(map: CircleMap, grid: int = 8192):
-    """Local maxima (x, value) of g(x) = x - F(x) over one period."""
+    """Local maxima (x, value) of g(x) = x - F(x) over one period.
+
+    Each grid maximum is refined as the minimum of the displacement
+    F(x) - x, which is G = F^q - x - p at p = 0, q = 1, by Newton on its
+    jet in the two cells around the grid point (minimize_scalar)."""
     x = np.linspace(0.0, 1.0, grid, endpoint=False)
     g = -np.asarray(map.displacement(x), dtype=float)
     peaks = (g >= np.roll(g, 1)) & (g >= np.roll(g, -1))
     out = []
     for i in np.flatnonzero(peaks):
-        xm, fm = _grid_min(lambda t: float(map.displacement(t)), x[i], 1.0 / grid)
-        out.append((float(xm) % 1.0, -float(fm)))
+        xm, fm = minimize_scalar(map, 0, 1, float(x[i]), 1.0 / grid, 1.0)
+        out.append((xm % 1.0, -fm))
     out.sort(key=lambda t: t[1])
     return out
 

@@ -9,12 +9,11 @@ F(x+1) = F(x) + 1 automatic, and gives a cheap estimate of a strip of
 injectivity around the real axis (``CircleMap.strip_halfwidth``), sampled
 on a grid rather than proven.
 
-The package's one bisection, ``_bisect``, lives here: it bisects the
-strip widths, ``circletau.experiments`` its count jumps, and
-``circletau.dynamics`` falls back on it when a rotation-number crossing's
-Brent root fails its certificate.  So does its one root finder,
-``brentq``, a port of scipy.optimize.brentq that returns the same bits,
-so that no process pays for importing scipy.optimize.
+The package's one bisection, ``_bisect``, lives here.  It is also its
+one root finder: it bisects the strip widths and the sign changes of F''
+(``_fpp_kinks``) here, ``circletau.experiments`` its count jumps, and
+``circletau.dynamics`` the sign changes of G in a grid cell and the sign
+of a rotation-number crossing whose Newton root fails its certificate.
 
 Scalar orbits use ``CircleMap.lift_float``, which evaluates F on one
 Python float with ``math.cos``/``math.sin`` and no array overhead.  It
@@ -46,8 +45,6 @@ _VALIDATION_GRID = 8192
 _STRIP_GRID = 4096
 _STRIP_CAP = 4.0
 _STRIP_MARGIN = 0.1
-_BRENTQ_RTOL = 4 * np.finfo(float).eps  # scipy's default, and its least rtol
-_BRENTQ_STEPS = 100
 
 
 def _bisect(right, lo: float, hi: float, tol: float):
@@ -63,77 +60,6 @@ def _bisect(right, lo: float, hi: float, tol: float):
         else:
             lo = mid
     return lo, hi
-
-
-def brentq(f, a: float, b: float, xtol: float, rtol: float = _BRENTQ_RTOL) -> float:
-    """Root of f in [a, b] by Brent's method (R. P. Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 4).
-
-    A line-by-line port of scipy.optimize.brentq (its C routine
-    Zeros/brentq.c and the NaN guard of its Python wrapper), so the root
-    has the same bits: f is called on Python floats, inverse quadratic or
-    secant steps are taken while they shrink fast enough and bisection
-    otherwise, and the search stops once half the bracket is below
-    (xtol + rtol |x|) / 2 or f vanishes, after at most 100 steps.  Raises
-    ValueError when xtol <= 0 or rtol < 4 eps (the wrapper's checks, so
-    a NaN tolerance passes them as it does in scipy), when f(a) and f(b)
-    have one sign or when f returns NaN, and RuntimeError when 100 steps
-    do not converge.
-    """
-
-    def call(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return float(fx)
-
-    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _BRENTQ_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_BRENTQ_RTOL:g})")
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENTQ_STEPS):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # xcur becomes the best end
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(
-        f"Failed to converge after {_BRENTQ_STEPS} iterations, value is {xcur:f}"
-    )
 
 
 @dataclass(frozen=True)
@@ -401,8 +327,9 @@ class IteratedMap:
 
 
 def _fpp_kinks(map: CircleMap) -> list:
-    """Zeros of F'' on [0, 1): grid points where it vanishes, else brentq
-    roots of the cells where it changes sign, in ascending order.
+    """Zeros of F'' on [0, 1), in ascending order: grid points where it
+    vanishes, and in each cell where it changes sign the midpoint of the
+    switch, bisected (_bisect) to 1e-15.
 
     A trigonometric polynomial of degree K has at most 2K zeros, so the
     scan has max(4096, 8K) cells, at least four per zero on average, with
@@ -414,12 +341,16 @@ def _fpp_kinks(map: CircleMap) -> list:
     fpp = map.deriv(xs, 2)
     lo, hi = fpp[:-1], fpp[1:]
     zero = lo == 0.0
-    cells = np.flatnonzero(zero | (lo * hi < 0.0))
-    return [
-        xs[i] if zero[i]
-        else brentq(lambda t: map.deriv(t, 2), xs[i], xs[i + 1], xtol=1e-15)
-        for i in cells
-    ]
+    kinks = []
+    for i in np.flatnonzero(zero | (lo * hi < 0.0)):
+        if zero[i]:
+            kinks.append(xs[i])
+        else:
+            up = lo[i] < 0.0  # F'' rises through the cell
+            a, b = _bisect(lambda t: (map.deriv(t, 2) >= 0.0) == up, float(xs[i]),
+                           float(xs[i + 1]), 1e-15)
+            kinks.append(0.5 * (a + b))
+    return kinks
 
 
 def total_distortion(map: CircleMap) -> float:

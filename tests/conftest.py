@@ -125,8 +125,9 @@ def grid_shifts(monkeypatch):
 @pytest.fixture
 def crossing_counts(monkeypatch):
     """Counts made through the dynamics module: G grid evaluations
-    (``_g_grid``) and their G points (grid times q), bounded Brent
-    refinements (``_grid_min``) and bisection fallbacks (``_bisect``)."""
+    (``_g_grid``) and their G points (grid times q), Newton refinements of
+    a grid extremum (``minimize_scalar``) and crossing fallbacks
+    (``_bisect``, which ``find_cycles`` also calls on its roots)."""
     counts = {"grids": 0, "points": 0, "refinements": 0, "fallbacks": 0}
     g_grid = dynamics._g_grid
 
@@ -136,7 +137,7 @@ def crossing_counts(monkeypatch):
         return g_grid(map, p, q, grid)
 
     monkeypatch.setattr(dynamics, "_g_grid", counting_grid)
-    for name, key in (("_grid_min", "refinements"), ("_bisect", "fallbacks")):
+    for name, key in (("minimize_scalar", "refinements"), ("_bisect", "fallbacks")):
         original = getattr(dynamics, name)
 
         def counting(*args, _original=original, _key=key, **kwargs):

@@ -334,18 +334,21 @@ class TestCellBound:
                 compare_to_rational(arnold, 0, 1, grid)
 
 
-def loop_grid_roots(g, x, scalar_g):
-    """The per-point scan that _grid_roots vectorises, kept as its reference."""
+def loop_grid_roots(g, x, fq, p):
+    """The per-point scan that _grid_roots vectorises, kept as its reference,
+    with the package's refiners: _bisect for a sign change, minimize_scalar
+    for a tangency."""
     n = g.size
     h = 1.0 / n
     roots, suspects = [], []
     for i in range(n):
         gl, gr = g[i], g[(i + 1) % n]
-        xl, xr = x[i], x[i] + h
+        xl, xr = float(x[i]), float(x[i]) + h
         if gl == 0.0:
             roots.append(xl)
         elif gl * gr < 0.0:
-            roots.append(brentq(scalar_g, xl, xr, xtol=1e-15, rtol=8.9e-16))
+            lo, hi = _bisect(lambda t: (fq.lift(t) - t - p >= 0.0) == (gl < 0.0), xl, xr, 1e-15)
+            roots.append(0.5 * (lo + hi))
         elif (
             abs(gl) < 1e-6
             and abs(g[i - 1]) >= abs(gl)
@@ -353,15 +356,10 @@ def loop_grid_roots(g, x, scalar_g):
             and g[i - 1] * gl > 0.0
         ):
             sgn = 1.0 if gl >= 0.0 else -1.0
-            res = minimize_scalar(
-                lambda t: sgn * scalar_g(t),
-                bounds=(xl - h, xl + h),
-                method="bounded",
-                options={"xatol": 1e-14, "maxiter": 300},
-            )
-            if abs(res.fun) < 1e-10:
-                roots.append(float(res.x) % 1.0)
-            elif abs(res.fun) < 1e-8:
+            xm, fm = dynamics.minimize_scalar(fq.base, p, fq.q, xl, h, sgn)
+            if abs(fm) < 1e-10:
+                roots.append(xm % 1.0)
+            elif abs(fm) < 1e-8:
                 suspects.append((xl - h, xl + h))
     return roots, suspects
 
@@ -379,14 +377,11 @@ class TestFindCycles:
     def test_grid_scan_matches_loop(self, m, p, q):
         x = np.linspace(0.0, 1.0, 1 << 14, endpoint=False)
         g = loop_g_values(m, p, q, x)
-        assert np.array_equal(m.iterate(q).lift(x) - x - p, g)
-
-        def scalar_g(t):
-            return float(loop_g_values(m, p, q, float(t)))
-
-        roots, suspects = _grid_roots(g, x, scalar_g)
+        fq = m.iterate(q)
+        assert np.array_equal(fq.lift(x) - x - p, g)
+        roots, suspects = _grid_roots(g, x, fq, p)
         assert roots
-        assert (roots, suspects) == loop_grid_roots(g, x, scalar_g)
+        assert (roots, suspects) == loop_grid_roots(g, x, fq, p)
 
     def test_arnold_fixed_points(self, arnold):
         cycles = find_cycles(arnold, 0, 1)
@@ -471,7 +466,7 @@ class TestPlateau:
     @pytest.mark.parametrize("name", ["arnold", "two_humped"])
     @pytest.mark.parametrize("p, q", [(0, 1), (1, 2)])
     def test_edges_match_loop(self, request, name, p, q):
-        # the edges are Brent roots certified by the sign of their extremum
+        # the edges are Newton roots certified by the sign of their extremum
         # tol apart; they match the bisection to its tol, not bit for bit
         m = request.getfixturevalue(name)
         pl = plateau(m, p, q)
@@ -483,27 +478,36 @@ class TestPlateau:
     @pytest.mark.parametrize("fault", ["offset", "raises"])
     def test_crossing_falls_back_to_bisection(self, arnold, monkeypatch, crossing_counts,
                                               fault):
-        # a jet whose G is off by 1e-3 leads Newton to a saddle-node that
-        # fails its certificate, and so does a Brent root off by 1e-3; a jet
-        # of NaNs and a brentq that raises leave no root.  Either way the
-        # sign of the extremum is bisected on the bracket
+        # a saddle-node off by 1e-3 fails its certificate; a Newton that
+        # gives up (as on a NaN step) leaves no root.  Either way the sign
+        # of the extremum is bisected on the bracket
         ref = loop_plateau_edges(arnold, 0, 1)
-        brentq, jet = dynamics.brentq, dynamics._g_jet
+        saddle_node = dynamics._saddle_node
 
-        def faulty_brentq(*args, **kwargs):
-            if fault == "raises":
-                raise RuntimeError("injected")
-            return brentq(*args, **kwargs) + 1e-3
+        def faulty_saddle_node(*args):
+            w = saddle_node(*args)
+            return None if fault == "raises" or w is None else w + 1e-3
 
-        def faulty_jet(*args):
-            g, *rest = jet(*args)
-            return (math.nan,) * 5 if fault == "raises" else (g + 1e-3, *rest)
-
-        monkeypatch.setattr(dynamics, "brentq", faulty_brentq)
-        monkeypatch.setattr(dynamics, "_g_jet", faulty_jet)
+        monkeypatch.setattr(dynamics, "_saddle_node", faulty_saddle_node)
         pl = plateau(arnold, 0, 1)
         assert (pl.omega_lo, pl.omega_hi) == ref
         assert crossing_counts["fallbacks"] == 2
+
+    @pytest.mark.parametrize("name, p, q, fallbacks", [
+        ("mixed", 3, 8, 2), ("mixed", 5, 13, 1), ("two_humped", 5, 13, 1)])
+    def test_real_crossings_fall_back_to_bisection(self, request, crossing_counts,
+                                                   name, p, q, fallbacks):
+        # from plateau_bracket's wide bracket Newton lands on the far edge
+        # of these plateaus (both edges of mixed 3/8, the left edges of
+        # 5/13), the certificate rejects it, and the sign is bisected
+        m = (CircleMap(0.0, (0.03,), (0.06,)) if name == "mixed"
+             else request.getfixturevalue(name))
+        pl = plateau(m, p, q)
+        assert crossing_counts["fallbacks"] == fallbacks
+        for want, got, ref in zip((0, 1), (pl.omega_lo, pl.omega_hi),
+                                  loop_plateau_edges(m, p, q)):
+            assert abs(got - ref) <= 1e-10
+            assert_certified(m, p, q, got, want, 1e-10)
 
     def test_crossing_raises_when_bracket_cannot_grow(self, arnold, grid_shifts):
         # the 1/2 plateau lies near omega = 1/2: Newton from lo and from the

@@ -3,7 +3,6 @@ import random
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
 from circletau import dynamics, experiments, uniformize
 from circletau.dynamics import _rot_crossing, find_cycles, plateau
@@ -247,19 +246,15 @@ class TestMirrorSymmetry:
 
 
 def loop_displacement_maxima(map, grid=8192):
-    """The per-point scan that displacement_maxima vectorises, kept as its reference."""
+    """The per-point scan that displacement_maxima vectorises, kept as its
+    reference, with the package's refiner."""
     x = np.linspace(0.0, 1.0, grid, endpoint=False)
     g = -np.asarray(map.displacement(x), dtype=float)
     out = []
     for i in range(grid):
         if g[i] >= g[i - 1] and g[i] >= g[(i + 1) % grid]:
-            res = minimize_scalar(
-                lambda t: float(map.displacement(t)),
-                bounds=(x[i] - 1.0 / grid, x[i] + 1.0 / grid),
-                method="bounded",
-                options={"xatol": 1e-14},
-            )
-            out.append((float(res.x) % 1.0, -float(res.fun)))
+            xm, fm = dynamics.minimize_scalar(map, 0, 1, float(x[i]), 1.0 / grid, 1.0)
+            out.append((xm % 1.0, -fm))
     out.sort(key=lambda t: t[1])
     return out
 
@@ -482,28 +477,28 @@ class TestLiouville:
     def test_crossings_take_few_g_evaluations(self, arnold, crossing_counts):
         # 40 crossings at about 3.4 G grid evaluations each (137 in all): the
         # start of Newton and the two sign tests of its certificate.  A slide
-        # back to Brent would take about 11 each, and bisection about 30
+        # back to bisection would take about 30 each
         liouville_measure_estimate(arnold, 1.0, 5)
         assert crossing_counts["grids"] <= 150
         assert crossing_counts["fallbacks"] == 0
 
     def test_newton_answers_the_crossings(self, arnold, golden_tuned_arnold, monkeypatch):
         # a crossing answered by Newton on the saddle-node system never
-        # reaches brentq; each answer is still certified by the sign test
-        records, brentq_calls = [], []
-        original, brentq = dynamics._rot_crossing, dynamics.brentq
+        # reaches the bisection; each answer is still certified by the sign test
+        records, bisect_calls = [], []
+        original, bisect = dynamics._rot_crossing, dynamics._bisect
 
-        def counting_brentq(*args, **kwargs):
-            brentq_calls.append(args)
-            return brentq(*args, **kwargs)
+        def counting_bisect(*args, **kwargs):
+            bisect_calls.append(args)
+            return bisect(*args, **kwargs)
 
         def recording(map, p, q, lo, hi, want, grid=dynamics._G_GRID, tol=1e-10):
-            before = len(brentq_calls)
+            before = len(bisect_calls)
             w = original(map, p, q, lo, hi, want, grid=grid, tol=tol)
-            records.append((len(brentq_calls) == before, (map, p, q, w, want, tol, grid)))
+            records.append((len(bisect_calls) == before, (map, p, q, w, want, tol, grid)))
             return w
 
-        monkeypatch.setattr(dynamics, "brentq", counting_brentq)
+        monkeypatch.setattr(dynamics, "_bisect", counting_bisect)
         for module in (dynamics, experiments):
             monkeypatch.setattr(module, "_rot_crossing", recording)
         liouville_measure_estimate(arnold, 1.0, 5)

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from circletau.errors import ConfigError, NotADiffeomorphism, StripExceeded
 from circletau.maps import (
@@ -12,6 +11,7 @@ from circletau.maps import (
     _STRIP_GRID,
     _STRIP_MARGIN,
     CircleMap,
+    _bisect,
     _fpp_kinks,
     total_distortion,
 )
@@ -172,7 +172,8 @@ class TestShift:
 
 
 def loop_fpp_kinks(map, grid=4096):
-    """The per-cell scan that _fpp_kinks vectorises, kept as its reference."""
+    """The per-cell scan that _fpp_kinks vectorises, kept as its reference,
+    with the package's bisection."""
     xs = np.linspace(0.0, 1.0, grid + 1)
     fpp = map.deriv(xs, 2)
     kinks = []
@@ -181,7 +182,9 @@ def loop_fpp_kinks(map, grid=4096):
         if lo == 0.0:
             kinks.append(xs[i])
         elif lo * hi < 0.0:
-            kinks.append(brentq(lambda t: map.deriv(t, 2), xs[i], xs[i + 1], xtol=1e-15))
+            a, b = _bisect(lambda t: (map.deriv(t, 2) >= 0.0) == (lo < 0.0),
+                           float(xs[i]), float(xs[i + 1]), 1e-15)
+            kinks.append(0.5 * (a + b))
     return kinks
 
 
