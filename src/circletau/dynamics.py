@@ -8,14 +8,19 @@ records are those of the computed float orbit, a pseudo-orbit of f with a
 rounding error at every step, so the bracket is exact for that orbit but
 is not a proof about f, and the average must lie inside it.  Rational
 values are certified through the sign of G(x) = F^q(x) - x - p.  Since
-the lift F^q increases, G on a grid cell [x_i, x_i + h] lies between
-G(x_i) - h and G(x_i + h) + h, so a grid whose minimum exceeds the sign
-floor by h (or whose maximum lies below minus the floor by h) settles the
-sign: first on a coarse grid of an eighth of the points, then on the full
-grid, and only when neither settles it on one refined extremum of G
-(``_g_extremum``).  The bound is exact for the true F^q and holds for the
-computed orbit up to its rounding, which the floor absorbs; it is not a
-proof about f.
+the lift F^q increases, G on a cell [y_i, y_(i+1)] between two samples
+lies between G(y_i) - gap and G(y_(i+1)) + gap, so samples whose G
+exceeds the sign floor by each one's gap to the next (or lies below minus
+the floor by the gap before it) settle the sign.  The samples are drawn
+from orbits (``_g_orbit``): step k of the orbit of x_j gives
+G(F^k(x_j)) = F^(k+q)(x_j) - F^k(x_j) - p, so one orbit of 2q - 1 steps
+holds q samples, where a grid point costs q steps.  The sign is tried on
+samples of an eighth of the grid's count, then on at least as many as
+the grid has, and only when neither settles it does the uniform grid
+decide, by the same bound with gap 1/n and then on one refined extremum
+of G (``_g_extremum``).  The bound is exact for the true F^q and holds for
+the computed orbit up to its rounding, which the floor absorbs; it is not
+a proof about f.
 
 Plateau edges, Tsujii approximant edges and Liouville margins are
 rotation-number crossings, ``_rot_crossing``: the smallest omega with
@@ -39,12 +44,13 @@ The orbit of ``rotation_estimate`` steps ``CircleMap.lift_float``, which
 returns the same bits as ``lift`` (see ``circletau.maps``), and every G,
 on a grid or on one float (a root's bisection), goes through
 ``IteratedMap.lift``; the jet steps the same op order, so its G has the
-same bits.  A refinement of a grid point has one solver per job: an
-extremum of G in the two cells around a grid point is Newton on G_x = 0
-on the jet (``minimize_scalar``), kept only where it lowers the grid
-value; a root of G in a sign-change cell is bisected to 1e-15.
-``compare_to_rational`` refines only the grid extremum its sign rule
-still needs, when no grid's cell bound settles it.
+same bits.  The orbit samples step ``lift`` on the row of all starts, or
+``lift_float`` on each start when there are few.  A refinement of a grid
+point has one solver per job: an extremum of G in the two cells around a
+grid point is Newton on G_x = 0 on the jet (``minimize_scalar``), kept
+only where it lowers the grid value; a root of G in a sign-change cell is
+bisected to 1e-15.  ``compare_to_rational`` refines only the grid
+extremum its sign rule still needs, when no cell bound settles it.
 """
 
 from __future__ import annotations
@@ -71,6 +77,8 @@ from .maps import CircleMap, IteratedMap, _bisect
 TOL_PARABOLIC = 1e-8  # |rho - 1| below root-refinement accuracy is parabolic
 
 _G_GRID = 4096
+_ORBIT_STARTS = 64  # least starts of the full orbit stage of compare_to_rational
+_FLOAT_STARTS = 16  # orbit stages of fewer starts step Python floats
 _ROOT_GRID = 1 << 14
 _SIGN_FLOOR = 1e-13
 _ORBIT_START = 1024  # first orbit length of rotation_estimate; lengths double
@@ -141,6 +149,32 @@ def _g_grid(map, p: int, q: int, grid: int):
     return fq, x, fq.lift(x) - x - p
 
 
+def _g_orbit(map, p: int, q: int, m: int):
+    """(y, G) sorted by y: G = F^q - x - p sampled along the orbits of the
+    m starts x_j = j/m of [0, 1), each stepped 2q - 1 times.  Step k of
+    start j gives the sample y = F^k(x_j) mod 1 with G(y) = F^(k+q)(x_j) -
+    F^k(x_j) - p, so m q samples cost (2q - 1) m map steps where a grid
+    pays q per point.  At q = 1 they are the bits of _g_grid(map, p, 1, m).
+    The samples are kept as y + iG in one complex array, sorted in place."""
+    z = np.empty((q, m), complex)
+    y, g = z.real, z.imag
+    rows = [*y, *g]  # row k of the orbits: F^k in y for k < q, then in g
+    rows[0][:] = np.linspace(0.0, 1.0, m, endpoint=False)
+    if m < _FLOAT_STARTS:  # the fixed cost of a numpy call outweighs its points
+        for j, t in enumerate(rows[0].tolist()):
+            for row in rows[1:]:
+                row[j] = t = map.lift_float(t)
+    else:
+        for prev, row in zip(rows, rows[1:]):
+            row[:] = map.lift(prev)
+    g -= y
+    g -= p
+    np.mod(y, 1.0, out=y)
+    z = z.ravel()
+    z.sort(kind="stable")  # by y; the rows of one step are runs of it
+    return z.real, z.imag
+
+
 def _g_extremum(fq, p: int, x, g, sign: float) -> float:
     """min G (sign = +1) or max G (sign = -1) over the circle: the grid
     extremum of g combined with its Newton refinement (minimize_scalar)
@@ -178,18 +212,23 @@ def compare_to_rational(map: CircleMap, p: int, q: int, grid: int = _G_GRID) -> 
 
     rot > p/q iff G > 0 everywhere, rot < p/q iff G < 0 everywhere,
     and rot = p/q iff G vanishes somewhere.  The sign is decided against
-    a floor of 1e-13 q.  Since F^q increases, G >= G(x_i) - h and
-    G <= G(x_i + h) + h on a cell [x_i, x_i + h] of a uniform grid, so a
-    grid minimum above the floor by h gives +1 and a grid maximum below
-    minus the floor by h gives -1.  That bound is tried on a grid of
-    grid // 8 points (when that is at least 64), then on the full grid.
-    The bound is exact for the true F^q and holds for the computed orbit
-    up to its rounding, which the floor absorbs.  When neither grid
-    settles the sign, only the extremum that could still overturn the
-    full grid's verdict is refined (_g_extremum): the minimum when the
-    grid minimum lies above the floor, the maximum when the grid maximum
-    lies below minus the floor.  Otherwise G changes sign (or touches
-    zero) on the grid and p/q is attained.
+    a floor of 1e-13 q.  Since F^q increases, G >= G(y_i) - gap_i and
+    G <= G(y_(i+1)) + gap_i on the cell [y_i, y_(i+1)] between two sorted
+    samples, so samples with every G(y_i) - gap_i above the floor give +1
+    and samples with every G(y_(i+1)) + gap_i below minus the floor give
+    -1.  The bound is exact for the true F^q and holds for the computed
+    orbits up to their rounding, which the floor absorbs, so these exits
+    fire only where the true G has that sign, up to rounding.  It is tried
+    on two orbit stages (``_g_orbit``): ceil(grid / 8 / q) starts when
+    grid // 8 is at least 64, then max(ceil(grid / q), min(64, grid))
+    starts, each holding q samples; at q = 1 these are the grid points.
+    When neither stage settles the sign, the uniform grid of grid points
+    decides (the full stage itself at q = 1): first by the same bound with
+    gap 1/grid, then by refining only the extremum that could still
+    overturn its verdict (_g_extremum): the minimum when the grid minimum
+    lies above the floor, the maximum when the grid maximum lies below
+    minus the floor.  Otherwise G changes sign (or touches zero) on the
+    grid and p/q is attained.
     """
     if q < 1:
         raise ConfigError(f"q must be >= 1, got {q}")
@@ -204,13 +243,24 @@ def compare_to_rational(map: CircleMap, p: int, q: int, grid: int = _G_GRID) -> 
             return -1
         return 0
     coarse = grid // 8
-    for n in (coarse, grid) if coarse >= 64 else (grid,):
-        fq, x, g = _g_grid(map, p, q, n)
-        gmin, gmax = float(g.min()), float(g.max())
-        if gmin - 1.0 / n > floor:
-            return 1
-        if gmax + 1.0 / n < -floor:
-            return -1
+    stages = [-(-coarse // q)] if coarse >= 64 else []
+    for m in stages + [max(-(-grid // q), min(_ORBIT_STARTS, grid))]:
+        y, g = _g_orbit(map, p, q, m)
+        s = 1 if g.min() > floor else -1 if g.max() < -floor else 0
+        if s:  # s G >= s G(y_i) - d_i up to y_(i+s), d_i = |y_(i+s) - y_i|
+            t = np.roll(y, -s)
+            np.subtract(y, t, out=t)  # -s d_i, but for the wrap across 0
+            t[-1 if s > 0 else 0] -= s
+            t += g
+            t *= s
+            if float(t.min()) > floor:
+                return s
+    fq, x, g = (map.iterate(1), y, g) if q == 1 else _g_grid(map, p, q, grid)
+    gmin, gmax = float(g.min()), float(g.max())
+    if gmin - 1.0 / grid > floor:
+        return 1
+    if gmax + 1.0 / grid < -floor:
+        return -1
     if gmin > floor:
         return 1 if _g_extremum(fq, p, x, g, 1.0) > floor else 0
     if gmax < -floor:
@@ -523,10 +573,11 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
 
     That verdict is compare_to_rational(f + omega, p, q, grid) >= want:
     compare_to_rational refines the same full-grid extremum with the same
-    _g_extremum call, and its cell-bound exits fire only when that
-    extremum lies past the floor by at least a cell width.  So the two
-    differ only where a margin is smaller than G's rounding, which is
-    what the floor is there to absorb.
+    _g_extremum call, and its cell-bound exits, on orbit samples or on
+    the grid, fire only when the true G lies past the floor everywhere,
+    up to rounding, so that the extremum does too.  So the two differ only
+    where a margin is smaller than G's rounding, which is what the floor
+    is there to absorb.
 
     The crossing is a saddle-node, where G shifted by the floor has a
     double root (signed = 0 there), so unless f is a rigid rotation
@@ -540,7 +591,9 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
     puts w on the switch itself, so a tol below floor / G_omega still
     certifies.  A wrong-end start matters: from the midpoint of a wide
     bracket Newton can land on the far edge of the same plateau, which
-    the certificate rejects.
+    the certificate rejects.  For a rigid rotation G + shift is the
+    constant q (theta + omega) - p + shift, so its root w = (p - shift)/q
+    - theta is tried under the same certificate instead.
 
     Otherwise an end of [lo, hi] that its own verdict puts on the wrong
     side is pushed out by the bracket's width, keeping the other end, up
@@ -565,6 +618,10 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
     def certified(w):
         return not right(w - 0.5 * tol) and right(w + 0.5 * tol)
 
+    if map.is_rotation:  # G + shift = q (theta + omega) - p + shift
+        w = (p - shift) / q - map.mean_shift
+        if lo <= w <= hi and certified(w):
+            return w
     starts = () if map.is_rotation else ((lo, hi)[want], 0.5 * (lo + hi))
     for start in starts:
         fq, x, g = start_grids[start] = _g_grid(map.shifted(start), p, q, grid)

@@ -125,18 +125,20 @@ def grid_shifts(monkeypatch):
 @pytest.fixture
 def crossing_counts(monkeypatch):
     """Counts made through the dynamics module: G grid evaluations
-    (``_g_grid``) and their G points (grid times q), Newton refinements of
-    a grid extremum (``minimize_scalar``) and crossing fallbacks
-    (``_bisect``, which ``find_cycles`` also calls on its roots)."""
+    (``_g_grid``) and orbit stages (``_g_orbit``) as "grids", their G
+    samples as "points" (grid times q, or m starts times q), Newton
+    refinements of a grid extremum (``minimize_scalar``) and crossing
+    fallbacks (``_bisect``, which ``find_cycles`` also calls on its
+    roots)."""
     counts = {"grids": 0, "points": 0, "refinements": 0, "fallbacks": 0}
-    g_grid = dynamics._g_grid
+    for name in ("_g_grid", "_g_orbit"):
 
-    def counting_grid(map, p, q, grid):
-        counts["grids"] += 1
-        counts["points"] += grid * q
-        return g_grid(map, p, q, grid)
+        def counting_grid(map, p, q, n, _original=getattr(dynamics, name)):
+            counts["grids"] += 1
+            counts["points"] += n * q
+            return _original(map, p, q, n)
 
-    monkeypatch.setattr(dynamics, "_g_grid", counting_grid)
+        monkeypatch.setattr(dynamics, name, counting_grid)
     for name, key in (("minimize_scalar", "refinements"), ("_bisect", "fallbacks")):
         original = getattr(dynamics, name)
 

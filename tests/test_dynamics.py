@@ -334,6 +334,108 @@ class TestCellBound:
                 compare_to_rational(arnold, 0, 1, grid)
 
 
+def mp_g(map, p, q, x):
+    """G = F^q(x) - x - p at the float x, stepped in 50-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        tau = 2 * mpmath.pi
+        X = mpmath.mpf(x)
+        for _ in range(q):
+            d = mpmath.mpf(map.mean_shift)
+            for k, c in enumerate(map.cos_coeffs, start=1):
+                d += c * mpmath.cos(tau * k * X)
+            for k, c in enumerate(map.sin_coeffs, start=1):
+                d += c * mpmath.sin(tau * k * X)
+            X += d
+        return float(X - mpmath.mpf(x) - p)
+
+
+class TestOrbitSamples:
+    @pytest.mark.parametrize("n", [8, 512, 4096])
+    @pytest.mark.parametrize("name", ["arnold", "two_humped", "mixed"])
+    def test_q1_samples_are_the_grid(self, request, name, n):
+        m = (CircleMap(0.0, (0.03,), (0.06,)) if name == "mixed"
+             else request.getfixturevalue(name))
+        for p in (0, 1):
+            y, g = dynamics._g_orbit(m, p, 1, n)
+            _, x, gg = dynamics._g_grid(m, p, 1, n)
+            assert y.tobytes() == x.tobytes()
+            assert g.tobytes() == gg.tobytes()
+
+    @pytest.mark.parametrize("at, uniform", [(np.argmax, 1), (np.argmin, -1)])
+    def test_uneven_gaps_bound_each_cell(self, period2_family, monkeypatch, at, uniform):
+        # 101 true samples of G for 1/2 around an extremum, 4e-4 apart; rot
+        # = 1/2, so G changes sign.  A bound of 1/n per cell would settle
+        # the sign of the cluster; the gap of 0.96 past it settles nothing,
+        # and the uniform grid finds the sign change
+        fq, x, g = dynamics._g_grid(period2_family, 1, 2, 4096)
+        c = x[at(g)]
+        y = np.linspace(c - 0.02, c + 0.02, 101)
+        gy = fq.lift(y) - y - 1
+        bound = 1.0 / y.size + 2 * _SIGN_FLOOR
+        assert gy.min() > bound if uniform > 0 else gy.max() < -bound
+        monkeypatch.setattr(dynamics, "_g_orbit", lambda *args: (y, gy))
+        assert compare_to_rational(period2_family, 1, 2) == 0
+
+    @pytest.mark.parametrize("p, q", [(233, 377), (377, 610)])
+    def test_sample_error_below_floor(self, golden_tuned_arnold, p, q):
+        # the orbits reach |F^k| ~ 2 q rot where a grid reaches q rot; the
+        # error of G at the sample's own float y stays under floor / 10
+        rng = np.random.default_rng(0)
+        for m in (-(-512 // q), max(-(-4096 // q), dynamics._ORBIT_STARTS)):
+            y, g = dynamics._g_orbit(golden_tuned_arnold, p, q, m)
+            picks = [int(np.argmin(g)), int(np.argmax(g)), *rng.choice(g.size, 8)]
+            err = max(abs(g[i] - mp_g(golden_tuned_arnold, p, q, float(y[i]))) for i in picks)
+            assert err <= 0.1 * _SIGN_FLOOR * q, (m, err)
+
+    @pytest.mark.parametrize("shift", [0.12, 0.6])
+    def test_loose_rotation_estimate_matches_grids(self, arnold, monkeypatch, shift):
+        # the large-denominator sign tests of a loose tol settle on orbit
+        # stages; with them off the uniform grids give the same estimate
+        got = rotation_estimate(arnold.shifted(shift), tol=1e-6)
+        original = dynamics._g_orbit
+
+        def grids_only(map, p, q, m):
+            # one sample of G = 0 settles no stage; at q = 1 they are the grid
+            return original(map, p, q, m) if q == 1 else (np.zeros(1), np.zeros(1))
+
+        monkeypatch.setattr(dynamics, "_g_orbit", grids_only)
+        ref = rotation_estimate(arnold.shifted(shift), tol=1e-6)
+        assert got == ref
+        assert got.value.hex() == ref.value.hex()
+
+    def test_golden_bisection_takes_no_grid(self, arnold, monkeypatch, grid_shifts):
+        # the golden-mean bisection between the convergents 233/377 and
+        # 377/610 settles every sign test on orbit stages
+        steps = [0]
+        lift, lift_float = CircleMap.lift, CircleMap.lift_float
+
+        def counting_lift(self, z, _check=True):
+            steps[0] += np.size(z)
+            return lift(self, z, _check)
+
+        def counting_lift_float(self, x):
+            steps[0] += 1
+            return lift_float(self, x)
+
+        monkeypatch.setattr(CircleMap, "lift", counting_lift)
+        monkeypatch.setattr(CircleMap, "lift_float", counting_lift_float)
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fm = arnold.shifted(mid)
+            if compare_to_rational(fm, 233, 377) > 0:
+                hi = mid
+            elif compare_to_rational(fm, 377, 610) < 0:
+                lo = mid
+            else:
+                break
+        else:
+            pytest.fail("the bisection did not land between the convergents")
+        assert grid_shifts == []
+        assert steps[0] <= 500_000  # 0.34M; the uniform grids took 16.2M
+
+
 def loop_grid_roots(g, x, fq, p):
     """The per-point scan that _grid_roots vectorises, kept as its reference,
     with the package's refiners: _bisect for a sign change, minimize_scalar
