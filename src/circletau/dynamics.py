@@ -38,7 +38,9 @@ Newton's root certifies it.  Only when Newton has no certified root
 inside the bracket is a wrong bracket end pushed out and the sign of that
 function bisected (``maps._bisect``).  The verdict agrees with
 ``compare_to_rational``, which refines the same extremum, except where a
-margin is below G's rounding.
+margin is below G's rounding.  The parabolic parameters inside a plateau
+(``_parabolic_parameters``) are the same saddle-nodes, unshifted, found
+by Newton from every local extremum of G.
 
 The orbit of ``rotation_estimate`` steps ``CircleMap.lift_float``, which
 returns the same bits as ``lift`` (see ``circletau.maps``), and every G,
@@ -556,6 +558,32 @@ def _saddle_node(map, p: int, q: int, x: float, w: float):
         if abs(step) <= 1e-13:
             return w
     return None
+
+
+def _parabolic_parameters(map, p: int, q: int, lo: float, hi: float) -> list:
+    """Sorted omega of the saddle-nodes G = G_x = 0 of G = F^q - x - p
+    that lie more than 1e-10 (``plateau``'s tol) inside the plateau
+    [lo, hi] of p/q: the parameters where a p/q cycle is parabolic and the
+    count of periodic points changes.
+
+    Newton in (x, omega) (``_saddle_node``) starts from every local
+    extremum of the G grid at the midpoint, then from those of the G grid
+    at each new parameter it finds, since for q > 1 the extrema of G move
+    with omega.  Each omega returned is a converged saddle-node; the q
+    points of one parabolic cycle give the same omega up to rounding, and
+    the 1e-10 margin merges them.  A saddle-node is missed when its
+    extremum exists neither at the midpoint nor at any parameter found."""
+    found, starts = [], [0.5 * (lo + hi)]
+    while starts:
+        start = starts.pop()
+        _, x, g = _g_grid(map.shifted(start), p, q, _G_GRID)
+        d = np.roll(g, -1) - g
+        for x0 in x[d * np.roll(d, 1) <= 0.0].tolist():
+            w = _saddle_node(map, p, q, x0, start)
+            if w is not None and lo < w < hi and min(abs(w - v) for v in (lo, hi, *found)) > 1e-10:
+                found.append(w)
+                starts.append(w)
+    return sorted(found)
 
 
 def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,

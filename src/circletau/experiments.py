@@ -3,17 +3,17 @@
 A bubble is traced over the maximal interval of hyperbolic parameters
 abutting the right edge of a rational plateau (for single-bubble
 plateaus that is the whole plateau).  Interior non-hyperbolic parameters
-are located as jumps of the periodic-point count, which in an analytic
-monotone family change exactly at parameters carrying a parabolic cycle;
-the jump is bisected by ``maps._bisect``.  The plateau edge facing
-omega = 0 (Tsujii) and the Liouville margins are rotation-number
-crossings, ``dynamics._rot_crossing``: saddle-nodes found by Newton on
-G = G_x = 0, each certified by the sign of a signed extremum of G
-tol/2 either side, with bracket growth and bisection of that sign only
-as the fallback.
+are the saddle-nodes G = G_x = 0 of G = F^q - x - p inside the plateau,
+where a cycle is parabolic and the periodic-point count changes; Newton
+finds them from the extrema of G (``dynamics._parabolic_parameters``).
+The plateau edge facing omega = 0 (Tsujii) and the Liouville margins are
+rotation-number crossings, ``dynamics._rot_crossing``: saddle-nodes found
+by Newton on G = G_x = 0, each certified by the sign of a signed extremum
+of G tol/2 either side, with bracket growth and bisection of that sign
+only as the fallback.
 
 ``trace_bubble`` and ``trace_atlas`` share three steps: ``_bubble_segment``
-plans a bubble (plateau, count-jump edge, Chebyshev nodes with their
+plans a bubble (plateau, saddle-node edge, Chebyshev nodes with their
 signed edge distances) in the calling process; ``_boundary_values``, the
 package's one fan-out, solves the boundary values of any list of such
 samples with ``_boundary_batch``, in process or on one slice of the list
@@ -33,6 +33,7 @@ import numpy as np
 from .dynamics import (
     Plateau,
     _g_grid,
+    _parabolic_parameters,
     _rot_crossing,
     find_cycles,
     minimize_scalar,
@@ -46,7 +47,7 @@ from .errors import (
     NumericalError,
     WrongProfile,
 )
-from .maps import CircleMap, _bisect, total_distortion
+from .maps import CircleMap, total_distortion
 from .uniformize import (
     BoundaryValue,
     _shared_moments,
@@ -59,8 +60,6 @@ _EDGE_PROBE = 1e-7
 _REAL_DECAY_RATIO = 0.5  # inner/outer multiplier-gap ratio separating real/complex
 _COMPLEX_FLOOR = 1e-3
 _COUNT_GRID = 8192
-_JUMP_COARSE = 96  # count-jump scan points across the plateau
-_JUMP_TOL = 1e-10
 _GERM_POINTS = 6  # samples per endpoint germ of the non-injectivity report
 _TSUJII_TOL = 1e-12
 _LIOUVILLE_TOL = 1e-9
@@ -125,37 +124,6 @@ def sample_to_boundary(omega: float, p: int, q: int,
     )
 
 
-def _nearest_count_jump(map, p, q, lo, hi, ref_count, from_right):
-    """Interior parameter nearest the reference edge where the
-    periodic-point count changes.
-
-    Returns None when the count is constant on the scanned grid (single
-    bubble).  Bubbles narrower than the coarse grid are not resolved.
-    """
-    width = hi - lo
-    if from_right:
-        probes = [hi - width * (i + 1) / (_JUMP_COARSE + 1) for i in range(_JUMP_COARSE)]
-        last_equal = hi
-    else:
-        probes = [lo + width * (i + 1) / (_JUMP_COARSE + 1) for i in range(_JUMP_COARSE)]
-        last_equal = lo
-    first_diff = None
-    for w in probes:  # marching away from the reference edge
-        if count_periodic_points(map.shifted(w), p, q) == ref_count:
-            last_equal = w
-        else:
-            first_diff = w
-            break
-    if first_diff is None:
-        return None
-    a, b = _bisect(
-        lambda w: (count_periodic_points(map.shifted(w), p, q) == ref_count) == from_right,
-        *sorted((first_diff, last_equal)),
-        _JUMP_TOL,
-    )
-    return 0.5 * (a + b)
-
-
 def _multiplier_gap(map, omega, p, q) -> float:
     cycles = find_cycles(map.shifted(omega), p, q)
     return min(abs(c.multiplier - 1.0) for c in cycles)
@@ -211,8 +179,15 @@ class _Segment:
 
 
 def _bubble_segment(map, p, q, samples: int, segment: str) -> _Segment:
-    """Plan the trace of one bubble: the plateau, the count-jump edge of
-    the traced segment and its Chebyshev nodes."""
+    """Plan the trace of one bubble: the plateau, the inner edge of the
+    traced segment and its Chebyshev nodes.
+
+    The inner edge is the largest (right segment) or smallest (left
+    segment) parabolic parameter inside the plateau
+    (``dynamics._parabolic_parameters``), or the far plateau edge when
+    there is none.  Every such parameter is a converged saddle-node
+    G = G_x = 0; one is missed only when its extremum of G exists neither
+    at the plateau midpoint nor at any parameter found."""
     if samples < 6:
         raise ConfigError(f"need at least 6 samples, got {samples}")
     if segment not in ("left", "right"):
@@ -223,18 +198,10 @@ def _bubble_segment(map, p, q, samples: int, segment: str) -> _Segment:
             f"plateau of {p}/{q} too narrow to trace ({plat.width:.3e})",
             pinch=0.5 * (plat.omega_lo + plat.omega_hi),
         )
-    from_right = segment == "right"
-    if from_right:
-        ref_omega = plat.omega_hi - 0.02 * plat.width
-        scan = (plat.omega_lo, ref_omega)
-    else:
-        ref_omega = plat.omega_lo + 0.02 * plat.width
-        scan = (ref_omega, plat.omega_hi)
-    ref_count = count_periodic_points(map.shifted(ref_omega), p, q)
-    jump = _nearest_count_jump(map, p, q, scan[0], scan[1], ref_count, from_right)
+    inner = _parabolic_parameters(map, p, q, plat.omega_lo, plat.omega_hi)
     blo, bhi = plat.omega_lo, plat.omega_hi
-    if jump is not None:
-        blo, bhi = (jump, bhi) if from_right else (blo, jump)
+    if inner:
+        blo, bhi = (inner[-1], bhi) if segment == "right" else (blo, inner[0])
 
     mid = 0.5 * (blo + bhi)
     hw = 0.5 * (bhi - blo)
@@ -313,9 +280,11 @@ def trace_bubble(map: CircleMap, p: int, q: int, samples: int = 24, classify: bo
     """Sample tau_bar at Chebyshev-spaced omega inside the bubble.
 
     The traced interval is the maximal hyperbolic subinterval of the p/q
-    plateau abutting its right (or left, per `segment`) edge; its
-    endpoints are classified from the multiplier traces of the
-    continuing cycles.  workers < 1 raises ConfigError.
+    plateau abutting its right (or left, per `segment`) edge, bounded by
+    the nearest saddle-node G = G_x = 0 inside the plateau, found by
+    Newton from the extrema of G (see ``_bubble_segment`` for what is
+    guaranteed); its endpoints are classified from the multiplier traces
+    of the continuing cycles.  workers < 1 raises ConfigError.
     """
     _check_workers(workers)
     seg = _bubble_segment(map, p, q, samples, segment)

@@ -11,9 +11,9 @@ on a grid rather than proven.
 
 The package's one bisection, ``_bisect``, lives here.  It is also its
 one root finder: it bisects the strip widths and the sign changes of F''
-(``_fpp_kinks``) here, ``circletau.experiments`` its count jumps, and
-``circletau.dynamics`` the sign changes of G in a grid cell and the sign
-of a rotation-number crossing whose Newton root fails its certificate.
+(``_fpp_kinks``) here, and ``circletau.dynamics`` the sign changes of G
+in a grid cell and the sign of a rotation-number crossing whose Newton
+root fails its certificate.
 
 Scalar orbits use ``CircleMap.lift_float``, which evaluates F on one
 Python float with ``math.cos``/``math.sin`` and no array overhead.  It

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from circletau import dynamics, experiments, uniformize
-from circletau.dynamics import _rot_crossing, find_cycles, plateau
+from circletau.dynamics import _parabolic_parameters, _rot_crossing, find_cycles, plateau
 from circletau.errors import (
     ConfigError,
     EmptyPlateau,
@@ -16,7 +16,7 @@ from circletau.errors import (
 )
 from circletau.experiments import (
     _boundary_values,
-    _nearest_count_jump,
+    _bubble_segment,
     _rational_near,
     count_periodic_points,
     displacement_maxima,
@@ -71,8 +71,9 @@ class TestTraceBubble:
 
     def test_two_humped_bubble_interval(self, hump_trace, two_humped):
         # the traced interval is (y1, y2), the two local maxima of x - f(x)
+        # at q = 1 the saddle-node is the critical point of the displacement
         (x1, y1), (x2, y2) = displacement_maxima(two_humped)
-        assert hump_trace.bubble_lo == pytest.approx(y1, abs=1e-7)
+        assert hump_trace.bubble_lo == pytest.approx(y1, abs=1e-12)
         assert hump_trace.bubble_hi == pytest.approx(y2, abs=1e-7)
         # the plateau itself extends further left (4 fixed points there)
         assert hump_trace.plateau.omega_lo < y1 - 0.05
@@ -184,7 +185,8 @@ class TestBoundaryValues:
 
 
 def loop_nearest_count_jump(map, p, q, lo, hi, ref_count, from_right, coarse=96, tol=1e-10):
-    """The count-jump search before _bisect, kept as its reference."""
+    """The count-jump scan that located inner bubble edges before the
+    saddle-node Newton, kept as its reference."""
     width = hi - lo
     if from_right:
         probes = [hi - width * (i + 1) / (coarse + 1) for i in range(coarse)]
@@ -212,10 +214,15 @@ def loop_nearest_count_jump(map, p, q, lo, hi, ref_count, from_right, coarse=96,
     return 0.5 * (a + b)
 
 
+# the two-hump 0/1 inner bubble edge, omega = -d(x_c) at the critical point
+# x_c of the displacement, from mpmath at 40 digits
+HUMP_INNER_EDGE = 0.0021914367299927
+
+
 class TestCountJump:
     @pytest.mark.parametrize("from_right", [True, False])
     def test_matches_loop(self, two_humped, from_right):
-        # the scan trace_bubble makes from each plateau edge
+        # the inner end of each segment is the count jump the scan brackets
         plat = plateau(two_humped, 0, 1)
         if from_right:
             ref = plat.omega_hi - 0.02 * plat.width
@@ -224,10 +231,50 @@ class TestCountJump:
             ref = plat.omega_lo + 0.02 * plat.width
             lo, hi = ref, plat.omega_hi
         ref_count = count_periodic_points(two_humped.shifted(ref), 0, 1)
-        args = (two_humped, 0, 1, lo, hi, ref_count, from_right)
-        jump = _nearest_count_jump(*args)
-        assert jump is not None
-        assert jump == loop_nearest_count_jump(*args)
+        jump = loop_nearest_count_jump(two_humped, 0, 1, lo, hi, ref_count, from_right)
+        seg = _bubble_segment(two_humped, 0, 1, 6, "right" if from_right else "left")
+        inner = seg.bubble_lo if from_right else seg.bubble_hi
+        assert inner == pytest.approx(jump, abs=1e-8)
+        assert inner == pytest.approx(HUMP_INNER_EDGE if from_right else -HUMP_INNER_EDGE,
+                                      abs=1e-12)
+
+
+def periodic_point_count(map, omega, p, q):
+    return sum(len(c.points) for c in find_cycles(map.shifted(omega), p, q))
+
+
+class TestParabolicParameters:
+    # plateaus on which the 96-probe count scan returned a segment across
+    # a parabolic parameter: (map, p, q, parabolic parameters)
+    @pytest.mark.parametrize(
+        "m, p, q, params",
+        [
+            # a bubble within 2% of the right edge, past the scan's reference
+            (CircleMap(0.0, (0.0199, -0.0292, 0.0073), (0.048, 0.0225, 0.0167)), 0, 1,
+             [-0.002569477091, 0.061017820792]),
+            # a bubble 4.5e-4 wide between probes 1.9e-3 apart
+            (CircleMap(0.0, (0.0405, -0.0222), (-0.0582, 0.027)), 0, 1,
+             [-0.018540698185, -0.018093252453]),
+            # the first is found only from the extrema of G at the second
+            (CircleMap(0.0, (-0.0496, 0.0098, -0.0157), (-0.0404, 0.0204, -0.0052)), 1, 2,
+             [0.518282377764, 0.518300007569]),
+            # the scan's left segment ended at the second parameter
+            (CircleMap(0.0, (-0.0066, 0.0058, -0.0046), (0.0091, -0.0126, -0.0124)), 0, 1,
+             [-0.017056787940, -0.016381444659, -0.011231226650, 0.021596483714]),
+        ],
+        ids=["A", "B", "C", "D"],
+    )
+    def test_segments_end_at_the_nearest_parameter(self, m, p, q, params):
+        plat = plateau(m, p, q)
+        found = _parabolic_parameters(m, p, q, plat.omega_lo, plat.omega_hi)
+        assert found == pytest.approx(params, abs=1e-9)
+        for w in found:
+            assert periodic_point_count(m, w - 1e-7, p, q) != periodic_point_count(
+                m, w + 1e-7, p, q)
+        left = _bubble_segment(m, p, q, 6, "left")
+        right = _bubble_segment(m, p, q, 6, "right")
+        assert (left.bubble_lo, left.bubble_hi) == (plat.omega_lo, found[0])
+        assert (right.bubble_lo, right.bubble_hi) == (found[-1], plat.omega_hi)
 
 
 class TestMirrorSymmetry:
@@ -243,6 +290,10 @@ class TestMirrorSymmetry:
     def test_mirrored_endpoint_kinds_swap(self, hump_trace, hump_mirror_trace):
         assert hump_mirror_trace.left.kind == "real"
         assert hump_mirror_trace.right.kind == "complex"
+
+    def test_mirrored_inner_edge(self, hump_mirror_trace, two_humped):
+        (x1, y1), _ = displacement_maxima(two_humped)
+        assert hump_mirror_trace.bubble_hi == pytest.approx(-y1, abs=1e-12)
 
 
 def loop_displacement_maxima(map, grid=8192):

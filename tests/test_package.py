@@ -115,6 +115,9 @@ def test_no_unreferenced_public_names():
 # which the scan cannot see) and the properties of the result reports.
 TEST_ONLY_API = {
     "dynamics.py: denjoy_distortion",
+    # kept only because perfbench/tracer.py patches it by name; it goes
+    # when the tracer stops patching it (ROADMAP item 1)
+    "experiments.py: count_periodic_points",
     "linearize.py: linearizing_inverse",
     "linearize.py: QcTwistCheck.within_base",
     "linearize.py: QcTwistCheck.within_iterated",
