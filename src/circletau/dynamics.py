@@ -29,18 +29,22 @@ a parabolic parameter, a saddle-node where G has a double root, so a
 crossing first solves G = G_x = 0 by Newton in (x, omega)
 (``_saddle_node``) on the jet of one orbit of length q (``_g_jet``),
 with G shifted by the sign floor as the verdict below shifts it,
-started from the extremum of G at the bracket end on the wrong side and
-then from the bracket midpoint.  Every verdict comes from one function
-of omega, the extremum of G that the sign test decides on (max G for
-want = 0, min G for want = 1), which rises with omega, shifted by the
-sign floor and evaluated once per omega: the sign tol/2 either side of
-Newton's root certifies it.  Only when Newton has no certified root
-inside the bracket is a wrong bracket end pushed out and the sign of that
-function bisected (``maps._bisect``).  The verdict agrees with
-``compare_to_rational``, which refines the same extremum, except where a
-margin is below G's rounding.  The parabolic parameters inside a plateau
-(``_parabolic_parameters``) are the same saddle-nodes, unshifted, found
-by Newton from every local extremum of G.
+started from the extremum of the uniform G grid at the bracket end on
+the wrong side and then from the bracket midpoint.  Every verdict comes
+from one function of omega, the extremum of G that the sign test decides
+on (max G for want = 0, min G for want = 1), which rises with omega,
+shifted by the sign floor and evaluated once per omega: the extremum of
+orbit samples of G, refined by Newton on the jet.  The sign tol/2 either
+side of Newton's root certifies it.  On one side the extremum has to
+reach the floor, and one G point at Newton's x that reaches it is proof;
+only where that point falls short is the side sampled.  Only when Newton
+has no certified root inside the bracket is a wrong bracket end pushed
+out and the sign of that function bisected (``maps._bisect``).  The
+verdict and ``compare_to_rational`` each refine a sampled extremum of G,
+so they agree except where the two refined extrema straddle the floor.
+The parabolic parameters inside a plateau (``_parabolic_parameters``)
+are the same saddle-nodes, unshifted, found by Newton from every local
+extremum of G.
 
 The orbit of ``rotation_estimate`` steps ``CircleMap.lift_float``, which
 returns the same bits as ``lift`` (see ``circletau.maps``), and every G,
@@ -48,11 +52,12 @@ on a grid or on one float (a root's bisection), goes through
 ``IteratedMap.lift``; the jet steps the same op order, so its G has the
 same bits.  The orbit samples step ``lift`` on the row of all starts, or
 ``lift_float`` on each start when there are few.  A refinement of a grid
-point has one solver per job: an extremum of G in the two cells around a
-grid point is Newton on G_x = 0 on the jet (``minimize_scalar``), kept
-only where it lowers the grid value; a root of G in a sign-change cell is
-bisected to 1e-15.  ``compare_to_rational`` refines only the grid
-extremum its sign rule still needs, when no cell bound settles it.
+point or sample has one solver per job: an extremum of G in the cells
+around it is Newton on G_x = 0 on the jet (``minimize_scalar``), kept
+only where it improves on the sampled value; a root of G in a
+sign-change cell is bisected to 1e-15.  ``compare_to_rational`` refines
+only the grid extremum its sign rule still needs, when no cell bound
+settles it.
 """
 
 from __future__ import annotations
@@ -125,7 +130,7 @@ def minimize_scalar(map, p: int, q: int, x0: float, h: float, sign: float):
     """(x, sign G(x)) at the least sign G, G = F^q - x - p, over the grid
     point x0 and the Newton iterates of G_x = 0 from it on the jet of one
     orbit (``_g_jet``).  Each step G_x/G_xx is clamped to [x0 - h,
-    x0 + h], the two grid cells around x0.  It stops where sign G_xx <= 0
+    x0 + h], the cells around x0.  It stops where sign G_xx <= 0
     (a flat cell, or no minimum of sign G ahead), on a step of at most
     1e-15, on a step no shorter than the one before (where the rounding
     noise of G_x takes over, far above 1e-15 at high q), or after 12 jets.
@@ -178,12 +183,15 @@ def _g_orbit(map, p: int, q: int, m: int):
 
 
 def _g_extremum(fq, p: int, x, g, sign: float) -> float:
-    """min G (sign = +1) or max G (sign = -1) over the circle: the grid
-    extremum of g combined with its Newton refinement (minimize_scalar)
-    in the two cells around it, which can only lower the minimum or raise
-    the maximum."""
-    i = int(np.argmin(sign * g))
-    refined = minimize_scalar(fq.base, p, fq.q, float(x[i]), 1.0 / g.size, sign)[1]
+    """min G (sign = +1) or max G (sign = -1) over the circle from G's
+    values g at the sorted points x of [0, 1): the extremum of g combined
+    with its Newton refinement (minimize_scalar), clamped to the width of
+    the wider of the two cells around it on either side, which can only
+    lower the minimum or raise the maximum.  On a uniform grid of 2^k
+    points both cells are exactly 1/n wide."""
+    i, n = int(np.argmin(sign * g)), g.size
+    h = max(x[i] - x[i - 1] + (i == 0), x[(i + 1) % n] + (i == n - 1) - x[i])
+    refined = minimize_scalar(fq.base, p, fq.q, float(x[i]), float(h), sign)[1]
     return sign * min(sign * float(g[i]), refined)
 
 
@@ -539,13 +547,14 @@ def find_cycles(map: CircleMap, p: int, q: int) -> list[Cycle]:
 
 
 def _saddle_node(map, p: int, q: int, x: float, w: float):
-    """omega of a double root of G = F^q - x - p for f + omega: Newton in
-    (x, omega) on (G, G_x) from (x, w), with Jacobian [[G_x, G_omega],
+    """(x, omega) of a double root of G = F^q - x - p for f + omega: Newton
+    in (x, omega) on (G, G_x) from (x, w), with Jacobian [[G_x, G_omega],
     [G_xx, G_xomega]] from ``_g_jet``.  It stops when the omega step is at
     most 1e-13, never on the x step: near a high-q saddle-node G is flat
     in x, G_xx is about 1e-13 and the x step is noise.  None when 12
     steps do not get there or a step is not finite.  At the solution the
-    Jacobian is nonsingular whenever G_xx != 0, since G_omega > 0."""
+    Jacobian is nonsingular whenever G_xx != 0, since G_omega > 0.  The
+    x is returned too: a crossing's certificate reads G there."""
     for _ in range(_NEWTON_STEPS):
         g, gx, gw, gxx, gxw = _g_jet(map, p, q, x, w)
         det = gx * gxw - gw * gxx
@@ -556,7 +565,7 @@ def _saddle_node(map, p: int, q: int, x: float, w: float):
         if not math.isfinite(x + w):  # a NaN or infinite step
             return None
         if abs(step) <= 1e-13:
-            return w
+            return x, w
     return None
 
 
@@ -579,7 +588,7 @@ def _parabolic_parameters(map, p: int, q: int, lo: float, hi: float) -> list:
         _, x, g = _g_grid(map.shifted(start), p, q, _G_GRID)
         d = np.roll(g, -1) - g
         for x0 in x[d * np.roll(d, 1) <= 0.0].tolist():
-            w = _saddle_node(map, p, q, x0, start)
+            _, w = _saddle_node(map, p, q, x0, start) or (None, None)
             if w is not None and lo < w < hi and min(abs(w - v) for v in (lo, hi, *found)) > 1e-10:
                 found.append(w)
                 starts.append(w)
@@ -594,34 +603,40 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
     Every verdict comes from one function of omega, the extremum of
     G_omega = F_omega^q - x - p that rises with omega, shifted by the sign
     floor: signed = max G + 1e-13 q (want = 0) or min G - 1e-13 q
-    (want = 1), each a full-grid extremum refined by _g_extremum.  omega
-    lies right of the crossing when signed >= 0 (want = 0) or signed > 0
-    (want = 1).  signed is cached for the call, so each omega is
-    evaluated once.
+    (want = 1).  The extremum is that of the orbit samples of G
+    (``_g_orbit`` with ceil(grid / q) starts, at q = 1 the grid's points),
+    or at a Newton start that of the start's uniform grid, refined by
+    Newton on the jet (``_g_extremum``).  omega lies right of the crossing
+    when signed >= 0 (want = 0) or signed > 0 (want = 1).  signed is
+    cached for the call, so each omega is evaluated once.
 
-    That verdict is compare_to_rational(f + omega, p, q, grid) >= want:
-    compare_to_rational refines the same full-grid extremum with the same
-    _g_extremum call, and its cell-bound exits, on orbit samples or on
-    the grid, fire only when the true G lies past the floor everywhere,
-    up to rounding, so that the extremum does too.  So the two differ only
-    where a margin is smaller than G's rounding, which is what the floor
-    is there to absorb.
+    compare_to_rational(f + omega, p, q, grid) >= want makes the same
+    decision on its own samples: it refines a sampled extremum of G too,
+    and its cell-bound exits fire only where the true G lies past the
+    floor everywhere, up to rounding.  So the two agree except where their
+    two refined extrema straddle the floor; the tests check answers
+    against compare_to_rational (``assert_certified``).
 
     The crossing is a saddle-node, where G shifted by the floor has a
     double root (signed = 0 there), so unless f is a rigid rotation
     (G_x = 0 everywhere) Newton on G + shift = G_x = 0 (``_saddle_node``
-    with p moved by the shift) runs first: from the grid extremum of G at
-    the end that should lie on the wrong side (lo for want = 0, hi for
-    want = 1), and once more from the midpoint of [lo, hi] if that fails.
-    Its iterates may leave the bracket; its omega w is returned when it
-    lies in [lo, hi] and the verdict certifies it: wrong at w - tol/2 and
-    right at w + tol/2, so w lies within tol/2 of the switch.  The shift
-    puts w on the switch itself, so a tol below floor / G_omega still
-    certifies.  A wrong-end start matters: from the midpoint of a wide
-    bracket Newton can land on the far edge of the same plateau, which
-    the certificate rejects.  For a rigid rotation G + shift is the
-    constant q (theta + omega) - p + shift, so its root w = (p - shift)/q
-    - theta is tried under the same certificate instead.
+    with p moved by the shift) runs first: from the extremum of the
+    uniform G grid at the end that should lie on the wrong side (lo for
+    want = 0, hi for want = 1), and once more from the midpoint of [lo, hi]
+    if that fails.  Its iterates may leave the bracket; its root (x, w) is
+    answered with w when w lies in [lo, hi] and the verdict certifies it:
+    wrong at w - tol/2 and right at w + tol/2, so w lies within tol/2 of
+    the switch.  At one of the two, right at w + tol/2 for want = 0 and
+    wrong at w - tol/2 for want = 1, the extremum has to reach the floor,
+    and G + shift at Newton's x reaching it there (one ``_g_jet``) is
+    proof; only when it falls short is signed evaluated there.  The other
+    needs the whole circle, so signed decides it.  The shift puts w on the
+    switch itself, so a tol below floor / G_omega still certifies.  A
+    wrong-end start matters: from the midpoint of a wide bracket Newton
+    can land on the far edge of the same plateau, which the certificate
+    rejects.  For a rigid rotation G + shift is the constant q (theta +
+    omega) - p + shift, so its root w = (p - shift)/q - theta is tried
+    under the same certificate instead.
 
     Otherwise an end of [lo, hi] that its own verdict puts on the wrong
     side is pushed out by the bracket's width, keeping the other end, up
@@ -637,25 +652,35 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
 
     @functools.cache
     def signed(w):
-        fq, x, g = start_grids.pop(w, None) or _g_grid(map.shifted(w), p, q, grid)
+        if w in start_grids:
+            fq, x, g = start_grids.pop(w)
+        else:
+            fq = map.shifted(w).iterate(q)
+            x, g = _g_orbit(fq.base, p, q, -(-grid // q))
         return _g_extremum(fq, p, x, g, sign) + shift
 
     def right(w):
         return signed(w) >= 0.0 if want == 0 else signed(w) > 0.0
 
-    def certified(w):
-        return not right(w - 0.5 * tol) and right(w + 0.5 * tol)
+    def certified(x, w):
+        # the extremum reaches the floor at w - sign tol/2 (right for want =
+        # 0, wrong for want = 1), which one G point at Newton's x proves,
+        # and not at w + sign tol/2, which needs the whole circle
+        reached = w - sign * 0.5 * tol
+        return ((sign * (_g_jet(map, p, q, x, reached)[0] + shift) <= 0.0
+                 or sign * signed(reached) <= 0.0)
+                and sign * signed(w + sign * 0.5 * tol) > 0.0)
 
     if map.is_rotation:  # G + shift = q (theta + omega) - p + shift
         w = (p - shift) / q - map.mean_shift
-        if lo <= w <= hi and certified(w):
+        if lo <= w <= hi and certified(0.0, w):
             return w
     starts = () if map.is_rotation else ((lo, hi)[want], 0.5 * (lo + hi))
     for start in starts:
         fq, x, g = start_grids[start] = _g_grid(map.shifted(start), p, q, grid)
-        w = _saddle_node(map, p - shift, q, float(x[np.argmin(sign * g)]), start)
-        if w is not None and lo <= w <= hi and certified(w):
-            return w
+        root = _saddle_node(map, p - shift, q, float(x[np.argmin(sign * g)]), start)
+        if root is not None and lo <= root[1] <= hi and certified(*root):
+            return root[1]
 
     for _ in range(8):
         if not right(lo) and right(hi):

@@ -80,13 +80,22 @@ class IterationChart:
     def _h(self, x):
         return self._fq.lift(x) - self.p
 
+    def _h_with_deriv(self, x):
+        """(H(x), H'(x)) on an array x from one pass along its orbit, with
+        the bits of ``_h`` and ``IteratedMap.deriv``."""
+        base, d = self._fq.base, np.ones(x.shape)
+        for _ in range(self.q):
+            x, d = base.lift(x), base.deriv(x) * d
+        return x - self.p, d
+
     def _h_inverse(self, target, z):
         """H^{-1}(target) by Newton from z, which it updates; each point
         stops at its own |step| < 1e-15 max(1, |z|)."""
         live = np.arange(z.size)
         for _ in range(80):
             zl = z[live]
-            step = (self._h(zl) - target[live]) / self._fq.deriv(zl)
+            h, dh = self._h_with_deriv(zl)
+            step = (h - target[live]) / dh
             zl = zl - step
             z[live] = zl
             live = live[np.abs(step) >= 1e-15 * np.maximum(1.0, np.abs(zl))]
@@ -125,9 +134,9 @@ class IterationChart:
                 return u.reshape(np.shape(x))[()], du.reshape(np.shape(x))[()]
             yl = y[live]
             if rho < 1.0:
-                ynext = self._h(yl)
+                ynext, dh = self._h_with_deriv(yl)
                 ratio = (ynext - a) / ((yl - a) * rho)
-                w = self._fq.deriv(yl) / rho
+                w = dh / rho
             else:
                 ynext = self._h_inverse(yl, a + (yl - a) / rho)
                 ratio = (ynext - a) * rho / (yl - a)

@@ -107,19 +107,26 @@ def golden_tuned_arnold(golden_parameter):
     return CircleMap(golden_parameter, (), (ARNOLD_B,))
 
 
+def record_shifts(monkeypatch, names):
+    """The list that the mean shift of the map of every call of the named
+    G samplers of the dynamics module is appended to, in order."""
+    shifts = []
+    for name in names:
+
+        def recording(map, p, q, n, _original=getattr(dynamics, name)):
+            shifts.append(map.mean_shift)
+            return _original(map, p, q, n)
+
+        monkeypatch.setattr(dynamics, name, recording)
+    return shifts
+
+
 @pytest.fixture
 def grid_shifts(monkeypatch):
     """The mean shift of the map of every G grid evaluation (``_g_grid``)
-    made through the dynamics module, in order."""
-    shifts = []
-    original = dynamics._g_grid
-
-    def recording(map, p, q, grid):
-        shifts.append(map.mean_shift)
-        return original(map, p, q, grid)
-
-    monkeypatch.setattr(dynamics, "_g_grid", recording)
-    return shifts
+    and orbit stage (``_g_orbit``) made through the dynamics module, in
+    order."""
+    return record_shifts(monkeypatch, ("_g_grid", "_g_orbit"))
 
 
 @pytest.fixture

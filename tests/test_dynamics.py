@@ -27,7 +27,7 @@ from circletau.errors import (
     WrongRotationNumber,
 )
 from circletau.maps import CircleMap, _bisect, total_distortion
-from conftest import assert_certified
+from conftest import assert_certified, record_shifts
 
 B = 1.0 / (4.0 * math.pi)
 
@@ -351,6 +351,11 @@ def mp_g(map, p, q, x):
 
 
 class TestOrbitSamples:
+    @pytest.fixture
+    def grid_shifts(self, monkeypatch):
+        # here only the uniform grids: the orbit stages are what replaced them
+        return record_shifts(monkeypatch, ("_g_grid",))
+
     @pytest.mark.parametrize("n", [8, 512, 4096])
     @pytest.mark.parametrize("name", ["arnold", "two_humped", "mixed"])
     def test_q1_samples_are_the_grid(self, request, name, n):
@@ -587,8 +592,8 @@ class TestPlateau:
         saddle_node = dynamics._saddle_node
 
         def faulty_saddle_node(*args):
-            w = saddle_node(*args)
-            return None if fault == "raises" or w is None else w + 1e-3
+            root = saddle_node(*args)
+            return None if fault == "raises" or root is None else (root[0], root[1] + 1e-3)
 
         monkeypatch.setattr(dynamics, "_saddle_node", faulty_saddle_node)
         pl = plateau(arnold, 0, 1)

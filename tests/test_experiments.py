@@ -500,6 +500,67 @@ class TestTsujii:
             tsujii_gap(arnold.shifted(0.5), 3)
 
 
+def reached_end(w, want, tol):
+    """The end of a crossing's certificate where the extremum of G reaches
+    the sign floor: right of the crossing for want = 0, left for want = 1."""
+    return w + 0.5 * tol if want == 0 else w - 0.5 * tol
+
+
+class TestOnePointCertificate:
+    """One side of a Newton answer's certificate is one G point at Newton's x."""
+
+    @pytest.mark.parametrize("case, count", [("plateau", 2), ("tsujii", 4), ("liouville", 40)])
+    def test_newton_answers_read_one_jet(self, arnold, golden_tuned_arnold, monkeypatch,
+                                         grid_shifts, case, count):
+        # at the reached end of each Newton answer no G grid or orbit stage
+        # is sampled, and exactly one jet is read
+        jets, bisects, crossings = [], [], []
+        jet, bisect, original = dynamics._g_jet, dynamics._bisect, dynamics._rot_crossing
+        monkeypatch.setattr(dynamics, "_g_jet", lambda *args: jets.append(args[4]) or jet(*args))
+        monkeypatch.setattr(dynamics, "_bisect",
+                            lambda *args: bisects.append(args) or bisect(*args))
+
+        def recording(map, p, q, lo, hi, want, grid=dynamics._G_GRID, tol=1e-10):
+            marks = len(grid_shifts), len(jets), len(bisects)
+            w = original(map, p, q, lo, hi, want, grid=grid, tol=tol)
+            if len(bisects) == marks[2]:
+                crossings.append((map, w, want, tol, grid_shifts[marks[0]:], jets[marks[1]:]))
+            return w
+
+        for module in (dynamics, experiments):
+            monkeypatch.setattr(module, "_rot_crossing", recording)
+        if case == "plateau":
+            plateau(arnold, 0, 1)
+        elif case == "tsujii":
+            tsujii_gap(golden_tuned_arnold, 4)
+        else:
+            liouville_measure_estimate(arnold, 1.0, 5)
+        assert len(crossings) == count
+        for map, w, want, tol, shifts, omegas in crossings:
+            reached = reached_end(w, want, tol)
+            assert map.shifted(reached).mean_shift not in shifts
+            assert omegas.count(reached) == 1
+
+    def test_a_failed_point_falls_back_to_the_verdict(self, arnold, monkeypatch, grid_shifts):
+        # Newton's omega is kept and its x moved by 0.5, onto the other
+        # extremum of G, where the point settles nothing: the crossing then
+        # samples the reached end and returns the same bits
+        ref = plateau(arnold, 0, 1)
+        start = len(grid_shifts)
+        saddle_node = dynamics._saddle_node
+
+        def planted(*args):
+            root = saddle_node(*args)
+            return None if root is None else (root[0] + 0.5, root[1])
+
+        monkeypatch.setattr(dynamics, "_saddle_node", planted)
+        got = plateau(arnold, 0, 1)
+        assert (got.omega_lo.hex(), got.omega_hi.hex()) == (ref.omega_lo.hex(), ref.omega_hi.hex())
+        for want, w in enumerate((got.omega_lo, got.omega_hi)):
+            assert arnold.shifted(reached_end(w, want, 1e-10)).mean_shift in grid_shifts[start:]
+            assert_certified(arnold, 0, 1, w, want, 1e-10)
+
+
 class TestLiouville:
     def test_rotation_family(self):
         rep = liouville_measure_estimate(CircleMap(0.0), 1.0, 10)
@@ -526,11 +587,14 @@ class TestLiouville:
         assert rep.measured_total <= rep.bound_total
 
     def test_crossings_take_few_g_evaluations(self, arnold, crossing_counts):
-        # 40 crossings at about 3.4 G grid evaluations each (137 in all): the
-        # start of Newton and the two sign tests of its certificate.  A slide
-        # back to bisection would take about 30 each
+        # 40 crossings at about 2.4 G samplings each (95 in all, 2.24M
+        # samples): the uniform grid of Newton's start and the orbit samples
+        # of the side of its certificate that needs the whole circle; one G
+        # point settles the other side.  Three grids each took 5.68M
+        # samples, and a slide back to bisection would take about 30 each
         liouville_measure_estimate(arnold, 1.0, 5)
-        assert crossing_counts["grids"] <= 150
+        assert crossing_counts["grids"] <= 100
+        assert crossing_counts["points"] <= 2_400_000
         assert crossing_counts["fallbacks"] == 0
 
     def test_newton_answers_the_crossings(self, arnold, golden_tuned_arnold, monkeypatch):
