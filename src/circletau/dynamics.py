@@ -30,20 +30,21 @@ crossing first solves G = G_x = 0 by Newton in (x, omega)
 (``_saddle_node``) on the jet of one orbit of length q (``_g_jet``),
 with G shifted by the sign floor as the verdict below shifts it,
 started from the extremum of the uniform G grid at the bracket end on
-the wrong side and then from the bracket midpoint.  Every verdict comes
-from one function of omega, the extremum of G that the sign test decides
-on (max G for want = 0, min G for want = 1), which rises with omega,
-shifted by the sign floor and evaluated once per omega: the extremum of
-orbit samples of G, refined by Newton on the jet.  The sign tol/2 either
-side of Newton's root certifies it.  On one side the extremum has to
-reach the floor, and one G point at Newton's x that reaches it is proof;
-only where that point falls short is the side sampled.  Only when Newton
-has no certified root inside the bracket is a wrong bracket end pushed
-out and the sign of that function bisected (``maps._bisect``).  The
-verdict and ``compare_to_rational`` each refine a sampled extremum of G,
-so they agree except where the two refined extrema straddle the floor.
-The parabolic parameters inside a plateau (``_parabolic_parameters``)
-are the same saddle-nodes, unshifted, found by Newton from every local
+the wrong side and then from the bracket midpoint; that grid only seeds
+Newton.  Every verdict comes from one function of omega, the extremum of
+G that the sign test decides on (max G for want = 0, min G for want = 1),
+which rises with omega, shifted by the sign floor and sampled once per
+omega, the same way at every omega: the extremum of orbit samples of G,
+refined by Newton on the jet.  The sign tol/2 either side of Newton's
+root certifies it.  On one side the extremum has to reach the floor, and
+one G point at Newton's x that reaches it is proof; only where that
+point falls short is the side sampled.  Only when Newton has no
+certified root inside the bracket is a wrong bracket end pushed out and
+the sign of that function bisected (``maps._bisect``).  The verdict and
+``compare_to_rational`` each refine a sampled extremum of G, so they
+agree except where the two refined extrema straddle the floor.  The
+parabolic parameters inside a plateau (``_parabolic_parameters``) are
+the same saddle-nodes, unshifted, found by Newton from every local
 extremum of G.
 
 The orbit of ``rotation_estimate`` steps ``CircleMap.lift_float``, which
@@ -92,6 +93,7 @@ _ORBIT_START = 1024  # first orbit length of rotation_estimate; lengths double
 _ROOT_MERGE = 1e-12  # find_cycles merges roots closer than this
 _DENJOY_GRID = 256
 _NEWTON_STEPS = 12  # jets per Newton solve, in x (extrema) or in (x, omega)
+_OFF_CIRCLE = 2.0**52  # from here on one ulp of x is a period or more
 
 
 @dataclass(frozen=True)
@@ -552,19 +554,22 @@ def _saddle_node(map, p: int, q: int, x: float, w: float):
     [G_xx, G_xomega]] from ``_g_jet``.  It stops when the omega step is at
     most 1e-13, never on the x step: near a high-q saddle-node G is flat
     in x, G_xx is about 1e-13 and the x step is noise.  None when 12
-    steps do not get there or a step is not finite.  At the solution the
-    Jacobian is nonsingular whenever G_xx != 0, since G_omega > 0.  The
-    x is returned too: a crossing's certificate reads G there."""
+    steps do not get there, and before the jet of an x or omega that is
+    not finite or that floats cannot place on the circle (from 2^52 on
+    one ulp is a period or more), where the jet could overflow; a
+    returned x is on the circle.  At the solution the Jacobian is
+    nonsingular whenever G_xx != 0, since G_omega > 0.  The x is returned
+    too: a crossing's certificate reads G there."""
     for _ in range(_NEWTON_STEPS):
+        if not (abs(x) < _OFF_CIRCLE and abs(w) < _OFF_CIRCLE):  # NaN too
+            return None
         g, gx, gw, gxx, gxw = _g_jet(map, p, q, x, w)
         det = gx * gxw - gw * gxx
         if det == 0.0:
             return None
         x, step = x - (g * gxw - gw * gx) / det, (gx * gx - gxx * g) / det
         w -= step
-        if not math.isfinite(x + w):  # a NaN or infinite step
-            return None
-        if abs(step) <= 1e-13:
+        if abs(step) <= 1e-13 and abs(x) < _OFF_CIRCLE:
             return x, w
     return None
 
@@ -605,10 +610,10 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
     floor: signed = max G + 1e-13 q (want = 0) or min G - 1e-13 q
     (want = 1).  The extremum is that of the orbit samples of G
     (``_g_orbit`` with ceil(grid / q) starts, at q = 1 the grid's points),
-    or at a Newton start that of the start's uniform grid, refined by
-    Newton on the jet (``_g_extremum``).  omega lies right of the crossing
-    when signed >= 0 (want = 0) or signed > 0 (want = 1).  signed is
-    cached for the call, so each omega is evaluated once.
+    refined by Newton on the jet (``_g_extremum``), at every omega.  omega
+    lies right of the crossing when signed >= 0 (want = 0) or signed > 0
+    (want = 1).  signed is cached for the call, so each omega is sampled
+    once.
 
     compare_to_rational(f + omega, p, q, grid) >= want makes the same
     decision on its own samples: it refines a sampled extremum of G too,
@@ -623,10 +628,11 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
     with p moved by the shift) runs first: from the extremum of the
     uniform G grid at the end that should lie on the wrong side (lo for
     want = 0, hi for want = 1), and once more from the midpoint of [lo, hi]
-    if that fails.  Its iterates may leave the bracket; its root (x, w) is
-    answered with w when w lies in [lo, hi] and the verdict certifies it:
-    wrong at w - tol/2 and right at w + tol/2, so w lies within tol/2 of
-    the switch.  At one of the two, right at w + tol/2 for want = 0 and
+    if that fails.  That grid only seeds Newton; no verdict reads it.  Its
+    iterates may leave the bracket; its root (x, w) is answered with w
+    when w lies in [lo, hi] and the verdict certifies it: wrong at
+    w - tol/2 and right at w + tol/2, so w lies within tol/2 of the
+    switch.  At one of the two, right at w + tol/2 for want = 0 and
     wrong at w - tol/2 for want = 1, the extremum has to reach the floor,
     and G + shift at Newton's x reaching it there (one ``_g_jet``) is
     proof; only when it falls short is signed evaluated there.  The other
@@ -641,22 +647,15 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
     Otherwise an end of [lo, hi] that its own verdict puts on the wrong
     side is pushed out by the bracket's width, keeping the other end, up
     to 8 times before NumericalError is raised, and the verdict is
-    bisected on [lo, hi] to tol (``maps._bisect``).  A Newton start's G
-    grid is kept until signed needs it, so no omega's grid is computed
-    twice, and refined only if a verdict needs it.
+    bisected on [lo, hi] to tol (``maps._bisect``).
     """
     floor = _SIGN_FLOOR * max(1, q)
     sign, shift = (-1.0, floor) if want == 0 else (1.0, -floor)
 
-    start_grids = {}  # the G grids of Newton's starts, handed on to signed
-
     @functools.cache
     def signed(w):
-        if w in start_grids:
-            fq, x, g = start_grids.pop(w)
-        else:
-            fq = map.shifted(w).iterate(q)
-            x, g = _g_orbit(fq.base, p, q, -(-grid // q))
+        fq = map.shifted(w).iterate(q)
+        x, g = _g_orbit(fq.base, p, q, -(-grid // q))
         return _g_extremum(fq, p, x, g, sign) + shift
 
     def right(w):
@@ -677,7 +676,7 @@ def _rot_crossing(map, p: int, q: int, lo: float, hi: float, want: int,
             return w
     starts = () if map.is_rotation else ((lo, hi)[want], 0.5 * (lo + hi))
     for start in starts:
-        fq, x, g = start_grids[start] = _g_grid(map.shifted(start), p, q, grid)
+        _, x, g = _g_grid(map.shifted(start), p, q, grid)
         root = _saddle_node(map, p - shift, q, float(x[np.argmin(sign * g)]), start)
         if root is not None and lo <= root[1] <= hi and certified(*root):
             return root[1]

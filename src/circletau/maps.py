@@ -93,15 +93,11 @@ class CircleMap:
         object.__setattr__(self, "mean_shift", float(self.mean_shift))
         if not all(math.isfinite(c) for c in (self.mean_shift, *self.cos_coeffs, *self.sin_coeffs)):
             raise ConfigError(f"map coefficients must be finite, got {self!r}")
-        # the nonzero harmonics as (2 pi k, coeff), ascending k, and as
-        # (fn, 2 pi k, coeff) in the order displacement() adds them
-        cos_terms = tuple((TWO_PI * k, a) for k, a in enumerate(self.cos_coeffs, start=1) if a)
-        sin_terms = tuple((TWO_PI * k, b) for k, b in enumerate(self.sin_coeffs, start=1) if b)
-        object.__setattr__(self, "_cos_terms", cos_terms)
-        object.__setattr__(self, "_sin_terms", sin_terms)
-        object.__setattr__(self, "_terms", tuple(
-            [(math.cos, w, a) for w, a in cos_terms] + [(math.sin, w, b) for w, b in sin_terms]
-        ))
+        # the nonzero harmonics as (2 pi k, coeff), ascending k
+        object.__setattr__(self, "_cos_terms", tuple(
+            (TWO_PI * k, a) for k, a in enumerate(self.cos_coeffs, start=1) if a))
+        object.__setattr__(self, "_sin_terms", tuple(
+            (TWO_PI * k, b) for k, b in enumerate(self.sin_coeffs, start=1) if b))
         if self.validate:
             grid = np.linspace(0.0, 1.0, _VALIDATION_GRID, endpoint=False)
             fp_min = float(np.min(self.deriv(grid)))
@@ -151,8 +147,10 @@ class CircleMap:
     def lift_float(self, x: float) -> float:
         """F(x) for one real Python float, with the op order of ``lift``."""
         d = self.mean_shift
-        for fn, w, c in self._terms:
-            d = d + c * fn(w * x)
+        for w, a in self._cos_terms:
+            d = d + a * math.cos(w * x)
+        for w, b in self._sin_terms:
+            d = d + b * math.sin(w * x)
         return x + d
 
     def deriv(self, z, order: int = 1, _check=True):
@@ -172,7 +170,7 @@ class CircleMap:
     def _shaped(self, out, z):
         """out, a sum over the harmonics, shaped like z: an array, or a
         scalar for 0-d z.  Without harmonics out is the bare constant."""
-        if not self._terms:
+        if not (self._cos_terms or self._sin_terms):
             out = np.full(z.shape, out, dtype=z.dtype if np.iscomplexobj(z) else float)
         return out if out.shape else out[()]
 

@@ -1,4 +1,8 @@
+import ast
+import io
 import math
+import pathlib
+import tokenize
 
 import pytest
 
@@ -200,12 +204,37 @@ def pytest_runtest_logreport(report):
     _ACCEPTANCE_RESULTS[num] = report.outcome
 
 
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(package=pathlib.Path(__file__).parent.parent / "src" / "circletau"):
+    """Lines of the package's modules that hold a token outside comments
+    and docstrings (module, class and function docstrings)."""
+    total = 0
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = node.body[0] if node.body else None
+                if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                        and isinstance(first.value.value, str)):
+                    docs.update(range(first.lineno, first.end_lineno + 1))
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in _NOT_CODE:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(lines - docs)
+    return total
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _ACCEPTANCE_RESULTS:
-        return
     tw = terminalreporter
-    tw.section("acceptance criteria")
+    if _ACCEPTANCE_RESULTS:
+        tw.section("acceptance criteria")
     for num in sorted(_ACCEPTANCE_RESULTS):
         outcome = _ACCEPTANCE_RESULTS[num]
         status = "PASS" if outcome == "passed" else outcome.upper()
         tw.write_line(f"criterion {num:2d}: {status} - {ACCEPTANCE_TITLES.get(num, '')}")
+    tw.write_line(f"src/circletau code lines: {code_lines()}")

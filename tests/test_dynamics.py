@@ -616,13 +616,17 @@ class TestPlateau:
             assert abs(got - ref) <= 1e-10
             assert_certified(m, p, q, got, want, 1e-10)
 
-    def test_crossing_raises_when_bracket_cannot_grow(self, arnold, grid_shifts):
-        # the 1/2 plateau lies near omega = 1/2: Newton from lo and from the
-        # midpoint lands outside the bracket, and growing hi from 1e-3 by
-        # the bracket's width 8 times reaches only 0.128
+    def test_crossing_raises_when_bracket_cannot_grow(self, arnold, monkeypatch):
+        # the 1/2 plateau lies near omega = 1/2: Newton from the uniform
+        # grids at lo and at the midpoint lands outside the bracket, and
+        # growing hi from 1e-3 by the bracket's width 8 times reaches only
+        # 0.128, each verdict on its own orbit samples, lo's too
+        grids = record_shifts(monkeypatch, ("_g_grid",))
+        orbits = record_shifts(monkeypatch, ("_g_orbit",))
         with pytest.raises(NumericalError):
             _rot_crossing(arnold, 1, 2, 0.0, 1e-3, 0)
-        assert grid_shifts == [0.0, 5e-4] + [1e-3 * 2**k for k in range(8)]
+        assert grids == [0.0, 5e-4]
+        assert orbits == [0.0] + [1e-3 * 2**k for k in range(8)]
 
     @pytest.mark.parametrize("want, bracket, edge", [(0, (0.0, 0.05), -B), (1, (-0.05, 0.0), B)])
     def test_crossing_grows_a_fixed_end_on_the_wrong_side(self, arnold, want, bracket, edge):
@@ -632,32 +636,46 @@ class TestPlateau:
         assert got == pytest.approx(edge, abs=1e-9)
         assert_certified(arnold, 0, 1, got, want, 1e-10)
 
-    def test_crossings_evaluate_each_omega_once(self, arnold, monkeypatch, grid_shifts):
-        # every verdict of a crossing comes from its own signed extremum;
-        # no sign test of compare_to_rational is made
+    def test_crossings_evaluate_each_omega_once(self, arnold, monkeypatch):
+        # a uniform G grid is sampled only at Newton's starts, and every
+        # verdict of a crossing comes from its own signed extremum of one
+        # orbit stage; no sign test of compare_to_rational is made.  Both
+        # mixed 3/8 crossings bisect, and their first probe is the midpoint
+        # start, which the orbit samples decide too
         def forbidden(*args):
             raise AssertionError("compare_to_rational called")
 
         monkeypatch.setattr(dynamics, "compare_to_rational", forbidden)
-        crossings = []
-        original = dynamics._rot_crossing
+        grids = record_shifts(monkeypatch, ("_g_grid",))
+        orbits = record_shifts(monkeypatch, ("_g_orbit",))
+        starts, crossings = [], []
+        saddle_node, original = dynamics._saddle_node, dynamics._rot_crossing
+
+        def recording_saddle_node(map, p, q, x, w):
+            starts.append(map.shifted(w).mean_shift)
+            return saddle_node(map, p, q, x, w)
 
         def recording(*args, **kwargs):
-            start = len(grid_shifts)
+            marks = len(grids), len(orbits), len(starts)
             try:
                 return original(*args, **kwargs)
             finally:
-                crossings.append(grid_shifts[start:])
+                crossings.append((grids[marks[0]:], orbits[marks[1]:], starts[marks[2]:]))
 
+        monkeypatch.setattr(dynamics, "_saddle_node", recording_saddle_node)
         monkeypatch.setattr(dynamics, "_rot_crossing", recording)
         plateau(arnold, 0, 1)
         with pytest.raises(ConfigError):  # the first crossing grows an end
             plateau(arnold, 0, 1, bracket=(-0.01, 0.01))
         with pytest.raises(NumericalError):
             dynamics._rot_crossing(arnold, 1, 2, 0.0, 1e-3, 0)
-        assert len(crossings) == 4
-        for shifts in crossings:
-            assert len(set(shifts)) == len(shifts) > 0
+        plateau(CircleMap(0.0, (0.03,), (0.06,)), 3, 8)
+        assert len(crossings) == 6
+        for grid_shifts, orbit_shifts, start_shifts in crossings:
+            assert grid_shifts == start_shifts
+            assert len(set(orbit_shifts)) == len(orbit_shifts) > 0
+        for _, orbit_shifts, start_shifts in crossings[-2:]:
+            assert start_shifts[-1] in orbit_shifts
 
     def test_bisect_to_adjacent_floats(self):
         lo, hi = _bisect(lambda w: w >= 1.0 / 3.0, 0.0, 1.0, 0.0)
@@ -767,6 +785,18 @@ class TestSaddleNode:
             fq = m.shifted(omega).iterate(q)
             for t in (np.arange(64) / 64).tolist():
                 assert dynamics._g_jet(m, p, q, t, omega)[0] == fq.lift(t) - t - p
+
+    @pytest.mark.parametrize("q, x, w", [(1, 1.7e308, 0.0), (1, -1.7e308, 0.0),
+                                         (2, 0.25, 1.7e308)])
+    def test_start_off_the_circle_gives_none(self, arnold, q, x, w):
+        # a jet there overflows 2 pi X to inf, and math.sin(inf) raises
+        assert dynamics._saddle_node(arnold, 0, q, x, w) is None
+
+    def test_converged_x_off_the_circle_gives_none(self, arnold, monkeypatch):
+        # a planted jet whose Newton step moves omega by 1e-20, which
+        # converges, and x by 1e20, which no crossing may read G at
+        monkeypatch.setattr(dynamics, "_g_jet", lambda *args: (0.0, 1e-40, 1.0, -1e-60, 0.0))
+        assert dynamics._saddle_node(arnold, 0, 1, 0.25, 0.0) is None
 
 
 class TestDenjoyDistortion:
