@@ -1,10 +1,10 @@
-"""Four LAPACK routines from the OpenBLAS that numpy itself loads.
+"""Three LAPACK routines from the OpenBLAS that numpy itself loads.
 
 numpy's wheels link the scipy-openblas64 build of OpenBLAS, which
 exports LAPACK with ILP64 integers under the names scipy_*64_.  The
-solve needs four routines numpy has no function for: cpotrf (Cholesky
-factor of the complex64 Gram matrix), ctrtri and ztrtri (triangular
-inverses, for the cond) and ztrtrs (triangular solves).  They are bound
+solve needs three routines numpy has no function for: cpotrf (Cholesky
+factor of the complex64 Gram matrix), ztrtri (triangular inverse, for
+the cond of the QR path) and ztrtrs (triangular solves).  They are bound
 here by ctypes through their column-major LAPACKE_*_work entries, which
 call the Fortran routine directly; the plain LAPACKE_* entries scan the
 matrix for NaN first, which costs more than a triangular solve.
@@ -31,11 +31,9 @@ _INT, _CHAR, _PTR = ctypes.c_int64, ctypes.c_char, ctypes.c_void_p
 # argument types after the matrix layout
 _SIGNATURES = {
     "cpotrf": [_CHAR, _INT, _PTR, _INT],
-    "ctrtri": [_CHAR, _CHAR, _INT, _PTR, _INT],
     "ztrtri": [_CHAR, _CHAR, _INT, _PTR, _INT],
     "ztrtrs": [_CHAR, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _INT],
 }
-_TRTRI = {np.dtype(np.complex64): "ctrtri", np.dtype(np.complex128): "ztrtri"}
 
 
 def _lapack_build() -> str:
@@ -45,7 +43,7 @@ def _lapack_build() -> str:
 
 
 def _bind(lib) -> dict:
-    """The four routines of lib by name, as ctypes functions of their
+    """The three routines of lib by name, as ctypes functions of their
     LAPACKE_*_work64_ entries; ImportError names the first one missing."""
     routines = {}
     for name, argtypes in _SIGNATURES.items():
@@ -90,15 +88,13 @@ def cpotrf(a):
 
 
 def trtri(r):
-    """Inverse of the upper triangular r (ctrtri for complex64, ztrtri for
-    complex128) as (inverse, info); info > 0 when r is singular.  r is
-    not modified."""
-    name = _TRTRI.get(r.dtype)
-    if name is None:
-        raise ValueError(f"trtri inverts complex64 or complex128, got {r.dtype}")
+    """Inverse of the upper triangular complex128 r (ztrtri) as (inverse,
+    info); info > 0 when r is singular.  r is not modified."""
+    if r.dtype != np.complex128:
+        raise ValueError(f"trtri inverts a complex128 matrix, got {r.dtype}")
     inv = np.array(r, order="F")
     n = _order(inv)
-    info = _ROUTINES[name](_COL_MAJOR, b"U", b"N", n, inv.ctypes.data, max(1, n))
+    info = _ROUTINES["ztrtri"](_COL_MAJOR, b"U", b"N", n, inv.ctypes.data, max(1, n))
     return inv, int(info)
 
 

@@ -29,14 +29,19 @@ x += R^-1 R^-H A^H (b - A x) runs with the residual and x in complex128
 until an update falls below 1e-15 max |x|, or until an update that fails
 to halve the one before it is at most STALL_TOL = 4e-15 max |x| (the
 updates have stalled at rounding level).  The `cond` of such a solve is
-||R||_F ||R^-1||_F of the single-precision factor (_kappa_f).  The
-complex128 Householder QR of [A | b] (numpy's qr, only R read) solves
-instead whenever the Gram factor fails, its cond exceeds FAST_COND_LIMIT
-= 1e4, an update above STALL_TOL max |x| fails to halve the one before
-it, or REFINE_STEPS = 12 steps do not converge.  Its `cond` is
-||R||_F ||R^-1||_F, replaced by the exact ratio of singular values of R
-only when that bound exceeds COND_LIMIT, so the IllConditioned gate acts
-on the 2-norm condition number.  A direction that A nearly annihilates
+||R||_F nu for the single-precision factor R, computed with the factor
+before any refinement step (_gram_factor): ||R||_F comes from the
+diagonal of A^H A and nu is a 3-step power estimate of ||R^-1||_2, so
+cond is an estimate from below of ||R||_F ||R^-1||_F, in O(n^2), and no
+proven upper bound on kappa_2.  The complex128 Householder QR of [A | b]
+(numpy's qr, only R read) solves instead whenever the Gram factor fails,
+its cond exceeds FAST_COND_LIMIT = 1e4, an update above STALL_TOL max |x|
+fails to halve the one before it, or REFINE_STEPS = 12 steps do not
+converge.  Its `cond` is ||R||_F ||R^-1||_F from one triangular inverse
+(_kappa_f), an upper bound on kappa_2, replaced by the exact ratio of
+singular values of R only when that bound exceeds COND_LIMIT, so the
+IllConditioned gate acts on the 2-norm condition number.  A direction
+that A nearly annihilates
 leaves the single-precision Gram matrix indefinite or its factor with a
 cond above FAST_COND_LIMIT, so such a system reaches the gate (in every
 synthetic kappa_2 = 1e13 case tried, also when b has no part along that
@@ -44,8 +49,8 @@ direction).  Both paths are BLAS work whose bits depend on the OpenBLAS
 thread count: over 11 solves of the Arnold and two-hump maps at
 N = 64..384, tau moved by at most 1.4 ulp between 1 and 2 threads (5 ulp
 on the QR path), and min |Phi'| by at most 4e-12 relative on either path.
-The products are numpy's, and the four LAPACK routines numpy has no
-function for (cpotrf, ctrtri, ztrtri and ztrtrs) are bound from the
+The products are numpy's, and the three LAPACK routines numpy has no
+function for (cpotrf, ztrtri and ztrtrs) are bound from the
 OpenBLAS in numpy's own wheel (circletau._lapack), so nothing imports scipy.
 
 A^H A is not formed from A either.  Every entry of A^H A is a D-weighted
@@ -86,6 +91,7 @@ import cmath
 import contextlib
 import contextvars
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,7 +110,7 @@ TWO_PI = 2.0 * math.pi
 COND_LIMIT = 1e12
 HARD_Y_FLOOR = 2e-5  # absolute floor for edge-adapted rungs
 POWER_BLOCK = 16  # fine-table width B of _cis_powers
-FAST_COND_LIMIT = 1e4  # largest single-precision cond the refinement is tried at
+FAST_COND_LIMIT = 1e4  # largest fast-path cond estimate (_gram_factor) the refinement is tried at
 REFINE_STEPS = 12  # most refinement steps before the QR path takes over
 STALL_TOL = 4e-15  # relative size of an update below which a stall is convergence
 FFT_BLOCK = 64  # columns of E_f per FFT in _moments
@@ -179,7 +185,7 @@ class ConjugacySolution:
     coeff_down: tuple  # b_k against the scaled basis e^{-2 pi i k (z - omega)}
     residual: float  # max collocation defect
     min_phi_prime: float  # min |Phi'| over both boundary circles
-    cond: float  # ||R||_F ||R^-1||_F of the factor that solved; see _solve_collocation
+    cond: float  # fast path: estimate ||R||_F nu; QR path: a bound; see _solve_collocation
     omega: complex
     n_modes: int
     m_points: int
@@ -230,10 +236,9 @@ def _cis_powers(t, N: int, out=None):
 
 
 def _kappa_f(R) -> float:
-    """kappa_F = ||R||_F ||R^-1||_F >= kappa_2 of the upper triangular R.
-
-    One triangular inverse, ctrtri for a complex64 R and ztrtri for a
-    complex128 one; inf when R is singular.
+    """kappa_F = ||R||_F ||R^-1||_F >= kappa_2 of the upper triangular
+    complex128 R, from one triangular inverse (ztrtri); inf when R is
+    singular.  Only the QR path computes it.
     """
     r_inv, info = trtri(R)
     if info != 0:
@@ -265,27 +270,50 @@ def _qr_solve(Ab, hint: str = ""):
     return x, cond
 
 
+def _gram_factor(gram):
+    """(R, cond) from the complex64 Gram matrix gram, or None when cpotrf
+    finds it not positive definite.
+
+    R is the upper Cholesky factor of gram (cpotrf, in place) promoted to
+    complex128.  cond = ||R||_F nu: ||R||_F is read from the diagonal of
+    gram before cpotrf overwrites it (||R||_F^2 = trace(R^H R)), and nu
+    estimates ||R^-1||_2 by 3 steps of power iteration on (R^H R)^-1 from
+    the all-ones vector, two triangular solves (ztrtrs) each, so O(n^2)
+    where forming R^-1 costs O(n^3).  As nu <= ||R^-1||_2 <= ||R^-1||_F,
+    cond is at most ||R||_F ||R^-1||_F up to rounding: an estimate from
+    below of that bound, not a proven upper bound on kappa_2.
+    """
+    norm_f = math.sqrt(float(np.sum(gram.diagonal().real, dtype=float)))
+    R32, info = cpotrf(gram)
+    if info != 0:
+        return None
+    R = R32.astype(complex)
+    z = np.ones(R.shape[0], dtype=complex)
+    for _ in range(3):
+        w = ztrtrs(R, z / np.linalg.norm(z), trans=2)[0]
+        z = ztrtrs(R, w)[0]
+    # ||R^-1 w|| / ||w|| <= ||R^-1||_2
+    return R, norm_f * float(np.linalg.norm(z) / np.linalg.norm(w))
+
+
 def _gram_refine(system):
     """Least squares A x = b from a complex64 Gram factor, refined in complex128.
 
-    The Cholesky factor R of A^H A is formed in single precision (cpotrf
-    of system.gram, the complex64 A^H A, in place) and promoted to
-    complex128 once; from x = 0 the corrected semi-normal step
-    x += R^-1 R^-H A^H (b - A x) runs in complex128, with A and A^H
+    The Cholesky factor R of A^H A is formed in single precision
+    (_gram_factor of system.gram, the complex64 A^H A, in place) and
+    promoted to complex128 once; from x = 0 the corrected semi-normal
+    step x += R^-1 R^-H A^H (b - A x) runs in complex128, with A and A^H
     applied by system.matvec and system.rmatvec.  The refinement has
     converged once an update is at most 1e-15 max |x|, or once an update
     that fails to halve the one before it is at most STALL_TOL max |x|:
     there the updates stall at rounding level.  Returns (x, cond, steps),
-    cond being ||R||_F ||R^-1||_F of the single-precision factor, or None
-    on any of the fallback rules of _solve_collocation.
+    cond being _gram_factor's estimate ||R||_F nu, or None on any of the
+    fallback rules of _solve_collocation.
     """
-    R32, info = cpotrf(system.gram)
-    if info != 0:
+    factor = _gram_factor(system.gram)
+    if factor is None or not factor[1] <= FAST_COND_LIMIT:
         return None
-    cond = _kappa_f(R32)
-    if not cond <= FAST_COND_LIMIT:
-        return None
-    R = R32.astype(complex)
+    R, cond = factor
     b = system.rhs
     x, r = np.zeros(R.shape[0], dtype=complex), b
     last = math.inf
@@ -316,11 +344,13 @@ def _solve_collocation(system, hint: str = ""):
     Householder QR (_qr_solve) of system.dense() solves instead; only
     that path raises IllConditioned, when the 2-norm condition number of
     A exceeds COND_LIMIT.
-    Returns (x, cond, residual, refine_steps): cond is the Frobenius
-    bound ||R||_F ||R^-1||_F of the factor that solved (single precision
-    on the fast path, exact near COND_LIMIT on the QR path), residual
-    the max of |A x - b| in complex128, and refine_steps is 0 when the
-    QR path solved.
+    Returns (x, cond, residual, refine_steps).  cond belongs to the
+    factor that solved: on the fast path the estimate ||R||_F nu of the
+    single-precision factor (_gram_factor), at most ||R||_F ||R^-1||_F
+    and no proven bound on kappa_2; on the QR path ||R||_F ||R^-1||_F
+    (_kappa_f), an upper bound on kappa_2, exact near COND_LIMIT.
+    residual is the max of |A x - b| in complex128, and refine_steps is
+    0 when the QR path solved.
     """
     fast = _gram_refine(system)
     sol, cond, steps = fast if fast is not None else (*_qr_solve(system.dense(), hint), 0)
@@ -430,12 +460,19 @@ def _moment_gram(moments, D, M: int):
 def _collocation_points(map, n_modes, m_points):
     """(N, M, F(x_j)) at x_j = j / M, M defaulting to 4 N + 8.
 
-    Raises ConfigError unless N >= 1 and M >= 4 N + 4.
+    Raises ConfigError unless N and M are integers (operator.index, so
+    a float or a string is refused, not truncated), N >= 1 and
+    M >= 4 N + 4.
     """
-    N = int(n_modes)
+    try:
+        N = operator.index(n_modes)
+        M = 4 * N + 8 if m_points is None else operator.index(m_points)
+    except TypeError:
+        raise ConfigError(
+            f"n_modes and m_points must be integers, got {n_modes!r} and {m_points!r}"
+        ) from None
     if N < 1:
         raise ConfigError(f"n_modes must be >= 1, got {n_modes}")
-    M = 4 * N + 8 if m_points is None else int(m_points)
     if M < 4 * N + 4:
         raise ConfigError(f"m_points must be >= 4*n_modes + 4, got {M}")
     return N, M, map.lift(np.arange(M) / M)
@@ -551,7 +588,8 @@ def complex_rotation_number(
     resolve; it defaults to y_min(map).  boundary_tau passes its own
     floor: y_min(map), or min(y_min(map), HARD_Y_FLOOR) on a ladder
     within 0.02 of an edge.  y_floor=0.0 disables the guard.  A
-    non-finite omega raises ConfigError.
+    non-finite omega, or an n_modes or m_points that is not an integer,
+    raises ConfigError.
     """
     omega = complex(omega)
     if not cmath.isfinite(omega):
@@ -604,7 +642,7 @@ class Rung:
     n_modes: int  # N of the best solve
     solves: int  # solves spent, escalations included
     target_met: bool  # residual <= resid_target
-    cond: float  # condition bound of the best solve
+    cond: float  # ConjugacySolution.cond of the best solve
     refine_steps: int  # refinement steps of the best solve; 0 when the QR path solved
 
 

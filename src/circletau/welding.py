@@ -43,7 +43,7 @@ class WeldingSolution:
     coeff_plus: tuple  # a_k, k = 1..N
     coeff_minus: tuple  # b_k against e^{-2 pi i k z}
     residual: float
-    cond: float  # as ConjugacySolution.cond
+    cond: float  # as ConjugacySolution.cond: an estimate on the fast path, a bound on QR
     n_modes: int
     m_points: int
     refine_steps: int  # double-precision refinement steps; 0 when the QR path solved

@@ -20,9 +20,11 @@ from circletau.errors import (
 from circletau.maps import CircleMap
 from circletau.uniformize import (
     COND_LIMIT,
+    FAST_COND_LIMIT,
     UpperHalfPoint,
     _cis_powers,
     _gluing_system,
+    _gram_factor,
     _kappa_f,
     _neville,
     _phi_prime_on_circles,
@@ -48,6 +50,20 @@ SYSTEM_OMEGA = {"arnold": 0.1 + 0.05j, "two_humped": HUMP_EDGE_SAMPLE + 8e-4j}
 ORACLE_CASES = KERNEL_CASES + [
     ("two_humped", HUMP_EDGE_SAMPLE + 1j * y, 384) for y in (3e-3, 2e-2)
 ]
+# every synthetic system below, as (singular values, seeds, b_rank)
+SYNTHETIC_CASES = {
+    "kappa-1e13": (np.logspace(0.0, -13.0, 40), range(4), None),
+    "kappa-1e11-30-small": (np.r_[np.ones(10), np.full(30, 1e-11)], (0, 1), None),
+    "ones": (np.ones(40), (1,), None),
+    "kappa-10": (np.linspace(1.0, 0.1, 40), (0, 1, 3), None),
+    "kappa-1e8": (np.logspace(0.0, -8.0, 40), (1,), None),
+    "cpotrf-fails": (np.logspace(0.0, -5.0, 40), (0,), None),
+    "cond-above-limit": (np.logspace(0.0, -4.0, 40), (0,), None),
+    "no-convergence-in-12": (np.logspace(0.0, -3.5, 40), (0,), None),
+    "stalls-at-1e-13": (np.logspace(0.0, -3.0, 40), (0,), None),
+    "kappa-100": (np.linspace(1.0, 0.01, 40), range(6), None),
+    "b-misses-1e-13": (np.r_[np.ones(39), 1e-13], range(4), 39),
+}
 
 
 @contextlib.contextmanager
@@ -65,12 +81,29 @@ def counting_dense():
         yield calls
 
 
+@contextlib.contextmanager
+def counting_trtri():
+    """Record the order of every triangular inverse _lapack.trtri forms
+    inside the block (every call of its ztrtri)."""
+    calls = []
+    ztrtri = _lapack._ROUTINES["ztrtri"]
+
+    def counted(layout, uplo, diag, n, *args):
+        calls.append(n)
+        return ztrtri(layout, uplo, diag, n, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(_lapack._ROUTINES, "ztrtri", counted)
+        yield calls
+
+
 @pytest.fixture(scope="module")
 def hump_edge_fold_run(two_humped):
-    """Default fold ladder of the edge sample, and the dense matrices it formed."""
-    with counting_dense() as calls:
+    """Default fold ladder of the edge sample, and the dense matrices and
+    triangular inverses it formed."""
+    with counting_dense() as calls, counting_trtri() as inverses:
         bv = boundary_tau(two_humped, HUMP_EDGE_SAMPLE, edge_distance=-1.1e-3)
-    return bv, calls
+    return bv, calls, inverses
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +259,23 @@ class TestSolver:
     def test_collocation_count_validation(self, arnold):
         with pytest.raises(ConfigError):
             complex_rotation_number(arnold, 0.5j, n_modes=16, m_points=60)
+
+    @pytest.mark.parametrize("counts", [
+        {"n_modes": 3.7}, {"n_modes": 16, "m_points": 72.9}, {"n_modes": math.nan},
+        {"n_modes": math.inf}, {"n_modes": "16"}, {"n_modes": 16, "m_points": math.nan},
+    ], ids=["float-n", "float-m", "nan-n", "inf-n", "string-n", "nan-m"])
+    def test_non_integer_counts_are_rejected(self, arnold, counts):
+        # int() truncated 3.7 to N = 3 and 72.9 to M = 72, and raised
+        # ValueError or OverflowError on NaN and inf
+        with pytest.raises(ConfigError, match="must be integers"):
+            complex_rotation_number(arnold, 0.1 + 0.05j, **counts)
+        with pytest.raises(ConfigError, match="must be integers"):
+            welding_constant(arnold, **counts)
+
+    def test_numpy_integer_counts_are_accepted(self, arnold):
+        sol = complex_rotation_number(arnold, 0.1 + 0.05j, np.int64(16), np.int32(72))
+        assert (sol.n_modes, sol.m_points) == (16, 72)
+        assert sol.tau_raw == complex_rotation_number(arnold, 0.1 + 0.05j, 16, 72).tau_raw
 
     def test_holomorphy_cauchy_riemann(self, arnold):
         # d tau / d conj(omega) vanishes for a holomorphic function
@@ -428,7 +478,7 @@ class TestGramRefinement:
         assert (sol == ref).all() and cond == ref_cond and residual == ref_residual
 
     def test_fast_path_forms_no_dense_matrix(self, arnold, hump_edge_fold_run):
-        bv, calls = hump_edge_fold_run
+        bv, calls, _ = hump_edge_fold_run
         assert calls == [] and all(r.refine_steps > 0 for r in bv.rungs)
         with counting_dense() as calls:
             assert welding_constant(arnold, 48).refine_steps > 0
@@ -443,6 +493,22 @@ class TestGramRefinement:
         with counting_dense() as calls:
             assert welding_constant(arnold, 48).refine_steps == 0
         assert calls == [48]
+
+    def test_fast_path_forms_no_triangular_inverse(self, arnold, hump_edge_fold_run):
+        bv, _, inverses = hump_edge_fold_run
+        assert inverses == [] and all(r.refine_steps > 0 for r in bv.rungs)
+        with counting_trtri() as inverses:
+            assert welding_constant(arnold, 48).refine_steps > 0
+        assert inverses == []
+
+    def test_declined_solves_form_one_triangular_inverse_each(self, arnold, monkeypatch):
+        monkeypatch.setattr(uniformize, "_gram_refine", lambda *args: None)
+        with counting_trtri() as inverses:
+            bv = boundary_tau(arnold, 0.0, ladder=[0.2, 0.1, 0.05], resid_target=0.0, n_cap=64)
+        assert len(inverses) == sum(r.solves for r in bv.rungs) > 3
+        with counting_trtri() as inverses:
+            assert welding_constant(arnold, 48).refine_steps == 0
+        assert inverses == [2 * 48 + 1]
 
     def test_fast_solve_allocates_less_than_the_dense_matrix(self, two_humped):
         N = 384
@@ -467,6 +533,38 @@ class TestGramRefinement:
             cherk_solve(Ab)
 
 
+def assert_gates_as_kappa_f(gram):
+    """_gram_factor's cond on gram is at most the kappa_F of scipy's
+    ctrtri inverse of the same factor, and on the same side of
+    FAST_COND_LIMIT; when cpotrf fails, _gram_factor declines."""
+    R32, info = lapack.cpotrf(gram)
+    factor = _gram_factor(np.array(gram, order="F"))
+    if info != 0:
+        assert factor is None
+        return
+    kappa_f = float(np.linalg.norm(R32)) * float(np.linalg.norm(lapack.ctrtri(R32)[0]))
+    cond = factor[1]
+    assert cond <= kappa_f * (1.0 + 1e-5)
+    assert (cond <= FAST_COND_LIMIT) == (kappa_f <= FAST_COND_LIMIT)
+
+
+class TestFastCond:
+    """The fast path's O(n^2) cond estimate gates every system as the
+    Frobenius bound kappa_F = ||R||_F ||R^-1||_F of its factor did."""
+
+    @pytest.mark.parametrize("s, seed, b_rank", [
+        pytest.param(s, seed, b_rank, id=f"{name}-{seed}")
+        for name, (s, seeds, b_rank) in SYNTHETIC_CASES.items() for seed in seeds
+    ])
+    def test_synthetic_systems(self, s, seed, b_rank):
+        assert_gates_as_kappa_f(DenseSystem(synthetic_system(s, seed=seed, b_rank=b_rank)).gram)
+
+    @pytest.mark.parametrize("map_name, omega, N", ORACLE_CASES + [("arnold", 0.1 + 0.05j, 32)])
+    def test_oracle_systems(self, request, map_name, omega, N):
+        system = collocation_system(request.getfixturevalue(map_name), omega, N)
+        assert_gates_as_kappa_f(system.gram)
+
+
 def same_array(ours, theirs):
     """Equal bits, dtype, shape and memory layout."""
     return (ours.dtype == theirs.dtype and ours.shape == theirs.shape
@@ -476,17 +574,13 @@ def same_array(ours, theirs):
 
 
 def assert_gram_factor_matches_scipy(gram):
-    """cpotrf and ctrtri of the binding on a complex64 Gram matrix give
-    scipy.linalg.lapack's arrays and info; cpotrf factors in place."""
+    """cpotrf of the binding on a complex64 Gram matrix gives
+    scipy.linalg.lapack's array and info; it factors in place."""
     ours_in, theirs_in = np.array(gram, order="F"), np.array(gram, order="F")
     R, info = _lapack.cpotrf(ours_in)
     R_ref, info_ref = lapack.cpotrf(theirs_in, overwrite_a=1)
     assert R is ours_in and R_ref is theirs_in
     assert info == info_ref and same_array(R, R_ref)
-    inv, inv_info = _lapack.trtri(R)
-    inv_ref, inv_info_ref = lapack.ctrtri(R_ref)
-    assert inv_info == inv_info_ref and same_array(inv, inv_ref)
-    assert same_array(R, R_ref)  # ctrtri leaves its argument alone
     return R, info
 
 
@@ -506,8 +600,6 @@ class TestLapackBinding:
             x, info = _lapack.ztrtrs(R, rhs, trans=trans)
             x_ref, info_ref = lapack.ztrtrs(R, rhs, trans=trans)
             assert info == info_ref == 0 and same_array(x, x_ref)
-        inv_ref = lapack.ctrtri(R32)[0]
-        assert _kappa_f(R32) == float(np.linalg.norm(R32)) * float(np.linalg.norm(inv_ref))
 
     @pytest.mark.parametrize("map_name, omega, N", ORACLE_CASES)
     def test_qr_path_routines_match_scipy(self, request, map_name, omega, N):
@@ -530,13 +622,11 @@ class TestLapackBinding:
         _, info = assert_gram_factor_matches_scipy(gram)
         assert info > 0
 
-    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-    def test_singular_factor_has_infinite_cond(self, dtype):
-        R = np.triu(np.arange(1, 26).reshape(5, 5) * (1 + 1j)).astype(dtype)
+    def test_singular_factor_has_infinite_cond(self):
+        R = np.triu(np.arange(1, 26).reshape(5, 5) * (1 + 1j)).astype(complex)
         R[2, 2] = 0.0
-        routine = "ctrtri" if dtype == np.complex64 else "ztrtri"
         inv, info = _lapack.trtri(R)
-        inv_ref, info_ref = getattr(lapack, routine)(R)
+        inv_ref, info_ref = lapack.ztrtri(R)
         assert info == info_ref == 3 and same_array(inv, inv_ref)
         assert _kappa_f(R) == math.inf
 
@@ -557,8 +647,9 @@ class TestLapackBinding:
                 _lapack.cpotrf(a)
         with pytest.raises(ValueError, match="square"):
             _lapack.trtri(np.ones(3, dtype=complex))
-        with pytest.raises(ValueError, match="complex64 or complex128"):
-            _lapack.trtri(np.eye(3))
+        for a in (np.eye(3), np.eye(3, dtype=np.complex64)):
+            with pytest.raises(ValueError, match="complex128"):
+                _lapack.trtri(a)
         with pytest.raises(ValueError, match="shape"):
             _lapack.ztrtrs(np.eye(3, dtype=complex), np.ones(4, dtype=complex))
 
