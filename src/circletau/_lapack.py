@@ -1,20 +1,22 @@
-"""Three LAPACK routines from the OpenBLAS that numpy itself loads.
+"""Four LAPACK routines from the OpenBLAS that numpy itself loads.
 
 numpy's wheels link the scipy-openblas64 build of OpenBLAS, which
 exports LAPACK with ILP64 integers under the names scipy_*64_.  The
-solve needs three routines numpy has no function for: cpotrf (Cholesky
-factor of the complex64 Gram matrix), ztrtri (triangular inverse, for
-the cond of the QR path) and ztrtrs (triangular solves).  They are bound
-here by ctypes through their column-major LAPACKE_*_work entries, which
-call the Fortran routine directly; the plain LAPACKE_* entries scan the
+solve needs four routines numpy has no function for: cpotrf (Cholesky
+factor of the complex64 Gram matrix), ctrtrs (triangular solves with
+that factor), ztrtri (triangular inverse, for the cond of the QR path)
+and ztrtrs (the triangular solve of the QR path).  They are bound here
+by ctypes through their column-major LAPACKE_*_work entries, which call
+the Fortran routine directly; the plain LAPACKE_* entries scan the
 matrix for NaN first, which costs more than a triangular solve.
 
 The functions copy exactly where scipy.linalg.lapack's wrappers copy at
 the arguments uniformize passes, so both return the same arrays, layout
 included: cpotrf factors a Fortran-ordered complex64 matrix in place and
 zeroes its strictly lower triangle (scipy's clean=1), trtri inverts a
-Fortran-ordered copy, and ztrtrs solves into a copy of b, copying a only
-when it is not already Fortran-ordered complex128.
+Fortran-ordered copy, and trtrs (ctrtrs or ztrtrs, by the dtype of the
+matrix) solves into a copy of b cast to that dtype, copying the matrix
+only when it is not already Fortran-ordered.
 
 There is no fallback: when numpy was built against another LAPACK, or a
 routine is missing, importing this module raises ImportError naming the
@@ -31,9 +33,12 @@ _INT, _CHAR, _PTR = ctypes.c_int64, ctypes.c_char, ctypes.c_void_p
 # argument types after the matrix layout
 _SIGNATURES = {
     "cpotrf": [_CHAR, _INT, _PTR, _INT],
+    "ctrtrs": [_CHAR, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _INT],
     "ztrtri": [_CHAR, _CHAR, _INT, _PTR, _INT],
     "ztrtrs": [_CHAR, _CHAR, _CHAR, _INT, _INT, _PTR, _INT, _PTR, _INT],
 }
+# the triangular solve by the dtype of its matrix
+_TRTRS = {np.dtype(np.complex64): "ctrtrs", np.dtype(np.complex128): "ztrtrs"}
 
 
 def _lapack_build() -> str:
@@ -43,7 +48,7 @@ def _lapack_build() -> str:
 
 
 def _bind(lib) -> dict:
-    """The three routines of lib by name, as ctypes functions of their
+    """The four routines of lib by name, as ctypes functions of their
     LAPACKE_*_work64_ entries; ImportError names the first one missing."""
     routines = {}
     for name, argtypes in _SIGNATURES.items():
@@ -98,19 +103,23 @@ def trtri(r):
     return inv, int(info)
 
 
-def ztrtrs(a, b, lower=0, trans=0):
-    """Solve op(a) x = b for a triangular complex128 a and a vector b.
+def trtrs(a, b, lower=0, trans=0):
+    """Solve op(a) x = b for a triangular a and a vector b, in a's precision.
 
-    a is upper triangular, or lower when lower=1; op(a) is a, a^T or a^H
-    for trans = 0, 1 or 2.  Neither argument is modified.  Returns
+    a is complex64 (ctrtrs) or complex128 (ztrtrs), upper triangular, or
+    lower when lower=1; op(a) is a, a^T or a^H for trans = 0, 1 or 2.  b
+    is cast to a's dtype, and neither argument is modified.  Returns
     (x, info), info > 0 when a is singular.
     """
-    a = np.asarray(a, dtype=np.complex128, order="F")
+    a = np.asarray(a, order="F")
+    name = _TRTRS.get(a.dtype)
+    if name is None:
+        raise ValueError(f"trtrs solves with a complex64 or complex128 matrix, got {a.dtype}")
     n = _order(a)
-    x = np.array(b, dtype=np.complex128)
+    x = np.array(b, dtype=a.dtype)
     if x.shape != (n,):
         raise ValueError(f"expected b of shape ({n},), got {x.shape}")
-    info = _ROUTINES["ztrtrs"](
+    info = _ROUTINES[name](
         _COL_MAJOR, b"L" if lower else b"U", b"NTC"[trans : trans + 1], b"N",
         n, 1, a.ctypes.data, max(1, n), x.ctypes.data, max(1, n),
     )

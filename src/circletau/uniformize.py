@@ -19,19 +19,24 @@ and sin are evaluated on M (B + N/B) angles instead of M N.  A itself is
 not formed: the system (_GluingSystem) keeps E_f and applies A x and
 A^H r as products with E_f and one length-M FFT, since the points
 x_j = j / M are equispaced and E_x is a DFT.  Only the QR fallback forms
-the dense [A | b].
+the dense [A | b].  M defaults to the smallest integer >= 4 N + 8 whose
+prime factors are all <= 7 (_collocation_points), so that every FFT of
+the solve has a smooth length: 4 N + 8 itself has large prime factors
+at N = 384, 231 and 147 (1544 = 8 * 193, 932 = 4 * 233, 596 = 4 * 149).
 
 The least squares A x = b is first solved from a single-precision Gram
 factor refined in double (Bjorck's corrected semi-normal equations, with
 mixed-precision refinement after Carson and Higham): the Cholesky factor
 R of A^H A is formed in complex64 (cpotrf), and from x = 0 the step
-x += R^-1 R^-H A^H (b - A x) runs with the residual and x in complex128
-until an update falls below 1e-15 max |x|, or until an update that fails
-to halve the one before it is at most STALL_TOL = 4e-15 max |x| (the
-updates have stalled at rounding level).  The `cond` of such a solve is
-||R||_F nu for the single-precision factor R, computed with the factor
-before any refinement step (_gram_factor): ||R||_F comes from the
-diagonal of A^H A and nu is a 3-step power estimate of ||R^-1||_2, so
+x += R^-1 R^-H A^H (b - A x) runs with the residual b - A x, A^H of it
+and x in complex128 and the correction solved in the factor's precision
+(two complex64 triangular solves, ctrtrs), until an update falls below
+1e-15 max |x|, or until an update that fails to halve the one before it
+is at most STALL_TOL = 4e-15 max |x| (the updates have stalled at
+rounding level).  The `cond` of such a solve is ||R||_F nu for the
+single-precision factor R, computed with the factor before any
+refinement step (_gram_factor): ||R||_F comes from the diagonal of
+A^H A and nu is a 3-step power estimate of ||R^-1||_2, so
 cond is an estimate from below of ||R||_F ||R^-1||_F, in O(n^2), and no
 proven upper bound on kappa_2.  The complex128 Householder QR of [A | b]
 (numpy's qr, only R read) solves instead whenever the Gram factor fails,
@@ -47,10 +52,11 @@ cond above FAST_COND_LIMIT, so such a system reaches the gate (in every
 synthetic kappa_2 = 1e13 case tried, also when b has no part along that
 direction).  Both paths are BLAS work whose bits depend on the OpenBLAS
 thread count: over 11 solves of the Arnold and two-hump maps at
-N = 64..384, tau moved by at most 1.4 ulp between 1 and 2 threads (5 ulp
-on the QR path), and min |Phi'| by at most 4e-12 relative on either path.
-The products are numpy's, and the three LAPACK routines numpy has no
-function for (cpotrf, ztrtri and ztrtrs) are bound from the
+N = 64..384, tau moved by at most 12 ulp between 1 and 2 threads on the
+fast path (2e-17, on a fold rung with |tau| near 0.01) and 4.2 ulp on
+the QR path, and min |Phi'| by at most 1.6e-12 relative on either path.
+The products are numpy's, and the four LAPACK routines numpy has no
+function for (cpotrf, ctrtrs, ztrtri and ztrtrs) are bound from the
 OpenBLAS in numpy's own wheel (circletau._lapack), so nothing imports scipy.
 
 A^H A is not formed from A either.  Every entry of A^H A is a D-weighted
@@ -98,7 +104,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._lapack import cpotrf, trtri, ztrtrs
+from ._lapack import cpotrf, trtri, trtrs
 from .errors import (
     ConfigError,
     ExtrapolationDiverged,
@@ -265,8 +271,8 @@ def _qr_solve(Ab, hint: str = ""):
     if not cond <= COND_LIMIT:
         raise IllConditioned(f"condition estimate {cond:.3g} exceeds {COND_LIMIT:g}{hint}")
     # R11 is a row-major block: solve with its transpose as a lower
-    # triangle (trans=1), which ztrtrs copies to Fortran order
-    x, _ = ztrtrs(R11.T, R[:n, n], lower=1, trans=1)
+    # triangle (trans=1), which trtrs copies to Fortran order
+    x, _ = trtrs(R11.T, R[:n, n], lower=1, trans=1)
     return x, cond
 
 
@@ -274,24 +280,23 @@ def _gram_factor(gram):
     """(R, cond) from the complex64 Gram matrix gram, or None when cpotrf
     finds it not positive definite.
 
-    R is the upper Cholesky factor of gram (cpotrf, in place) promoted to
-    complex128.  cond = ||R||_F nu: ||R||_F is read from the diagonal of
+    R is the complex64 upper Cholesky factor of gram (cpotrf, in place),
+    not copied.  cond = ||R||_F nu: ||R||_F is read from the diagonal of
     gram before cpotrf overwrites it (||R||_F^2 = trace(R^H R)), and nu
     estimates ||R^-1||_2 by 3 steps of power iteration on (R^H R)^-1 from
-    the all-ones vector, two triangular solves (ztrtrs) each, so O(n^2)
-    where forming R^-1 costs O(n^3).  As nu <= ||R^-1||_2 <= ||R^-1||_F,
-    cond is at most ||R||_F ||R^-1||_F up to rounding: an estimate from
-    below of that bound, not a proven upper bound on kappa_2.
+    the all-ones vector, two complex64 triangular solves (ctrtrs) each,
+    so O(n^2) where forming R^-1 costs O(n^3).  As nu <= ||R^-1||_2 <=
+    ||R^-1||_F, cond is at most ||R||_F ||R^-1||_F up to rounding: an
+    estimate from below of that bound, not a proven upper bound on kappa_2.
     """
     norm_f = math.sqrt(float(np.sum(gram.diagonal().real, dtype=float)))
-    R32, info = cpotrf(gram)
+    R, info = cpotrf(gram)
     if info != 0:
         return None
-    R = R32.astype(complex)
-    z = np.ones(R.shape[0], dtype=complex)
+    z = np.ones(R.shape[0], dtype=R.dtype)
     for _ in range(3):
-        w = ztrtrs(R, z / np.linalg.norm(z), trans=2)[0]
-        z = ztrtrs(R, w)[0]
+        w = trtrs(R, z / np.linalg.norm(z), trans=2)[0]
+        z = trtrs(R, w)[0]
     # ||R^-1 w|| / ||w|| <= ||R^-1||_2
     return R, norm_f * float(np.linalg.norm(z) / np.linalg.norm(w))
 
@@ -300,10 +305,12 @@ def _gram_refine(system):
     """Least squares A x = b from a complex64 Gram factor, refined in complex128.
 
     The Cholesky factor R of A^H A is formed in single precision
-    (_gram_factor of system.gram, the complex64 A^H A, in place) and
-    promoted to complex128 once; from x = 0 the corrected semi-normal
-    step x += R^-1 R^-H A^H (b - A x) runs in complex128, with A and A^H
-    applied by system.matvec and system.rmatvec.  The refinement has
+    (_gram_factor of system.gram, the complex64 A^H A, in place); from
+    x = 0 the corrected semi-normal step x += R^-1 R^-H A^H (b - A x)
+    forms the residual b - A x, A^H of it and x in complex128, with A and
+    A^H applied by system.matvec and system.rmatvec, and solves for the
+    correction in the factor's precision: A^H r is rounded to complex64
+    and both triangular solves are ctrtrs.  The refinement has
     converged once an update is at most 1e-15 max |x|, or once an update
     that fails to halve the one before it is at most STALL_TOL max |x|:
     there the updates stall at rounding level.  Returns (x, cond, steps),
@@ -318,8 +325,8 @@ def _gram_refine(system):
     x, r = np.zeros(R.shape[0], dtype=complex), b
     last = math.inf
     for steps in range(1, REFINE_STEPS + 1):
-        w, _ = ztrtrs(R, system.rmatvec(r), trans=2)
-        dx, _ = ztrtrs(R, w)
+        w, _ = trtrs(R, system.rmatvec(r), trans=2)
+        dx, _ = trtrs(R, w)
         x += dx
         size = float(np.max(np.abs(dx)))
         top = float(np.max(np.abs(x)))
@@ -336,8 +343,9 @@ def _solve_collocation(system, hint: str = ""):
     """Least squares A x = b for a gluing system (_GluingSystem).
 
     The single-precision Gram factor refined in double (_gram_refine) is
-    tried first, factoring system.gram, the complex64 A^H A, and applying
-    A only through system.matvec and system.rmatvec.  When the factor
+    tried first, factoring system.gram, the complex64 A^H A, applying A
+    only through system.matvec and system.rmatvec, and solving each
+    correction with that complex64 factor.  When the factor
     fails, its cond exceeds FAST_COND_LIMIT, an update above STALL_TOL
     max |x| fails to halve the one before it, or the updates do not fall
     below 1e-15 max |x| within REFINE_STEPS steps, the complex128
@@ -457,22 +465,39 @@ def _moment_gram(moments, D, M: int):
     return G
 
 
-def _collocation_points(map, n_modes, m_points):
-    """(N, M, F(x_j)) at x_j = j / M, M defaulting to 4 N + 8.
+def _smooth_count(n: int) -> int:
+    """The smallest integer >= n whose prime factors are all <= 7."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
+
+def _collocation_points(map, n_modes, m_points):
+    """(N, M, F(x_j)) at x_j = j / M.
+
+    M defaults to the smallest integer >= 4 N + 8 whose prime factors are
+    all <= 7 (N = 384 gives M = 1568), so every length-M FFT of the solve
+    is of a 7-smooth length; an explicit m_points is used as given.
     Raises ConfigError unless N and M are integers (operator.index, so
     a float or a string is refused, not truncated), N >= 1 and
     M >= 4 N + 4.
     """
     try:
         N = operator.index(n_modes)
-        M = 4 * N + 8 if m_points is None else operator.index(m_points)
+        M = None if m_points is None else operator.index(m_points)
     except TypeError:
         raise ConfigError(
             f"n_modes and m_points must be integers, got {n_modes!r} and {m_points!r}"
         ) from None
     if N < 1:
         raise ConfigError(f"n_modes must be >= 1, got {n_modes}")
+    if M is None:
+        M = _smooth_count(4 * N + 8)
     if M < 4 * N + 4:
         raise ConfigError(f"m_points must be >= 4*n_modes + 4, got {M}")
     return N, M, map.lift(np.arange(M) / M)
@@ -584,10 +609,13 @@ def complex_rotation_number(
 ) -> ConjugacySolution:
     """Solve Phi(f(x) + omega) = Phi(x) + tau in least squares.
 
-    y_floor guards against annuli thinner than the default basis can
-    resolve; it defaults to y_min(map).  boundary_tau passes its own
-    floor: y_min(map), or min(y_min(map), HARD_Y_FLOOR) on a ladder
-    within 0.02 of an edge.  y_floor=0.0 disables the guard.  A
+    The basis has n_modes = N modes on each side, collocated at m_points
+    = M points, by default the smallest integer >= 4 N + 8 whose prime
+    factors are all <= 7 (_collocation_points); an explicit m_points must
+    be at least 4 N + 4.  y_floor guards against annuli thinner than the
+    default basis can resolve; it defaults to y_min(map).  boundary_tau
+    passes its own floor: y_min(map), or min(y_min(map), HARD_Y_FLOOR) on
+    a ladder within 0.02 of an edge.  y_floor=0.0 disables the guard.  A
     non-finite omega, or an n_modes or m_points that is not an integer,
     raises ConfigError.
     """

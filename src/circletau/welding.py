@@ -57,8 +57,10 @@ def welding_constant(
 ) -> WeldingSolution:
     """Solve the welding equation in least squares; C_f = C+ - C-.
 
-    The gauge C+ is free ("unique up to addition of a constant"); C_f is
-    invariant under it.  A gauge that is not finite raises ConfigError.
+    N and M default as in complex_rotation_number (M the smallest 7-smooth
+    integer >= 4 N + 8, 200 at the default N = 48).  The gauge C+ is free
+    ("unique up to addition of a constant"); C_f is invariant under it.
+    A gauge that is not finite raises ConfigError.
     """
     gauge = complex(gauge_c_plus)
     if not cmath.isfinite(gauge):

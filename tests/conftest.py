@@ -1,10 +1,12 @@
 import ast
+import ctypes
 import io
 import math
 import pathlib
 import tokenize
 
 import pytest
+from numpy._core import _multiarray_umath
 
 from circletau import dynamics
 from circletau.maps import CircleMap, total_distortion
@@ -229,6 +231,14 @@ def code_lines(package=pathlib.Path(__file__).parent.parent / "src" / "circletau
     return total
 
 
+def openblas_threads():
+    """The thread count of the OpenBLAS in numpy's own library, the one
+    the solve's BLAS and LAPACK calls run on."""
+    get = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    get.restype = ctypes.c_int
+    return get()
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     tw = terminalreporter
     if _ACCEPTANCE_RESULTS:
@@ -238,3 +248,4 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         status = "PASS" if outcome == "passed" else outcome.upper()
         tw.write_line(f"criterion {num:2d}: {status} - {ACCEPTANCE_TITLES.get(num, '')}")
     tw.write_line(f"src/circletau code lines: {code_lines()}")
+    tw.write_line(f"OpenBLAS threads: {openblas_threads()}")

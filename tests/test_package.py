@@ -233,7 +233,7 @@ def test_cli_import_skips_scipy_integrate():
 def test_cli_import_skips_scipy_beyond_linalg():
     """Importing the CLI loads no scipy module at all, scipy.linalg
     included, and on Linux maps exactly one OpenBLAS, numpy's: the solve's
-    three LAPACK routines come from numpy's own library (circletau._lapack).
+    four LAPACK routines come from numpy's own library (circletau._lapack).
     Every process pays for what the import loads, the pool workers of
     trace and atlas too."""
     code = (

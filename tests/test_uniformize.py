@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import contextlib
 import ctypes
@@ -23,6 +24,7 @@ from circletau.uniformize import (
     FAST_COND_LIMIT,
     UpperHalfPoint,
     _cis_powers,
+    _collocation_points,
     _gluing_system,
     _gram_factor,
     _kappa_f,
@@ -82,28 +84,32 @@ def counting_dense():
 
 
 @contextlib.contextmanager
-def counting_trtri():
-    """Record the order of every triangular inverse _lapack.trtri forms
-    inside the block (every call of its ztrtri)."""
+def counting_routine(name):
+    """Record the order n of every call of the LAPACK routine name that
+    circletau._lapack makes inside the block (ztrtri: every triangular
+    inverse; ztrtrs: every complex128 triangular solve)."""
     calls = []
-    ztrtri = _lapack._ROUTINES["ztrtri"]
+    routine = _lapack._ROUTINES[name]
+    # n is the first integer argument of every bound routine, after the layout
+    n_at = 1 + _lapack._SIGNATURES[name].index(_lapack._INT)
 
-    def counted(layout, uplo, diag, n, *args):
-        calls.append(n)
-        return ztrtri(layout, uplo, diag, n, *args)
+    def counted(*args):
+        calls.append(args[n_at])
+        return routine(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(_lapack._ROUTINES, "ztrtri", counted)
+        mp.setitem(_lapack._ROUTINES, name, counted)
         yield calls
 
 
 @pytest.fixture(scope="module")
 def hump_edge_fold_run(two_humped):
-    """Default fold ladder of the edge sample, and the dense matrices and
-    triangular inverses it formed."""
-    with counting_dense() as calls, counting_trtri() as inverses:
+    """Default fold ladder of the edge sample, and the dense matrices,
+    triangular inverses and complex128 triangular solves it formed."""
+    with (counting_dense() as calls, counting_routine("ztrtri") as inverses,
+          counting_routine("ztrtrs") as solves):
         bv = boundary_tau(two_humped, HUMP_EDGE_SAMPLE, edge_distance=-1.1e-3)
-    return bv, calls, inverses
+    return bv, calls, inverses, solves
 
 
 @pytest.fixture(scope="module")
@@ -182,8 +188,7 @@ def qr_oracle(system):
 
 def collocation_system(map, omega, N):
     """The gluing system at omega with the default M."""
-    M = 4 * N + 8
-    fx = np.asarray(np.real(map.lift(np.arange(M) / M)), dtype=float)
+    _, _, fx = _collocation_points(map, N, None)
     return _gluing_system(fx, np.exp(2j * math.pi * np.arange(1, N + 1) * omega), omega)
 
 
@@ -259,6 +264,34 @@ class TestSolver:
     def test_collocation_count_validation(self, arnold):
         with pytest.raises(ConfigError):
             complex_rotation_number(arnold, 0.5j, n_modes=16, m_points=60)
+
+    def test_default_m_is_the_smallest_7_smooth_count(self, rotation):
+        smooth = [1]
+        for p in (2, 3, 5, 7):
+            smooth = [c * p**e for c in smooth for e in range(12) if c * p**e <= 4 * 512 + 64]
+        smooth.sort()
+        for N in range(1, 513):
+            M = smooth[bisect.bisect_left(smooth, 4 * N + 8)]
+            assert _collocation_points(rotation, N, None)[1] == M
+        assert [_collocation_points(rotation, N, None)[1] for N in (48, 231, 384)] == [200, 945, 1568]
+        # an explicit count is used as given, smooth or not
+        for N, m_points in ((16, 68), (16, 69), (16, 71), (16, 72), (16, 97), (384, 1544)):
+            assert _collocation_points(rotation, N, m_points)[1] == m_points
+
+    @pytest.mark.parametrize("N", [0, -2, -100])
+    def test_non_positive_n_modes_are_rejected(self, rotation, N):
+        # checked before the default M is sought, which from 4 N + 8 = 0 would never end
+        with pytest.raises(ConfigError, match="n_modes must be >= 1"):
+            _collocation_points(rotation, N, None)
+
+    @pytest.mark.parametrize("map_name", ["arnold", "two_humped"])
+    @pytest.mark.parametrize("N", [64, 384])
+    def test_default_m_matches_4n_plus_8(self, request, map_name, N):
+        m, omega = request.getfixturevalue(map_name), SYSTEM_OMEGA[map_name]
+        smooth = complex_rotation_number(m, omega, N, y_floor=0.0)
+        plain = complex_rotation_number(m, omega, N, 4 * N + 8, y_floor=0.0)
+        assert smooth.m_points != plain.m_points
+        assert abs(smooth.tau_raw - plain.tau_raw) < 1e-12
 
     @pytest.mark.parametrize("counts", [
         {"n_modes": 3.7}, {"n_modes": 16, "m_points": 72.9}, {"n_modes": math.nan},
@@ -457,16 +490,31 @@ class TestGramRefinement:
         assert (sol == ref).all() and cond == ref_cond and residual == ref_residual
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
-    def test_updates_stalled_at_rounding_level_converge(self, seed, monkeypatch):
-        # kappa_2 = 10: the updates stop halving at about 1.2e-15 max |x|,
-        # which STALL_TOL accepts; without that rule these systems decline
+    def test_updates_stalled_at_rounding_level_converge(self, seed):
+        # kappa_2 = 10: the updates end at rounding level, about 1e-15
+        # max |x|; whether the 1e-15 rule or STALL_TOL ends them depends
+        # on each seed's rounding (see the real system below)
         Ab = synthetic_system(np.linspace(1.0, 0.1, 40), seed=seed)
         sol, _, _, steps = cherk_solve(Ab)
         ref = np.linalg.lstsq(Ab[:, :-1], Ab[:, -1], rcond=None)[0]
         assert steps > 0
         assert float(np.max(np.abs(sol - ref))) < 1e-12
+
+    def test_real_system_stalled_at_rounding_level_needs_the_stall_rule(
+        self, two_humped, monkeypatch
+    ):
+        # a thin rung by the two-hump edge (N = 256, y = 3e-4, cond 2.4e3):
+        # its updates stop halving at 2.6e-15 max |x| with BLAS at 1 thread
+        # and 2.8e-15 at 2, between 1e-15 and STALL_TOL, so only the stall
+        # rule accepts it; without that rule it declines to the QR path
+        def system():
+            return collocation_system(two_humped, HUMP_EDGE_SAMPLE + 3e-4j, 256)
+
+        sol, _, _, steps = _solve_collocation(system())
+        ref = qr_oracle(system())[0]
+        assert steps > 0 and abs(sol[-1] - ref[-1]) < 1e-14
         monkeypatch.setattr(uniformize, "STALL_TOL", 0.0)
-        assert cherk_solve(Ab)[3] == 0
+        assert _solve_collocation(system())[3] == 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_stalls_above_rounding_level_decline(self, seed):
@@ -478,7 +526,7 @@ class TestGramRefinement:
         assert (sol == ref).all() and cond == ref_cond and residual == ref_residual
 
     def test_fast_path_forms_no_dense_matrix(self, arnold, hump_edge_fold_run):
-        bv, calls, _ = hump_edge_fold_run
+        bv, calls, _, _ = hump_edge_fold_run
         assert calls == [] and all(r.refine_steps > 0 for r in bv.rungs)
         with counting_dense() as calls:
             assert welding_constant(arnold, 48).refine_steps > 0
@@ -495,20 +543,46 @@ class TestGramRefinement:
         assert calls == [48]
 
     def test_fast_path_forms_no_triangular_inverse(self, arnold, hump_edge_fold_run):
-        bv, _, inverses = hump_edge_fold_run
+        bv, _, inverses, _ = hump_edge_fold_run
         assert inverses == [] and all(r.refine_steps > 0 for r in bv.rungs)
-        with counting_trtri() as inverses:
+        with counting_routine("ztrtri") as inverses:
             assert welding_constant(arnold, 48).refine_steps > 0
         assert inverses == []
 
     def test_declined_solves_form_one_triangular_inverse_each(self, arnold, monkeypatch):
         monkeypatch.setattr(uniformize, "_gram_refine", lambda *args: None)
-        with counting_trtri() as inverses:
+        with counting_routine("ztrtri") as inverses:
             bv = boundary_tau(arnold, 0.0, ladder=[0.2, 0.1, 0.05], resid_target=0.0, n_cap=64)
         assert len(inverses) == sum(r.solves for r in bv.rungs) > 3
-        with counting_trtri() as inverses:
+        with counting_routine("ztrtri") as inverses:
             assert welding_constant(arnold, 48).refine_steps == 0
         assert inverses == [2 * 48 + 1]
+
+    def test_fast_path_solves_in_complex64_only(self, arnold, hump_edge_fold_run):
+        bv, _, _, solves = hump_edge_fold_run
+        assert solves == [] and all(r.refine_steps > 0 for r in bv.rungs)
+        with counting_routine("ztrtrs") as solves, counting_routine("ctrtrs") as single:
+            assert welding_constant(arnold, 48).refine_steps > 0
+        assert solves == [] and set(single) == {2 * 48 + 1}
+
+    def test_declined_solves_solve_in_complex128_only_in_qr(self, arnold, monkeypatch):
+        monkeypatch.setattr(uniformize, "_gram_refine", lambda *args: None)
+        qr_solve, in_qr = uniformize._qr_solve, []
+
+        def counted(*args):
+            before = len(solves)
+            out = qr_solve(*args)
+            in_qr.append(len(solves) - before)
+            return out
+
+        monkeypatch.setattr(uniformize, "_qr_solve", counted)
+        with counting_routine("ztrtrs") as solves:
+            bv = boundary_tau(arnold, 0.0, ladder=[0.2, 0.1, 0.05], resid_target=0.0, n_cap=64)
+        assert in_qr == [1] * sum(r.solves for r in bv.rungs) and len(solves) == len(in_qr)
+        in_qr.clear()
+        with counting_routine("ztrtrs") as solves:
+            assert welding_constant(arnold, 48).refine_steps == 0
+        assert solves == [2 * 48 + 1] and in_qr == [1]
 
     def test_fast_solve_allocates_less_than_the_dense_matrix(self, two_humped):
         N = 384
@@ -594,12 +668,15 @@ class TestLapackBinding:
         system = collocation_system(request.getfixturevalue(map_name), SYSTEM_OMEGA[map_name], N)
         R32, info = assert_gram_factor_matches_scipy(system.gram)
         assert info == 0
-        R = R32.astype(complex)
         rhs = system.rmatvec(system.rhs)
-        for trans in (0, 2):
-            x, info = _lapack.ztrtrs(R, rhs, trans=trans)
-            x_ref, info_ref = lapack.ztrtrs(R, rhs, trans=trans)
-            assert info == info_ref == 0 and same_array(x, x_ref)
+        # the fast path solves with the complex64 factor (ctrtrs); ztrtrs
+        # is checked on the same factor in complex128
+        for R, oracle in ((R32, lapack.ctrtrs), (R32.astype(complex), lapack.ztrtrs)):
+            for trans in (0, 2):
+                x, info = _lapack.trtrs(R, rhs, trans=trans)
+                x_ref, info_ref = oracle(R, rhs, trans=trans)
+                assert info == info_ref == 0 and same_array(x, x_ref)
+                assert x.dtype == R.dtype
 
     @pytest.mark.parametrize("map_name, omega, N", ORACLE_CASES)
     def test_qr_path_routines_match_scipy(self, request, map_name, omega, N):
@@ -610,7 +687,7 @@ class TestLapackBinding:
         inv, info = _lapack.trtri(R11)
         inv_ref, info_ref = lapack.ztrtri(R11)
         assert info == info_ref == 0 and same_array(inv, inv_ref)
-        x, info = _lapack.ztrtrs(R11.T, R[:n, n], lower=1, trans=1)
+        x, info = _lapack.trtrs(R11.T, R[:n, n], lower=1, trans=1)
         x_ref, info_ref = lapack.ztrtrs(R11.T, R[:n, n], lower=1, trans=1)
         assert info == info_ref == 0 and same_array(x, x_ref)
 
@@ -650,8 +727,17 @@ class TestLapackBinding:
         for a in (np.eye(3), np.eye(3, dtype=np.complex64)):
             with pytest.raises(ValueError, match="complex128"):
                 _lapack.trtri(a)
-        with pytest.raises(ValueError, match="shape"):
-            _lapack.ztrtrs(np.eye(3, dtype=complex), np.ones(4, dtype=complex))
+        for dtype in (complex, np.complex64):
+            # b of another order, a not square, b not a vector
+            with pytest.raises(ValueError, match="shape"):
+                _lapack.trtrs(np.eye(3, dtype=dtype), np.ones(4, dtype=dtype))
+            with pytest.raises(ValueError, match="square"):
+                _lapack.trtrs(np.ones((3, 4), dtype=dtype), np.ones(3, dtype=dtype))
+            with pytest.raises(ValueError, match="shape"):
+                _lapack.trtrs(np.eye(3, dtype=dtype), np.ones((3, 1), dtype=dtype))
+        for dtype in (float, np.float32, np.int64, np.clongdouble):
+            with pytest.raises(ValueError, match="complex64 or complex128"):
+                _lapack.trtrs(np.eye(3, dtype=dtype), np.ones(3, dtype=complex))
 
     def test_library_without_the_routines_fails_loudly(self):
         libc = ctypes.CDLL(ctypes.util.find_library("c") or "libc.so.6")
